@@ -117,7 +117,9 @@ def _check_catalogue_compat(model_doc: dict, manifest: dict):
 
 
 def cmd_evaluate(args) -> int:
-    config = persistence.load_config(args.config, seed_override=args.seed_override)
+    # --config is validated, but the run's settings come from the dataset
+    # manifest and the detector's from the model file.
+    persistence.load_config(args.config, seed_override=args.seed_override)
     manifest, episodes = _load_dataset(args.dataset)
     model_doc = persistence.load_model(args.model)
     _check_catalogue_compat(model_doc, manifest)
@@ -127,7 +129,7 @@ def cmd_evaluate(args) -> int:
 
     data_config = persistence.parse_config(manifest["config"])
     scenario_cfg = data_config.scenario_config()
-    warmup = config.detector_section.get(
+    warmup = trained.params.get(
         "window_size", evaluation.DEFAULT_DETECTOR_PARAMS["dexter"]["window_size"]
     ) - 1
 

@@ -330,23 +330,28 @@ def generate_episodes(config: ScenarioConfig, policy, bank: str, count: int, mas
     ]
 
 
+def _labeled_transitions(trained: TrainedDetector, episode, warmup: int):
+    """One episode's (scores, labels) after its first ``warmup`` transitions,
+    with undefined (NaN) scores dropped."""
+    scores = trained.transition_scores(episode)[warmup:]
+    labels = np.asarray(episode.labels, dtype=bool)[warmup:]
+    keep = ~np.isnan(scores)
+    return scores[keep], labels[keep]
+
+
+def _pool(parts) -> LabeledScoreSet:
+    return LabeledScoreSet(
+        scores=np.concatenate([s for s, _ in parts]) if parts else np.empty(0),
+        labels=np.concatenate([l for _, l in parts]) if parts else np.empty(0, dtype=bool),
+        episode_ids=tuple(range(len(parts))),
+    )
+
+
 def pooled_scores(trained: TrainedDetector, episodes, warmup: int) -> LabeledScoreSet:
     """Per-transition scores pooled across episodes, excluding the first
     ``warmup`` transitions of each episode (undefined-window region applied
     symmetrically to every detector)."""
-    all_scores, all_labels, ids = [], [], []
-    for idx, ep in enumerate(episodes):
-        scores = trained.transition_scores(ep)[warmup:]
-        labels = np.asarray(ep.labels, dtype=bool)[warmup:]
-        keep = ~np.isnan(scores)
-        all_scores.append(scores[keep])
-        all_labels.append(labels[keep])
-        ids.append(idx)
-    return LabeledScoreSet(
-        scores=np.concatenate(all_scores) if all_scores else np.empty(0),
-        labels=np.concatenate(all_labels) if all_labels else np.empty(0, dtype=bool),
-        episode_ids=tuple(ids),
-    )
+    return _pool([_labeled_transitions(trained, ep, warmup) for ep in episodes])
 
 
 def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, horizon: int,
@@ -358,16 +363,16 @@ def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, ho
     usable = [ep for ep in test_episodes if ep.usable]
     num_unusable += len(test_episodes) - len(usable)
 
-    pooled = pooled_scores(trained, usable, warmup)
+    # Each episode is scored once for both AUROCs; alert_step below repeats
+    # the scoring because it is the full online decision.
+    parts = [_labeled_transitions(trained, ep, warmup) for ep in usable]
+    pooled = _pool(parts)
     raw = auroc_raw(pooled.scores, pooled.labels)
 
     per_ep_vals = []
-    for ep in usable:
-        scores = trained.transition_scores(ep)[warmup:]
-        labels = np.asarray(ep.labels, dtype=bool)[warmup:]
-        keep = ~np.isnan(scores)
-        if labels[keep].any() and not labels[keep].all():
-            r = auroc_raw(scores[keep], labels[keep])
+    for scores, labels in parts:
+        if labels.any() and not labels.all():
+            r = auroc_raw(scores, labels)
             per_ep_vals.append(max(r, 1.0 - r))
 
     alert_steps = [trained.alert_step(ep) for ep in usable]

@@ -11,11 +11,32 @@ where h(x) is the isolation path depth plus the average-BST adjustment
 c(n) = 2 H(n-1) - 2 (n-1)/n for unresolved leaves of size n, and psi is the
 subsample size. Higher scores are more anomalous.
 
-Trees are stored as parallel arrays so batches of points are scored with a
-handful of vectorized gather passes per tree.
+Packed layout. A forest stores the nodes of all its trees in five flat
+arrays (``feature``, ``threshold``, ``left``, ``right``, ``size``), tree
+after tree, with ``roots[i]`` the offset of tree i's root. Child indices are
+global positions in those arrays, and every node index is int32. A leaf's
+``left`` and ``right`` both point at the leaf itself and its ``feature`` is
+0, so routing a point through a leaf is a harmless comparison that keeps it
+where it is. The packed arrays are the only copy of the nodes; per-tree
+views (``model.trees[i]``, the JSON rows) are rebuilt from them on demand,
+with -1 marking leaves and children numbered within the tree.
+
+Scoring walks every (tree, point) pair of a batch at once (a very large
+batch in chunks of points) for a fixed number of levels, the forest's
+deepest leaf depth (at most ceil(log2(psi)) for a fitted forest): each level
+gathers the current nodes' split, picks a child with one ``np.where`` and
+adds 1 to the depth of every pair that moved, which is exactly the pairs
+still at an internal node. Then h = depth + c(leaf size).
+
+The per-tree path lengths are summed in tree order, one tree at a time.
+NumPy's ``sum`` over the tree axis can reduce pairwise (it does for a batch
+of one), which rounds differently from the sequential sum, so a point would
+score differently alone than inside a batch, and streamed scores would stop
+matching ``score_stream`` bit for bit.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +45,8 @@ from .seeding import rng_from
 
 DEFAULT_NUM_TREES = 100
 DEFAULT_SUBSAMPLE = 256
+# Most (tree, point) pairs one scoring walk advances together.
+_CHUNK_PAIRS = 1 << 18
 
 
 def harmonic_number(n: int) -> float:
@@ -42,7 +65,8 @@ def average_path_length(n: int) -> float:
 
 @dataclass
 class IsolationTree:
-    """One isolation tree in structure-of-arrays form.
+    """One isolation tree in structure-of-arrays form, with node indices
+    local to the tree.
 
     ``feature[i] == -1`` marks node i as a leaf holding ``size[i]`` training
     points; internal nodes route on ``point[feature] < threshold``.
@@ -66,56 +90,113 @@ class IsolationTree:
         depths = self.node_depths()
         return int(depths[self.feature < 0].max())
 
-    def path_lengths(self, points: np.ndarray, leaf_adjust: np.ndarray) -> np.ndarray:
-        """h(x) for a (batch, F) array: depth of the reached leaf plus
-        c(leaf size), via level-synchronous traversal."""
-        node = np.zeros(points.shape[0], dtype=int)
-        depth = np.zeros(points.shape[0], dtype=float)
-        out = np.empty(points.shape[0], dtype=float)
-        active = np.arange(points.shape[0])
-        while active.size:
-            feat = self.feature[node[active]]
-            at_leaf = feat < 0
-            if at_leaf.any():
-                done = active[at_leaf]
-                out[done] = depth[done] + leaf_adjust[self.size[node[done]]]
-            still = active[~at_leaf]
-            if still.size == 0:
-                break
-            f = self.feature[node[still]]
-            go_left = points[still, f] < self.threshold[node[still]]
-            node[still] = np.where(go_left, self.left[node[still]], self.right[node[still]])
-            depth[still] += 1.0
-            active = still
-        return out
-
     def to_json_obj(self) -> list:
-        return [
-            [int(f), float(t), int(l), int(r), int(s)]
-            for f, t, l, r, s in zip(self.feature, self.threshold, self.left, self.right, self.size)
-        ]
+        """One [feature, threshold, left, right, size] row per node. Rows are
+        tuples, which JSON writes as arrays, so they cost less memory than
+        lists while a large model is being written."""
+        columns = (self.feature, self.threshold, self.left, self.right, self.size)
+        return list(zip(*(np.asarray(c).tolist() for c in columns)))
 
     @classmethod
     def from_json_obj(cls, rows: list) -> "IsolationTree":
+        feature, threshold, left, right, size = zip(*rows) if rows else ((),) * 5
         return cls(
-            feature=np.array([r[0] for r in rows], dtype=int),
-            threshold=np.array([r[1] for r in rows], dtype=float),
-            left=np.array([r[2] for r in rows], dtype=int),
-            right=np.array([r[3] for r in rows], dtype=int),
-            size=np.array([r[4] for r in rows], dtype=int),
+            feature=np.array(feature, dtype=np.int32),
+            threshold=np.array(threshold, dtype=float),
+            left=np.array(left, dtype=np.int32),
+            right=np.array(right, dtype=np.int32),
+            size=np.array(size, dtype=np.int32),
         )
 
 
-@dataclass
+def _pack(trees):
+    """Flat node arrays for an iterable of trees: (feature, threshold, left,
+    right, size, roots, levels), where ``levels`` is the deepest leaf depth."""
+    columns = ([], [], [], [], [])
+    dtypes = (np.int32, float, np.int32, np.int32, np.int32)
+    for tree in trees:
+        if len(tree.feature) == 0:
+            raise IncompatibleModelError("isolation tree without nodes")
+        values = (tree.feature, tree.threshold, tree.left, tree.right, tree.size)
+        for column, array, dtype in zip(columns, values, dtypes):
+            column.append(np.asarray(array, dtype=dtype))
+    if not columns[0]:
+        raise IncompatibleModelError("an isolation forest needs at least one tree")
+    counts = np.array([len(a) for a in columns[0]])
+    roots = (np.cumsum(counts) - counts).astype(np.int32)
+    feature, threshold, left, right, size = (np.concatenate(c) for c in columns)
+    del columns
+
+    node = np.arange(len(feature), dtype=np.int32)
+    tree_start = np.repeat(roots, counts)
+    tree_end = tree_start + np.repeat(counts, counts)
+    leaf = feature < 0
+    for child in (left, right):
+        child += tree_start
+        if not np.all(leaf | ((child > node) & (child < tree_end))):
+            raise IncompatibleModelError("isolation tree child index outside its subtree")
+        child[leaf] = node[leaf]
+    feature[leaf] = 0
+
+    levels = 0
+    frontier = roots
+    while True:
+        frontier = frontier[left[frontier] != frontier]
+        if frontier.size == 0:
+            break
+        frontier = np.concatenate([left[frontier], right[frontier]])
+        levels += 1
+    return feature, threshold, left, right, size, roots, levels
+
+
+class _TreeViews(Sequence):
+    """``model.trees``: per-tree :class:`IsolationTree` copies rebuilt from
+    the packed arrays on access."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def __len__(self) -> int:
+        return len(self._model.roots)
+
+    def __getitem__(self, i):
+        m = self._model
+        i = range(len(m.roots))[i]
+        start = int(m.roots[i])
+        stop = int(m.roots[i + 1]) if i + 1 < len(m.roots) else len(m.feature)
+        nodes = slice(start, stop)
+        leaf = m.left[nodes] == np.arange(start, stop)
+        return IsolationTree(
+            feature=np.where(leaf, -1, m.feature[nodes]),
+            threshold=m.threshold[nodes].copy(),
+            left=np.where(leaf, -1, m.left[nodes] - start),
+            right=np.where(leaf, -1, m.right[nodes] - start),
+            size=m.size[nodes].copy(),
+        )
+
+
 class IsolationForestModel:
-    trees: list
-    subsample_size: int
-    feature_count: int
-    normalizer_c: float
-    seed: int
-    num_training_samples: int
-    feature_manifest_hash: str | None = None
-    _leaf_adjust: np.ndarray = field(default=None, repr=False, compare=False)
+    """A fitted forest in the packed layout described in the module
+    docstring. ``trees`` (any iterable of :class:`IsolationTree`) is packed
+    on construction and read back through ``model.trees``."""
+
+    def __init__(self, trees, subsample_size: int, feature_count: int, normalizer_c: float,
+                 seed: int, num_training_samples: int, feature_manifest_hash: str | None = None):
+        (self.feature, self.threshold, self.left, self.right, self.size,
+         self.roots, self.levels) = _pack(trees)
+        if self.feature.max() >= feature_count:
+            raise IncompatibleModelError(f"isolation tree splits on a feature >= {feature_count}")
+        self.subsample_size = subsample_size
+        self.feature_count = feature_count
+        self.normalizer_c = normalizer_c
+        self.seed = seed
+        self.num_training_samples = num_training_samples
+        self.feature_manifest_hash = feature_manifest_hash
+        self._leaf_adjust = None
+
+    @property
+    def trees(self) -> _TreeViews:
+        return _TreeViews(self)
 
     def leaf_adjust_table(self) -> np.ndarray:
         if self._leaf_adjust is None:
@@ -138,7 +219,7 @@ class IsolationForestModel:
     @classmethod
     def from_json_dict(cls, d: dict) -> "IsolationForestModel":
         return cls(
-            trees=[IsolationTree.from_json_obj(rows) for rows in d["trees"]],
+            trees=(IsolationTree.from_json_obj(rows) for rows in d["trees"]),
             subsample_size=int(d["subsample_size"]),
             feature_count=int(d["feature_count"]),
             normalizer_c=float(d["normalizer_c"]),
@@ -202,27 +283,41 @@ def fit(data, num_trees: int = DEFAULT_NUM_TREES, subsample: int | None = None, 
         raise ConfigError("num_trees must be >= 1")
 
     depth_limit = int(np.ceil(np.log2(subsample))) if subsample > 1 else 0
-    trees = []
-    for i in range(num_trees):
-        rng = rng_from(seed, "tree", i)
-        rows = rng.choice(n, size=subsample, replace=False)
-        builder = _TreeBuilder(rng, depth_limit)
-        builder.build(data[rows], 0)
-        trees.append(IsolationTree(
-            feature=np.array(builder.feature, dtype=int),
-            threshold=np.array(builder.threshold, dtype=float),
-            left=np.array(builder.left, dtype=int),
-            right=np.array(builder.right, dtype=int),
-            size=np.array(builder.size, dtype=int),
-        ))
+
+    def grow():
+        for i in range(num_trees):
+            rng = rng_from(seed, "tree", i)
+            rows = rng.choice(n, size=subsample, replace=False)
+            builder = _TreeBuilder(rng, depth_limit)
+            builder.build(data[rows], 0)
+            yield builder
+
     return IsolationForestModel(
-        trees=trees,
+        trees=grow(),
         subsample_size=int(subsample),
         feature_count=int(data.shape[1]),
         normalizer_c=average_path_length(int(subsample)),
         seed=int(seed),
         num_training_samples=n,
     )
+
+
+def _path_length_sums(model: IsolationForestModel, pts: np.ndarray) -> np.ndarray:
+    """Each point's path lengths h(x) summed over the trees in tree order."""
+    flat = np.ascontiguousarray(pts).ravel()
+    row_start = np.arange(pts.shape[0]) * pts.shape[1]
+    node = np.repeat(model.roots[:, None], pts.shape[0], axis=1)
+    depth = np.zeros(node.shape)
+    for _ in range(model.levels):
+        go_left = flat[row_start + model.feature[node]] < model.threshold[node]
+        child = np.where(go_left, model.left[node], model.right[node])
+        depth += child != node
+        node = child
+    path_lengths = depth + model.leaf_adjust_table()[model.size[node]]
+    total = np.zeros(pts.shape[0])
+    for row in path_lengths:
+        total += row
+    return total
 
 
 def score_batch(model: IsolationForestModel, points) -> np.ndarray:
@@ -232,11 +327,14 @@ def score_batch(model: IsolationForestModel, points) -> np.ndarray:
         raise IncompatibleModelError(
             f"point dimension {pts.shape[1]} != model feature count {model.feature_count}"
         )
-    adjust = model.leaf_adjust_table()
-    total = np.zeros(pts.shape[0])
-    for tree in model.trees:
-        total += tree.path_lengths(pts, adjust)
-    mean_depth = total / len(model.trees)
+    # The walk holds a few arrays of trees x points; large batches go in
+    # chunks so that memory stays bounded. Chunking cannot change a score,
+    # because each point's sum is formed independently.
+    total = np.empty(pts.shape[0])
+    step = max(1, _CHUNK_PAIRS // len(model.roots))
+    for start in range(0, pts.shape[0], step):
+        total[start:start + step] = _path_length_sums(model, pts[start:start + step])
+    mean_depth = total / len(model.roots)
     denom = model.normalizer_c if model.normalizer_c > 0 else 1.0
     return np.power(2.0, -mean_depth / denom)
 

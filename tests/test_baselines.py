@@ -50,9 +50,16 @@ def linear_system_transitions(n, seed):
 
 
 def brute_auroc(scores, labels):
-    pos = [s for s, l in zip(scores, labels) if l]
-    neg = [s for s, l in zip(scores, labels) if not l]
-    wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
+    """Every (positive, negative) pair compared directly, ties counting
+    half; positives are taken in chunks to bound the comparison matrix."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=bool)
+    pos, neg = scores[labels], scores[~labels]
+    chunk = max(1, (1 << 22) // max(len(neg), 1))
+    wins = 0.0
+    for start in range(0, len(pos), chunk):
+        p = pos[start:start + chunk, None]
+        wins += np.count_nonzero(p > neg) + 0.5 * np.count_nonzero(p == neg)
     return wins / (len(pos) * len(neg))
 
 

@@ -153,6 +153,25 @@ def test_evaluate_refuses_catalogue_mismatch(workspace, capsys):
     assert "catalogue" in capsys.readouterr().err
 
 
+def test_evaluate_takes_warmup_from_model_not_config(tmp_path):
+    train_cfg, eval_cfg = tmp_path / "train.json", tmp_path / "eval.json"
+    write_config(train_cfg, detector={"window_size": 12})
+    write_config(eval_cfg, detector={"window_size": 20})
+    ds, model = tmp_path / "ds", tmp_path / "model.json"
+    assert main(["generate", "--config", str(train_cfg), "--out", str(ds)]) == 0
+    assert main(["train", "--config", str(train_cfg), "--dataset", str(ds),
+                 "--out", str(model)]) == 0
+
+    outs = {}
+    for name, cfg in (("same", train_cfg), ("other", eval_cfg)):
+        outs[name] = tmp_path / name
+        assert main(["evaluate", "--config", str(cfg), "--model", str(model),
+                     "--dataset", str(ds), "--out", str(outs[name])]) == 0
+    report = read_json(outs["other"] / "report.json")
+    assert report["results"][0]["warmup_excluded_transitions"] == 11
+    assert read_file(outs["other"] / "results.csv") == read_file(outs["same"] / "results.csv")
+
+
 def test_bench_matrix_cache_and_determinism(workspace):
     tmp, cfg = workspace
     out1 = tmp / "bench1"

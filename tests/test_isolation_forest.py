@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dexter import isolation_forest
 from dexter.errors import ConfigError, IncompatibleModelError
 from dexter.isolation_forest import (
     IsolationForestModel,
@@ -14,9 +19,16 @@ from dexter.isolation_forest import (
 
 
 def brute_auroc(scores, labels):
-    pos = [s for s, l in zip(scores, labels) if l]
-    neg = [s for s, l in zip(scores, labels) if not l]
-    wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
+    """Every (positive, negative) pair compared directly, ties counting
+    half; positives are taken in chunks to bound the comparison matrix."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=bool)
+    pos, neg = scores[labels], scores[~labels]
+    chunk = max(1, (1 << 22) // max(len(neg), 1))
+    wins = 0.0
+    for start in range(0, len(pos), chunk):
+        p = pos[start:start + chunk, None]
+        wins += np.count_nonzero(p > neg) + 0.5 * np.count_nonzero(p == neg)
     return wins / (len(pos) * len(neg))
 
 
@@ -178,3 +190,85 @@ def test_json_roundtrip_preserves_scores():
     assert np.array_equal(score_batch(model, queries), score_batch(back, queries))
     assert back.feature_manifest_hash == "abc123"
     assert back.subsample_size == model.subsample_size
+
+
+def test_malformed_model_trees_are_rejected():
+    rng = np.random.default_rng(7)
+    doc = fit(rng.normal(size=(100, 2)), num_trees=3, subsample=16, seed=4).to_json_dict()
+    IsolationForestModel.from_json_dict(doc)
+    num_nodes = len(doc["trees"][1])
+    # (column, value) written into tree 1's root row [feature, threshold,
+    # left, right, size]; column None empties the tree.
+    for column, value in ((2, 0),            # left child is the root itself
+                          (3, num_nodes),    # right child past the tree's end
+                          (0, 2),            # split on a third feature
+                          (None, None)):
+        bad = json.loads(json.dumps(doc))
+        if column is None:
+            bad["trees"][1] = []
+        else:
+            bad["trees"][1][0][column] = value
+        with pytest.raises(IncompatibleModelError):
+            IsolationForestModel.from_json_dict(bad)
+
+
+def reference_scores(model, points):
+    """Plain per-tree, per-point descent over ``model.trees``, summing the
+    path lengths in tree order."""
+    adjust = [average_path_length(n) for n in range(model.subsample_size + 1)]
+    total = np.zeros(len(points))
+    for tree in model.trees:
+        lengths = np.empty(len(points))
+        for i, point in enumerate(points):
+            node, depth = 0, 0
+            while tree.feature[node] >= 0:
+                goes_left = point[tree.feature[node]] < tree.threshold[node]
+                node = tree.left[node] if goes_left else tree.right[node]
+                depth += 1
+            lengths[i] = depth + adjust[tree.size[node]]
+        total += lengths
+    denom = model.normalizer_c if model.normalizer_c > 0 else 1.0
+    return np.power(2.0, -(total / len(model.trees)) / denom)
+
+
+@st.composite
+def forests_and_queries(draw):
+    num_features = draw(st.integers(1, 4))
+    values = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+    distinct = draw(st.lists(st.lists(values, min_size=num_features, max_size=num_features),
+                             min_size=1, max_size=30))
+    # Rows repeated by index, so training sets often hold duplicates.
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=60))
+    data = np.array([distinct[i] for i in picks])
+    subsample = draw(st.integers(1, len(data)))
+    model = fit(data, num_trees=draw(st.integers(1, 40)), subsample=subsample,
+                seed=draw(st.integers(0, 2**32 - 1)))
+    extra = draw(st.lists(st.lists(values, min_size=num_features, max_size=num_features),
+                          max_size=10))
+    queries = np.vstack([data[:10], np.reshape(extra, (-1, num_features))])
+    return model, queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests_and_queries())
+def test_packed_walk_matches_per_tree_reference(case):
+    model, queries = case
+    assert np.array_equal(score_batch(model, queries), reference_scores(model, queries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests_and_queries())
+def test_batch_rows_equal_batches_of_one(case):
+    model, queries = case
+    batch = score_batch(model, queries)
+    singles = np.array([score_batch(model, q[None, :])[0] for q in queries])
+    assert np.array_equal(batch, singles)
+
+
+def test_batch_split_into_chunks_scores_the_same(monkeypatch):
+    rng = np.random.default_rng(8)
+    model = fit(rng.normal(size=(200, 3)), num_trees=10, subsample=64, seed=3)
+    queries = rng.normal(size=(50, 3))
+    whole = score_batch(model, queries)
+    monkeypatch.setattr(isolation_forest, "_CHUNK_PAIRS", 30)  # 3 points a chunk
+    assert np.array_equal(score_batch(model, queries), whole)
