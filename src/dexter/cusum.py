@@ -46,6 +46,22 @@ class CusumDetector:
         )
 
 
+def _clamped_step(statistic: float, score: float, mean: float) -> float:
+    """One step of the clamped recursion; a NaN score leaves it unchanged.
+    Calibration and the online rule both advance the statistic only here."""
+    if score != score:
+        return statistic
+    return max(0.0, statistic + score - mean)
+
+
+def _clamped_walk(scores, mean: float):
+    """The statistic S_t after each step of ``scores``, started at 0."""
+    statistic = 0.0
+    for score in np.asarray(scores, dtype=float).tolist():
+        statistic = _clamped_step(statistic, score, mean)
+        yield statistic
+
+
 class CusumMonitor:
     """Single-stream online CUSUM state; one instance per monitored episode."""
 
@@ -59,10 +75,9 @@ class CusumMonitor:
         scores freeze the statistic."""
         if self.alerted:
             return True
-        if not np.isnan(score):
-            self.statistic = max(0.0, self.statistic + score - self.detector.mean_score_abar)
-            if self.statistic > self.detector.threshold_tau:
-                self.alerted = True
+        self.statistic = _clamped_step(self.statistic, score, self.detector.mean_score_abar)
+        if self.statistic > self.detector.threshold_tau:
+            self.alerted = True
         return self.alerted
 
 
@@ -73,20 +88,11 @@ def split_halves(num_items: int, seed: int) -> tuple:
     return perm[:half], perm[half:]
 
 
-def max_clamped_excursion(scores: np.ndarray, mean: float) -> float:
+def max_clamped_excursion(scores, mean: float) -> float:
     """Running maximum of the clamped recursion S_t = max(0, S_{t-1} + A_t -
-    mean), started at 0, ignoring NaN entries.
-
-    Uses the reflection identity S_t = walk_t - min(0, min_{s<=t} walk_s)
-    for the cumulative walk of (A_t - mean).
-    """
-    vals = np.asarray(scores, dtype=float)
-    vals = vals[~np.isnan(vals)]
-    if vals.size == 0:
-        return 0.0
-    walk = np.cumsum(vals - mean)
-    clamped = walk - np.minimum(np.minimum.accumulate(walk), 0.0)
-    return float(max(0.0, clamped.max()))
+    mean), started at 0, ignoring NaN entries; bit for bit the largest
+    statistic a :class:`CusumMonitor` reaches on the same stream."""
+    return max(_clamped_walk(scores, mean), default=0.0)
 
 
 def percentile_threshold(maxima, target_fpr: float) -> float:
@@ -122,8 +128,5 @@ def calibrate_from_streams(score_streams, target_fpr: float, seed: int = 0) -> C
 def first_alert_step(detector: CusumDetector, scores) -> int | None:
     """Index of the first alert when feeding ``scores`` through a fresh
     monitor, or None if the stream ends without an alert."""
-    monitor = CusumMonitor(detector)
-    for t, value in enumerate(np.asarray(scores, dtype=float)):
-        if monitor.update(float(value)):
-            return t
-    return None
+    walk = _clamped_walk(scores, detector.mean_score_abar)
+    return next((t for t, statistic in enumerate(walk) if statistic > detector.threshold_tau), None)

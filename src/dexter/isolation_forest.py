@@ -1,15 +1,42 @@
 """Isolation forest trained on feature vectors, built from scratch.
 
-Each tree recursively partitions a uniform subsample (drawn without
-replacement) by choosing a random attribute with nonzero range and a uniform
-split value strictly between that attribute's minimum and maximum. A point's
-anomaly score is
+Each tree partitions a uniform subsample (drawn without replacement) by
+choosing a random attribute with nonzero range and a uniform split value
+between that attribute's minimum and maximum, until a node holds one point,
+has only constant attributes or reaches depth ceil(log2(subsample)). A
+point's anomaly score is
 
     s(x) = 2 ** (-E[h(x)] / c(psi))
 
 where h(x) is the isolation path depth plus the average-BST adjustment
 c(n) = 2 H(n-1) - 2 (n-1)/n for unresolved leaves of size n, and psi is the
 subsample size. Higher scores are more anomalous.
+
+Draw protocol. Tree i draws from its own generator ``rng_from(seed, "tree",
+i)``: first its subsample, ``choice(n, size=psi, replace=False)``; then, for
+each depth in turn, one ``random((k, F + 1))`` for the k nodes of that depth
+that can split (size >= 2, depth below the limit), in left-to-right order
+(no call when k = 0), with F the number of features. A node's row of F keys
+orders its features by ascending key (ties, of probability 0, go to the
+lower feature index) and its last entry u places the threshold. The split feature is the first feature in
+that order whose range within the node is nonzero; a node whose F features
+are all constant becomes a leaf. The threshold is ``lo + (hi - lo) * u``,
+the formula ``Generator.uniform(lo, hi)`` evaluates, raised to
+``nextafter(lo, hi)`` if rounding leaves it at lo, so it lies in (lo, hi]
+and both children are non-empty. A tree therefore depends only on the data,
+psi, the seed and i, never on how many trees are grown or in which chunks.
+
+This draws the same distribution as choosing uniformly among the
+non-constant features and then splitting uniformly on the chosen one: i.i.d.
+uniform keys put the features in a uniformly random order, and the first
+non-constant feature of a uniformly random order is uniform over the
+non-constant features. The forest is grown level by level, a chunk of trees
+at a time: the data are held feature-major, each open node's points stay
+contiguous in one index array, each node reduces only the column it tries
+(``np.minimum.reduceat`` / ``np.maximum.reduceat`` over the node segments,
+a further column only where the tried one is constant), and a stable
+partition moves every node's points into its two children. Nodes are
+numbered breadth-first within each tree, so each child follows its parent.
 
 Packed layout. A forest stores the nodes of all its trees in five flat
 arrays (``feature``, ``threshold``, ``left``, ``right``, ``size``), tree
@@ -47,6 +74,8 @@ DEFAULT_NUM_TREES = 100
 DEFAULT_SUBSAMPLE = 256
 # Most (tree, point) pairs one scoring walk advances together.
 _CHUNK_PAIRS = 1 << 18
+# Most subsample points one chunk of trees is grown with.
+_CHUNK_POINTS = 1 << 17
 
 
 def harmonic_number(n: int) -> float:
@@ -77,18 +106,6 @@ class IsolationTree:
     left: np.ndarray
     right: np.ndarray
     size: np.ndarray
-
-    def node_depths(self) -> np.ndarray:
-        depths = np.zeros(len(self.feature), dtype=int)
-        for node in range(len(self.feature)):
-            if self.feature[node] >= 0:
-                depths[self.left[node]] = depths[node] + 1
-                depths[self.right[node]] = depths[node] + 1
-        return depths
-
-    def max_leaf_depth(self) -> int:
-        depths = self.node_depths()
-        return int(depths[self.feature < 0].max())
 
     def to_json_obj(self) -> list:
         """One [feature, threshold, left, right, size] row per node. Rows are
@@ -229,40 +246,105 @@ class IsolationForestModel:
         )
 
 
-class _TreeBuilder:
-    def __init__(self, rng, depth_limit):
-        self.rng = rng
-        self.depth_limit = depth_limit
-        self.feature, self.threshold = [], []
-        self.left, self.right, self.size = [], [], []
+def _grow(columns: np.ndarray, rngs, subsample: int, depth_limit: int):
+    """Grow one tree per generator in ``rngs`` on the feature-major data
+    ``columns`` (features x rows), all of them together one depth level at a
+    time, following the draw protocol in the module docstring. Yields the
+    trees in order, nodes numbered breadth-first."""
+    num_features, n = columns.shape
+    flat = columns.ravel()
+    num_trees = len(rngs)
+    # Row indices of the points of the open nodes (size >= 2, above the depth
+    # limit) at the current level, each node's points contiguous, nodes tree
+    # by tree and left to right.
+    points = np.concatenate([rng.choice(n, size=subsample, replace=False) for rng in rngs])
+    tree = np.arange(num_trees)
+    size = np.full(num_trees, subsample)
+    levels = []  # per depth: (tree, size, feature, threshold) of each node
+    for depth in range(depth_limit + 1):
+        feature = np.full(len(tree), -1)
+        threshold = np.zeros(len(tree))
+        levels.append((tree, size, feature, threshold))
+        is_open = size >= 2
+        if depth == depth_limit or not is_open.any():
+            break
+        nodes = np.flatnonzero(is_open)
+        counts = size[nodes]
+        per_tree = np.bincount(tree[nodes], minlength=num_trees)
+        draws = np.concatenate([rngs[t].random((k, num_features + 1))
+                                for t, k in enumerate(per_tree) if k])
+        keys, uniform = draws[:, :num_features], draws[:, num_features]
+        chosen = keys.argmin(axis=1)
+        lo, hi = np.empty(len(nodes)), np.empty(len(nodes))
+        values = np.empty(len(points))
+        splits = np.zeros(len(nodes), dtype=bool)
+        # Reduce the node's first feature in its random order; where that
+        # column is constant, try the next one, for those nodes only.
+        pending, at, pending_counts = np.arange(len(nodes)), np.arange(len(points)), counts
+        for _ in range(num_features):
+            column = chosen[pending]
+            pending_values = flat[np.repeat(column * n, pending_counts) + points[at]]
+            values[at] = pending_values
+            starts = np.cumsum(pending_counts) - pending_counts
+            lo[pending] = np.minimum.reduceat(pending_values, starts)
+            hi[pending] = np.maximum.reduceat(pending_values, starts)
+            constant = ~(hi[pending] > lo[pending])
+            splits[pending[~constant]] = True
+            if not constant.any():
+                break
+            at = at[np.repeat(constant, pending_counts)]
+            pending, pending_counts = pending[constant], pending_counts[constant]
+            keys[pending, column[constant]] = np.inf
+            chosen[pending] = keys[pending].argmin(axis=1)
 
-    def _new_node(self, n):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.size.append(n)
-        return len(self.feature) - 1
+        # Nodes whose features are all constant stay leaves; the rest split.
+        keep = np.repeat(splits, counts)
+        points, values = points[keep], values[keep]
+        nodes, counts, chosen = nodes[splits], counts[splits], chosen[splits]
+        lo, hi = lo[splits], hi[splits]
+        cut = lo + (hi - lo) * uniform[splits]
+        low = cut <= lo
+        cut[low] = np.nextafter(lo[low], hi[low])
+        feature[nodes] = chosen
+        threshold[nodes] = cut
 
-    def build(self, data, depth):
-        node = self._new_node(data.shape[0])
-        if depth >= self.depth_limit or data.shape[0] <= 1:
-            return node
-        lo = data.min(axis=0)
-        hi = data.max(axis=0)
-        candidates = np.nonzero(hi > lo)[0]
-        if candidates.size == 0:
-            return node
-        attr = int(self.rng.choice(candidates))
-        split = float(self.rng.uniform(lo[attr], hi[attr]))
-        if split <= lo[attr]:
-            split = float(np.nextafter(lo[attr], hi[attr]))
-        mask = data[:, attr] < split
-        self.feature[node] = attr
-        self.threshold[node] = split
-        self.left[node] = self.build(data[mask], depth + 1)
-        self.right[node] = self.build(data[~mask], depth + 1)
-        return node
+        # Stable partition of each node's points: left child's, then right's.
+        goes_left = values < np.repeat(cut, counts)
+        child = 2 * np.repeat(np.arange(len(nodes)), counts) + ~goes_left
+        partitioned = points[np.argsort(child, kind="stable")]
+        left_counts = np.add.reduceat(goes_left, np.cumsum(counts) - counts, dtype=np.intp)
+
+        tree = np.repeat(tree[nodes], 2)
+        size = np.column_stack([left_counts, counts - left_counts]).ravel()
+        points = partitioned[np.repeat(size >= 2, size)]
+
+    yield from _assemble(levels, num_trees)
+
+
+def _assemble(levels, num_trees: int):
+    """Per-tree :class:`IsolationTree` from the per-depth node records of
+    :func:`_grow`, with local breadth-first numbering. The children of the
+    k-th internal node of a depth are nodes 2k and 2k + 1 of the next."""
+    tree, size, feature, threshold = (np.concatenate(c) for c in zip(*levels))
+    level_start = np.cumsum([0] + [len(level[0]) for level in levels])
+    first_child = np.full(len(tree), -1)
+    for depth, (_, _, level_feature, _) in enumerate(levels[:-1]):
+        internal = np.flatnonzero(level_feature >= 0)
+        first_child[level_start[depth] + internal] = level_start[depth + 1] + 2 * np.arange(len(internal))
+    # Stable by tree: each tree's nodes depth by depth, left to right.
+    order = np.argsort(tree, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    tree_nodes = np.bincount(tree, minlength=num_trees)
+    tree_start = np.cumsum(tree_nodes) - tree_nodes
+    internal = first_child >= 0
+    left = np.full(len(tree), -1)
+    left[internal] = position[first_child[internal]] - tree_start[tree[internal]]
+    right = np.where(internal, left + 1, -1)
+    for t in range(num_trees):
+        rows = order[tree_start[t]:tree_start[t] + tree_nodes[t]]
+        yield IsolationTree(feature=feature[rows], threshold=threshold[rows],
+                            left=left[rows], right=right[rows], size=size[rows])
 
 
 def fit(data, num_trees: int = DEFAULT_NUM_TREES, subsample: int | None = None, seed: int = 0) -> IsolationForestModel:
@@ -283,14 +365,13 @@ def fit(data, num_trees: int = DEFAULT_NUM_TREES, subsample: int | None = None, 
         raise ConfigError("num_trees must be >= 1")
 
     depth_limit = int(np.ceil(np.log2(subsample))) if subsample > 1 else 0
+    columns = np.ascontiguousarray(data.T)
 
     def grow():
-        for i in range(num_trees):
-            rng = rng_from(seed, "tree", i)
-            rows = rng.choice(n, size=subsample, replace=False)
-            builder = _TreeBuilder(rng, depth_limit)
-            builder.build(data[rows], 0)
-            yield builder
+        step = max(1, _CHUNK_POINTS // subsample)
+        for first in range(0, num_trees, step):
+            rngs = [rng_from(seed, "tree", i) for i in range(first, min(first + step, num_trees))]
+            yield from _grow(columns, rngs, subsample, depth_limit)
 
     return IsolationForestModel(
         trees=grow(),

@@ -69,7 +69,19 @@ def atomic_write_text(path: str, text: str):
 
 
 def atomic_write_json(path: str, obj):
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    """Encode ``obj`` straight into the temp file, so a large model is never
+    held as one string; the bytes equal ``json.dumps(obj, sort_keys=True,
+    indent=1)`` plus a newline. A failed encoding leaves no file behind."""
+    tmp = f"{path}.tmp"
+    handle = open(tmp, "w", encoding="utf-8")
+    try:
+        with handle:
+            json.dump(obj, handle, sort_keys=True, indent=1)
+            handle.write("\n")
+    except BaseException:
+        os.remove(tmp)
+        raise
+    os.replace(tmp, path)
 
 
 def read_json(path: str):

@@ -139,6 +139,18 @@ def test_model_file_roundtrip_is_stable(workspace):
     assert read_file(model) == read_file(resaved)
 
 
+def test_json_files_are_streamed_atomically(tmp_path):
+    from dexter.persistence import atomic_write_json
+    obj = {"b": [1, 2.5, None], "a": {"z": "text", "y": [[0, -1.25e-9]]}}
+    path = tmp_path / "doc.json"
+    atomic_write_json(str(path), obj)
+    assert path.read_text(encoding="utf-8") == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    bad = tmp_path / "bad.json"
+    with pytest.raises(TypeError):
+        atomic_write_json(str(bad), {"rows": [list(range(5000)), object()]})
+    assert not bad.exists() and not (tmp_path / "bad.json.tmp").exists()
+
+
 def test_evaluate_refuses_catalogue_mismatch(workspace, capsys):
     tmp, cfg = workspace
     ds, model = tmp / "ds", tmp / "model.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dexter.cusum import (
     CusumDetector,
@@ -31,6 +33,18 @@ def test_clamped_excursion_matches_direct_recursion():
         assert max_clamped_excursion(stream, mean) == pytest.approx(
             brute_clamped_max(stream, mean), abs=1e-12
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0) | st.just(float("nan")), max_size=200),
+       st.floats(0.0, 1.0))
+def test_calibration_maximum_is_the_monitor_statistic_bit_for_bit(stream, mean):
+    monitor = CusumMonitor(CusumDetector(mean_score_abar=mean, threshold_tau=np.inf, target_fpr=0.01))
+    largest = 0.0
+    for value in stream:
+        monitor.update(value)
+        largest = max(largest, monitor.statistic)
+    assert max_clamped_excursion(np.array(stream), mean) == largest
 
 
 def test_degenerate_calibration_gives_zero_threshold():

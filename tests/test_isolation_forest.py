@@ -16,6 +16,7 @@ from dexter.isolation_forest import (
     score,
     score_batch,
 )
+from dexter.seeding import rng_from
 
 
 def brute_auroc(scores, labels):
@@ -47,7 +48,7 @@ def test_depth_bound():
     model = fit(data, num_trees=100, subsample=256, seed=1)
     limit = int(np.ceil(np.log2(256)))
     assert limit == 8
-    assert all(tree.max_leaf_depth() <= limit for tree in model.trees)
+    assert model.levels <= limit
 
 
 def test_identical_training_points_give_single_leaf_trees():
@@ -272,3 +273,84 @@ def test_batch_split_into_chunks_scores_the_same(monkeypatch):
     whole = score_batch(model, queries)
     monkeypatch.setattr(isolation_forest, "_CHUNK_PAIRS", 30)  # 3 points a chunk
     assert np.array_equal(score_batch(model, queries), whole)
+
+
+@st.composite
+def training_sets(draw):
+    """(data, num_trees, subsample, seed): few distinct values per column, so
+    that nodes often hold duplicate rows and constant columns."""
+    num_features = draw(st.integers(1, 4))
+    values = st.sampled_from([-2.5, 0.0, 1e-9, 1.0, 3.0]) | st.floats(-1e3, 1e3, allow_nan=False)
+    rows = draw(st.lists(st.lists(values, min_size=num_features, max_size=num_features),
+                         min_size=1, max_size=80))
+    data = np.array(rows)
+    constant = draw(st.integers(-1, num_features - 1))
+    if constant >= 0:
+        data[:, constant] = 7.0
+    return (data, draw(st.integers(1, 12)), draw(st.integers(1, len(data))),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def assert_same_trees(trees_a, trees_b):
+    for a, b in zip(trees_a, trees_b, strict=True):
+        for field in ("feature", "threshold", "left", "right", "size"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+@settings(max_examples=100, deadline=None)
+@given(training_sets(), st.integers(1, 5))
+def test_first_trees_do_not_depend_on_the_tree_count(case, extra):
+    data, num_trees, subsample, seed = case
+    few = fit(data, num_trees=num_trees, subsample=subsample, seed=seed)
+    more = fit(data, num_trees=num_trees + extra, subsample=subsample, seed=seed)
+    assert_same_trees(few.trees, [more.trees[i] for i in range(num_trees)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(training_sets(), st.integers(1, 40))
+def test_growing_in_chunks_gives_the_same_forest(case, chunk_points):
+    data, num_trees, subsample, seed = case
+    whole = fit(data, num_trees=num_trees, subsample=subsample, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(isolation_forest, "_CHUNK_POINTS", chunk_points)
+        chunked = fit(data, num_trees=num_trees, subsample=subsample, seed=seed)
+    assert_same_trees(whole.trees, chunked.trees)
+
+
+@settings(max_examples=150, deadline=None)
+@given(training_sets())
+def test_every_split_is_valid_and_every_leaf_is_final(case):
+    data, num_trees, subsample, seed = case
+    model = fit(data, num_trees=num_trees, subsample=subsample, seed=seed)
+    limit = int(np.ceil(np.log2(subsample))) if subsample > 1 else 0
+    for i, tree in enumerate(model.trees):
+        # The subsample is the tree's first draw; route it down the tree.
+        rows = rng_from(seed, "tree", i).choice(len(data), size=subsample, replace=False)
+        points, depth = {0: data[rows]}, {0: 0}
+        for node, feat in enumerate(tree.feature):
+            x = points.pop(node)
+            assert len(x) == tree.size[node]
+            constant = np.all(x.min(axis=0) == x.max(axis=0))
+            if feat < 0:
+                assert len(x) <= 1 or depth[node] == limit or constant
+                continue
+            lo, hi = x[:, feat].min(), x[:, feat].max()
+            assert lo < tree.threshold[node] <= hi
+            left, right = tree.left[node], tree.right[node]
+            assert node < left < right  # children follow their parent
+            goes_left = x[:, feat] < tree.threshold[node]
+            points[left], points[right] = x[goes_left], x[~goes_left]
+            depth[left] = depth[right] = depth[node] + 1
+            assert len(points[left]) >= 1 and len(points[right]) >= 1
+        assert not points
+
+
+def test_root_feature_is_uniform_over_non_constant_features():
+    rng = np.random.default_rng(9)
+    data = rng.normal(size=(200, 5))
+    data[:, 2] = 4.0
+    model = fit(data, num_trees=4000, subsample=16, seed=11)
+    counts = np.bincount(model.feature[model.roots], minlength=5)
+    assert counts[2] == 0
+    # 1000 expected per non-constant feature, standard deviation ~27.
+    assert np.all(np.abs(counts[[0, 1, 3, 4]] - 1000) < 120)
