@@ -47,7 +47,7 @@ from .evaluation import (
     detection_time,
     run_experiment,
 )
-from .ts_features import FEATURE_COUNT, FEATURE_NAMES, FeatureVector, extract_all, extract_features
+from .ts_features import FEATURE_COUNT, FEATURE_NAMES
 
 __all__ = [
     "ARProcessSpec",
@@ -61,7 +61,6 @@ __all__ = [
     "ExperimentResult",
     "FEATURE_COUNT",
     "FEATURE_NAMES",
-    "FeatureVector",
     "LabeledScoreSet",
     "NoiseMatrix",
     "PolicyKind",
@@ -75,8 +74,6 @@ __all__ = [
     "calibrate",
     "detect_online",
     "detection_time",
-    "extract_all",
-    "extract_features",
     "generate_matrix",
     "generate_series",
     "run_episode",

@@ -29,7 +29,6 @@ class ScoreSeries:
     warm-up steps t < W-1."""
 
     scores: np.ndarray
-    episode_ref: str | None = None
 
     def defined(self) -> np.ndarray:
         return self.scores[~np.isnan(self.scores)]
@@ -132,7 +131,7 @@ def _check_compat(model: DexterModel, observations: np.ndarray):
         raise IncompatibleModelError("model was built with a different feature catalogue")
 
 
-def score_stream(model: DexterModel, episode, episode_ref: str | None = None) -> ScoreSeries:
+def score_stream(model: DexterModel, episode) -> ScoreSeries:
     """Anomaly score A_t for every timestep of an episode.
 
     A_t is defined for t >= W-1 as the mean over dimensions of the forest
@@ -149,7 +148,7 @@ def score_stream(model: DexterModel, episode, episode_ref: str | None = None) ->
             feats = ts_features.extract_features_batch(windows)
             acc += iforest.score_batch(model.forests[d], feats)
         scores[model.window_size - 1 :] = acc / num_dims
-    return ScoreSeries(scores=scores, episode_ref=episode_ref)
+    return ScoreSeries(scores=scores)
 
 
 def calibrate(model: DexterModel, validation, target_fpr: float, seed: int = 0) -> CusumDetector:

@@ -44,9 +44,11 @@ after tree, with ``roots[i]`` the offset of tree i's root. Child indices are
 global positions in those arrays, and every node index is int32. A leaf's
 ``left`` and ``right`` both point at the leaf itself and its ``feature`` is
 0, so routing a point through a leaf is a harmless comparison that keeps it
-where it is. The packed arrays are the only copy of the nodes; per-tree
-views (``model.trees[i]``, the JSON rows) are rebuilt from them on demand,
-with -1 marking leaves and children numbered within the tree.
+where it is. The packed arrays are the only copy of the nodes. The
+per-tree-view form (``model.trees[i]``, and the model file's columns over
+all trees) is rebuilt from them on demand, with -1 marking leaves and
+children numbered within their tree; a fitted or loaded forest enters the
+packed layout only through ``_pack``, which checks it.
 
 Scoring walks every (tree, point) pair of a batch at once (a very large
 batch in chunks of points) for a fixed number of levels, the forest's
@@ -95,7 +97,7 @@ def average_path_length(n: int) -> float:
 @dataclass
 class IsolationTree:
     """One isolation tree in structure-of-arrays form, with node indices
-    local to the tree.
+    local to the tree: the per-tree view of a packed forest.
 
     ``feature[i] == -1`` marks node i as a leaf holding ``size[i]`` training
     points; internal nodes route on ``point[feature] < threshold``.
@@ -107,54 +109,72 @@ class IsolationTree:
     right: np.ndarray
     size: np.ndarray
 
-    def to_json_obj(self) -> list:
-        """One [feature, threshold, left, right, size] row per node. Rows are
-        tuples, which JSON writes as arrays, so they cost less memory than
-        lists while a large model is being written."""
-        columns = (self.feature, self.threshold, self.left, self.right, self.size)
-        return list(zip(*(np.asarray(c).tolist() for c in columns)))
 
-    @classmethod
-    def from_json_obj(cls, rows: list) -> "IsolationTree":
-        feature, threshold, left, right, size = zip(*rows) if rows else ((),) * 5
-        return cls(
-            feature=np.array(feature, dtype=np.int32),
-            threshold=np.array(threshold, dtype=float),
-            left=np.array(left, dtype=np.int32),
-            right=np.array(right, dtype=np.int32),
-            size=np.array(size, dtype=np.int32),
-        )
+NODE_COLUMNS = ("feature", "threshold", "left", "right", "size")
 
 
-def _pack(trees):
-    """Flat node arrays for an iterable of trees: (feature, threshold, left,
-    right, size, roots, levels), where ``levels`` is the deepest leaf depth."""
-    columns = ([], [], [], [], [])
-    dtypes = (np.int32, float, np.int32, np.int32, np.int32)
-    for tree in trees:
-        if len(tree.feature) == 0:
-            raise IncompatibleModelError("isolation tree without nodes")
-        values = (tree.feature, tree.threshold, tree.left, tree.right, tree.size)
-        for column, array, dtype in zip(columns, values, dtypes):
-            column.append(np.asarray(array, dtype=dtype))
-    if not columns[0]:
-        raise IncompatibleModelError("an isolation forest needs at least one tree")
-    counts = np.array([len(a) for a in columns[0]])
-    roots = (np.cumsum(counts) - counts).astype(np.int32)
-    feature, threshold, left, right, size = (np.concatenate(c) for c in columns)
-    del columns
+def _column(nodes, name: str, kinds: str) -> np.ndarray:
+    """``nodes[name]`` as a flat array whose dtype kind is in ``kinds``."""
+    try:
+        array = np.asarray(nodes[name])
+    except KeyError:
+        raise IncompatibleModelError(f"isolation forest is missing {name!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise IncompatibleModelError(f"isolation forest {name!r} is not a flat list: {exc}") from exc
+    if array.ndim != 1 or (array.size and array.dtype.kind not in kinds):
+        raise IncompatibleModelError(f"isolation forest {name!r} is not a flat list of numbers")
+    return array
 
-    node = np.arange(len(feature), dtype=np.int32)
+
+def _pack(nodes, feature_count: int, subsample_size: int):
+    """Check a forest given in the per-tree-view form and return its packed
+    arrays (feature, threshold, left, right, size, roots, levels), where
+    ``levels`` is the deepest leaf depth. Fitting and loading both build
+    their forests through here.
+
+    ``nodes`` maps each of ``NODE_COLUMNS`` to one flat sequence over all
+    trees, tree after tree, and ``"roots"`` to the position of each tree's
+    first node. A leaf has feature, left and right all -1; an internal node
+    splits on a feature below ``feature_count`` and its children are
+    positions within its tree, after it. Every node but a root has exactly
+    one parent, and every size lies in [1, subsample_size]. Anything else
+    raises :class:`IncompatibleModelError`.
+    """
+    feature, left, right, size, roots = (
+        _column(nodes, name, "i").astype(np.int64)
+        for name in ("feature", "left", "right", "size", "roots"))
+    threshold = _column(nodes, "threshold", "if").astype(float)
+    n = len(feature)
+    if any(len(column) != n for column in (threshold, left, right, size)):
+        raise IncompatibleModelError("isolation forest columns differ in length")
+    if len(roots) == 0 or roots[0] != 0 or np.any(np.diff(roots) <= 0) or roots[-1] >= n:
+        raise IncompatibleModelError("isolation forest roots must start at 0 and increase, "
+                                     "one per non-empty tree")
+    if np.any(feature < -1) or np.any(feature >= feature_count):
+        raise IncompatibleModelError(f"isolation tree splits on a feature outside [0, {feature_count})")
+    if np.any(size < 1) or np.any(size > subsample_size):
+        raise IncompatibleModelError(f"isolation tree node size outside [1, {subsample_size}]")
+
+    counts = np.diff(np.append(roots, n))
+    node = np.arange(n)
     tree_start = np.repeat(roots, counts)
     tree_end = tree_start + np.repeat(counts, counts)
-    leaf = feature < 0
+    leaf = feature == -1
+    if np.any(leaf & ((left != -1) | (right != -1))):
+        raise IncompatibleModelError("isolation tree leaf with a child")
+    left, right = left + tree_start, right + tree_start
     for child in (left, right):
-        child += tree_start
         if not np.all(leaf | ((child > node) & (child < tree_end))):
             raise IncompatibleModelError("isolation tree child index outside its subtree")
-        child[leaf] = node[leaf]
-    feature[leaf] = 0
+    parents = np.bincount(np.concatenate([left[~leaf], right[~leaf]]), minlength=n)
+    parents[roots] += 1  # a root has none
+    if np.any(parents != 1):
+        raise IncompatibleModelError("isolation tree node without exactly one parent")
 
+    left[leaf] = right[leaf] = node[leaf]
+    feature[leaf] = 0
+    feature, left, right, size, roots = (
+        a.astype(np.int32) for a in (feature, left, right, size, roots))
     levels = 0
     frontier = roots
     while True:
@@ -177,32 +197,24 @@ class _TreeViews(Sequence):
         return len(self._model.roots)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         m = self._model
         i = range(len(m.roots))[i]
-        start = int(m.roots[i])
         stop = int(m.roots[i + 1]) if i + 1 < len(m.roots) else len(m.feature)
-        nodes = slice(start, stop)
-        leaf = m.left[nodes] == np.arange(start, stop)
-        return IsolationTree(
-            feature=np.where(leaf, -1, m.feature[nodes]),
-            threshold=m.threshold[nodes].copy(),
-            left=np.where(leaf, -1, m.left[nodes] - start),
-            right=np.where(leaf, -1, m.right[nodes] - start),
-            size=m.size[nodes].copy(),
-        )
+        return IsolationTree(*m._view_columns(int(m.roots[i]), stop))
 
 
 class IsolationForestModel:
     """A fitted forest in the packed layout described in the module
-    docstring. ``trees`` (any iterable of :class:`IsolationTree`) is packed
-    on construction and read back through ``model.trees``."""
+    docstring. ``nodes`` holds the forest in the per-tree-view form that
+    :func:`_pack` checks and packs; ``model.trees`` reads it back tree by
+    tree."""
 
-    def __init__(self, trees, subsample_size: int, feature_count: int, normalizer_c: float,
+    def __init__(self, nodes, subsample_size: int, feature_count: int, normalizer_c: float,
                  seed: int, num_training_samples: int, feature_manifest_hash: str | None = None):
         (self.feature, self.threshold, self.left, self.right, self.size,
-         self.roots, self.levels) = _pack(trees)
-        if self.feature.max() >= feature_count:
-            raise IncompatibleModelError(f"isolation tree splits on a feature >= {feature_count}")
+         self.roots, self.levels) = _pack(nodes, feature_count, subsample_size)
         self.subsample_size = subsample_size
         self.feature_count = feature_count
         self.normalizer_c = normalizer_c
@@ -215,6 +227,17 @@ class IsolationForestModel:
     def trees(self) -> _TreeViews:
         return _TreeViews(self)
 
+    def _view_columns(self, start: int, stop: int):
+        """``NODE_COLUMNS`` of nodes start..stop-1 in the per-tree-view form:
+        -1 for a leaf's feature and children, children local to their tree."""
+        nodes = slice(start, stop)
+        node = np.arange(start, stop)
+        tree_start = self.roots[np.searchsorted(self.roots, node, side="right") - 1]
+        leaf = self.left[nodes] == node
+        return (np.where(leaf, -1, self.feature[nodes]), self.threshold[nodes].copy(),
+                np.where(leaf, -1, self.left[nodes] - tree_start),
+                np.where(leaf, -1, self.right[nodes] - tree_start), self.size[nodes].copy())
+
     def leaf_adjust_table(self) -> np.ndarray:
         if self._leaf_adjust is None:
             self._leaf_adjust = np.array(
@@ -223,6 +246,7 @@ class IsolationForestModel:
         return self._leaf_adjust
 
     def to_json_dict(self) -> dict:
+        columns = self._view_columns(0, len(self.feature))
         return {
             "subsample_size": int(self.subsample_size),
             "feature_count": int(self.feature_count),
@@ -230,27 +254,33 @@ class IsolationForestModel:
             "seed": int(self.seed),
             "num_training_samples": int(self.num_training_samples),
             "feature_manifest_hash": self.feature_manifest_hash,
-            "trees": [t.to_json_obj() for t in self.trees],
+            **{name: column.tolist() for name, column in zip(NODE_COLUMNS, columns)},
+            "roots": self.roots.tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "IsolationForestModel":
-        return cls(
-            trees=(IsolationTree.from_json_obj(rows) for rows in d["trees"]),
-            subsample_size=int(d["subsample_size"]),
-            feature_count=int(d["feature_count"]),
-            normalizer_c=float(d["normalizer_c"]),
-            seed=int(d["seed"]),
-            num_training_samples=int(d["num_training_samples"]),
-            feature_manifest_hash=d.get("feature_manifest_hash"),
-        )
+        try:
+            scalars = {
+                "subsample_size": int(d["subsample_size"]),
+                "feature_count": int(d["feature_count"]),
+                "normalizer_c": float(d["normalizer_c"]),
+                "seed": int(d["seed"]),
+                "num_training_samples": int(d["num_training_samples"]),
+                "feature_manifest_hash": d.get("feature_manifest_hash"),
+            }
+        except KeyError as exc:
+            raise IncompatibleModelError(f"isolation forest is missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise IncompatibleModelError(f"malformed isolation forest: {exc}") from exc
+        return cls(nodes=d, **scalars)
 
 
 def _grow(columns: np.ndarray, rngs, subsample: int, depth_limit: int):
     """Grow one tree per generator in ``rngs`` on the feature-major data
     ``columns`` (features x rows), all of them together one depth level at a
-    time, following the draw protocol in the module docstring. Yields the
-    trees in order, nodes numbered breadth-first."""
+    time, following the draw protocol in the module docstring. Returns what
+    :func:`_assemble` does."""
     num_features, n = columns.shape
     flat = columns.ravel()
     num_trees = len(rngs)
@@ -318,13 +348,14 @@ def _grow(columns: np.ndarray, rngs, subsample: int, depth_limit: int):
         size = np.column_stack([left_counts, counts - left_counts]).ravel()
         points = partitioned[np.repeat(size >= 2, size)]
 
-    yield from _assemble(levels, num_trees)
+    return _assemble(levels, num_trees)
 
 
 def _assemble(levels, num_trees: int):
-    """Per-tree :class:`IsolationTree` from the per-depth node records of
-    :func:`_grow`, with local breadth-first numbering. The children of the
-    k-th internal node of a depth are nodes 2k and 2k + 1 of the next."""
+    """The ``NODE_COLUMNS`` of the grown trees in the per-tree-view form,
+    tree after tree with local breadth-first numbering, and each tree's node
+    count, from the per-depth node records of :func:`_grow`. The children of
+    the k-th internal node of a depth are nodes 2k and 2k + 1 of the next."""
     tree, size, feature, threshold = (np.concatenate(c) for c in zip(*levels))
     level_start = np.cumsum([0] + [len(level[0]) for level in levels])
     first_child = np.full(len(tree), -1)
@@ -341,10 +372,7 @@ def _assemble(levels, num_trees: int):
     left = np.full(len(tree), -1)
     left[internal] = position[first_child[internal]] - tree_start[tree[internal]]
     right = np.where(internal, left + 1, -1)
-    for t in range(num_trees):
-        rows = order[tree_start[t]:tree_start[t] + tree_nodes[t]]
-        yield IsolationTree(feature=feature[rows], threshold=threshold[rows],
-                            left=left[rows], right=right[rows], size=size[rows])
+    return tuple(c[order] for c in (feature, threshold, left, right, size)), tree_nodes
 
 
 def fit(data, num_trees: int = DEFAULT_NUM_TREES, subsample: int | None = None, seed: int = 0) -> IsolationForestModel:
@@ -367,14 +395,18 @@ def fit(data, num_trees: int = DEFAULT_NUM_TREES, subsample: int | None = None, 
     depth_limit = int(np.ceil(np.log2(subsample))) if subsample > 1 else 0
     columns = np.ascontiguousarray(data.T)
 
-    def grow():
-        step = max(1, _CHUNK_POINTS // subsample)
-        for first in range(0, num_trees, step):
-            rngs = [rng_from(seed, "tree", i) for i in range(first, min(first + step, num_trees))]
-            yield from _grow(columns, rngs, subsample, depth_limit)
+    step = max(1, _CHUNK_POINTS // subsample)
+    chunks = []
+    for first in range(0, num_trees, step):
+        rngs = [rng_from(seed, "tree", i) for i in range(first, min(first + step, num_trees))]
+        chunks.append(_grow(columns, rngs, subsample, depth_limit))
+    chunk_columns, chunk_tree_nodes = zip(*chunks)
+    nodes = {name: np.concatenate(c) for name, c in zip(NODE_COLUMNS, zip(*chunk_columns))}
+    tree_nodes = np.concatenate(chunk_tree_nodes)
+    nodes["roots"] = np.cumsum(tree_nodes) - tree_nodes
 
     return IsolationForestModel(
-        trees=grow(),
+        nodes=nodes,
         subsample_size=int(subsample),
         feature_count=int(data.shape[1]),
         normalizer_c=average_path_length(int(subsample)),

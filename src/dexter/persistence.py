@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .evaluation import DETECTOR_KINDS, EpisodeCounts, detector_params_with_defaults
 from .ts_features import catalogue_hash
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SCENARIO_DEFAULTS = {
     "scenario": "arts",
@@ -268,11 +268,14 @@ def load_episodes(path: str):
 
 
 def save_model(path: str, trained, cfg_hash: str):
-    atomic_write_json(path, {
+    """The model as one line of compact JSON with sorted keys. It is encoded
+    in one ``json.dumps`` call, which runs the C encoder; ``indent`` would
+    run the pure-Python one, several times slower on a large forest."""
+    atomic_write_text(path, json.dumps({
         **_file_header(cfg_hash),
         "feature_catalogue_hash": catalogue_hash(),
         "detector": trained.to_json_dict(),
-    })
+    }, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path: str) -> dict:

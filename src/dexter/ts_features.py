@@ -15,7 +15,6 @@ finite.
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,15 +52,6 @@ APEN_RADIUS_FACTOR = 0.2  # tolerance r = 0.2 * window std
 APEN_RADIUS_FLOOR = 1e-12
 
 _ZERO_VAR_EPS = 1e-24
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Feature values for one window of one state dimension."""
-
-    values: np.ndarray
-    window_size: int
-    dimension_index: int = 0
 
 
 def catalogue_manifest() -> dict:
@@ -177,32 +167,6 @@ def extract_features_batch(windows: np.ndarray) -> np.ndarray:
     ])
     assert out.shape == (n, FEATURE_COUNT)
     return out
-
-
-def extract_features(window, dimension_index: int = 0) -> FeatureVector:
-    """Extract the catalogue from a single window of scalar values."""
-    arr = np.asarray(window, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"expected a 1-D window, got shape {arr.shape}")
-    values = extract_features_batch(arr[None, :])[0]
-    return FeatureVector(values=values, window_size=arr.shape[0], dimension_index=dimension_index)
-
-
-def extract_all(windows_per_dimension) -> list:
-    """Per-dimension feature extraction.
-
-    ``windows_per_dimension[d]`` is a sequence of equal-length windows for
-    dimension d; returns one list of FeatureVector per dimension, order
-    preserved.
-    """
-    result = []
-    for d, windows in enumerate(windows_per_dimension):
-        batch = extract_features_batch(np.asarray(windows, dtype=float))
-        result.append([
-            FeatureVector(values=row, window_size=np.asarray(windows).shape[1], dimension_index=d)
-            for row in batch
-        ])
-    return result
 
 
 def sliding_windows(series: np.ndarray, window_size: int) -> np.ndarray:

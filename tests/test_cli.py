@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from dexter import persistence
 from dexter.cli import main
 from dexter.persistence import RESULT_CSV_COLUMNS, config_hash, read_json
 
@@ -44,7 +45,7 @@ def test_generate_train_evaluate_pipeline(workspace):
 
     manifest = read_json(ds / "manifest.json")
     assert manifest["config_hash"] == config_hash(manifest["config"])
-    assert manifest["schema_version"] == 1
+    assert manifest["schema_version"] == persistence.SCHEMA_VERSION
     assert manifest["files"]["episode_counts"]["train"] == 15
 
     model = tmp / "model.json"
@@ -125,18 +126,40 @@ def test_train_rejects_episodes_shorter_than_window(tmp_path, capsys):
 
 def test_model_file_roundtrip_is_stable(workspace):
     tmp, cfg = workspace
-    ds, model = tmp / "ds", tmp / "model.json"
+    ds, model, again = tmp / "ds", tmp / "model.json", tmp / "again.json"
     main(["generate", "--config", str(cfg), "--out", str(ds)])
-    main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(model)])
+    for path in (model, again):
+        assert main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(path)]) == 0
+    assert read_file(model) == read_file(again)
+    assert read_file(model).count(b"\n") == 1  # one line of compact JSON
 
     from dexter.evaluation import TrainedDetector
-    from dexter.persistence import atomic_write_json
 
     doc = read_json(model)
     trained = TrainedDetector.from_json_dict(doc["detector"])
     resaved = tmp / "model2.json"
-    atomic_write_json(resaved, {**doc, "detector": trained.to_json_dict()})
+    persistence.save_model(str(resaved), trained, doc["config_hash"])
     assert read_file(model) == read_file(resaved)
+
+
+def test_evaluate_refuses_old_schema_and_truncated_model(workspace, capsys):
+    tmp, cfg = workspace
+    ds, model = tmp / "ds", tmp / "model.json"
+    main(["generate", "--config", str(cfg), "--out", str(ds)])
+    main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(model)])
+    text = model.read_text(encoding="utf-8")
+    capsys.readouterr()
+
+    old = tmp / "old.json"
+    old.write_text(json.dumps({**json.loads(text), "schema_version": 1}))
+    truncated = tmp / "truncated.json"
+    truncated.write_text(text[: len(text) // 2])
+    for path, message in ((old, "schema_version 1"), (truncated, "")):
+        assert main(["evaluate", "--config", str(cfg), "--model", str(path),
+                     "--dataset", str(ds), "--out", str(tmp / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 def test_json_files_are_streamed_atomically(tmp_path):

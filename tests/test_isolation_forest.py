@@ -9,7 +9,6 @@ from dexter import isolation_forest
 from dexter.errors import ConfigError, IncompatibleModelError
 from dexter.isolation_forest import (
     IsolationForestModel,
-    IsolationTree,
     average_path_length,
     fit,
     harmonic_number,
@@ -75,15 +74,16 @@ def test_two_point_training_scores_half():
 def test_hand_constructed_tree_score_formula():
     # Single tree splitting [0, 1] at 0.5; query 0.0 reaches a singleton leaf
     # at depth 1: E[h] = 1 + c(1) = 1; score = 2^(-1 / c(2)) = 0.5.
-    tree = IsolationTree(
-        feature=np.array([0, -1, -1]),
-        threshold=np.array([0.5, 0.0, 0.0]),
-        left=np.array([1, -1, -1]),
-        right=np.array([2, -1, -1]),
-        size=np.array([2, 1, 1]),
-    )
+    nodes = {
+        "feature": [0, -1, -1],
+        "threshold": [0.5, 0.0, 0.0],
+        "left": [1, -1, -1],
+        "right": [2, -1, -1],
+        "size": [2, 1, 1],
+        "roots": [0],
+    }
     model = IsolationForestModel(
-        trees=[tree], subsample_size=2, feature_count=1,
+        nodes=nodes, subsample_size=2, feature_count=1,
         normalizer_c=average_path_length(2), seed=0, num_training_samples=2,
     )
     assert score(model, [0.0]) == pytest.approx(2.0 ** (-1.0 / 1.0))
@@ -186,31 +186,93 @@ def test_json_roundtrip_preserves_scores():
     data = rng.normal(size=(200, 3))
     model = fit(data, num_trees=30, subsample=64, seed=9)
     model.feature_manifest_hash = "abc123"
-    back = IsolationForestModel.from_json_dict(model.to_json_dict())
+    back = IsolationForestModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
     queries = rng.normal(size=(30, 3))
     assert np.array_equal(score_batch(model, queries), score_batch(back, queries))
     assert back.feature_manifest_hash == "abc123"
     assert back.subsample_size == model.subsample_size
 
 
+def test_model_columns_are_the_trees_views_concatenated():
+    rng = np.random.default_rng(10)
+    model = fit(rng.normal(size=(100, 2)), num_trees=4, subsample=16, seed=2)
+    doc = model.to_json_dict()
+    assert "trees" not in doc
+    starts = doc["roots"] + [len(doc["feature"])]
+    for i, tree in enumerate(model.trees):
+        for name in isolation_forest.NODE_COLUMNS:
+            assert doc[name][starts[i]:starts[i + 1]] == getattr(tree, name).tolist()
+
+
+def test_tree_slices_equal_indexing_one_by_one():
+    rng = np.random.default_rng(11)
+    model = fit(rng.normal(size=(100, 2)), num_trees=6, subsample=16, seed=3)
+    for part in (slice(None), slice(1, 4), slice(None, None, -2), slice(5, 50), slice(3, 3)):
+        indices = range(len(model.trees))[part]
+        assert len(model.trees[part]) == len(indices)
+        assert_same_trees(model.trees[part], [model.trees[i] for i in indices])
+
+
 def test_malformed_model_trees_are_rejected():
     rng = np.random.default_rng(7)
     doc = fit(rng.normal(size=(100, 2)), num_trees=3, subsample=16, seed=4).to_json_dict()
     IsolationForestModel.from_json_dict(doc)
-    num_nodes = len(doc["trees"][1])
-    # (column, value) written into tree 1's root row [feature, threshold,
-    # left, right, size]; column None empties the tree.
-    for column, value in ((2, 0),            # left child is the root itself
-                          (3, num_nodes),    # right child past the tree's end
-                          (0, 2),            # split on a third feature
-                          (None, None)):
+    start, stop = doc["roots"][1], doc["roots"][2]
+    assert doc["feature"][start] >= 0 and doc["left"][start] > 0  # tree 1's root splits
+    leaf = doc["feature"].index(-1)
+
+    def drop_tree_1(doc):
+        for name in isolation_forest.NODE_COLUMNS:
+            del doc[name][start:stop]
+        doc["roots"] = [0, start, start]
+
+    def put(column, position, value):
+        def corrupt(doc):
+            doc[column][position] = value
+        return corrupt
+
+    def pop(key):
+        return lambda doc: doc.pop(key)
+
+    def shorten(name):
+        return lambda doc: doc[name].pop()
+
+    def set_roots(roots):
+        return lambda doc: doc.update(roots=roots)
+
+    corruptions = {
+        # The four cases of the per-node-row layout, on tree 1's root.
+        "left child is the root itself": put("left", start, 0),
+        "right child past the tree's end": put("right", start, stop - start),
+        "split on a third feature": put("feature", start, 2),
+        "empty tree": drop_tree_1,
+        # Flat-layout cases.
+        "missing column": pop("threshold"),
+        "missing roots": pop("roots"),
+        "missing scalar": pop("subsample_size"),
+        "column shorter than the others": shorten("size"),
+        "roots not starting at 0": set_roots([1, stop]),
+        "roots decreasing": set_roots([0, stop, start]),
+        "root past the last node": set_roots([0, start, len(doc["feature"])]),
+        "no roots": set_roots([]),
+        "negative child": put("right", start, -3),
+        "internal node turned into a leaf": put("feature", start, -1),
+        "leaf child set": put("left", leaf, 1),
+        "feature below -1": put("feature", start, -2),
+        "two parents": put("right", start, doc["left"][start]),
+        "size above the subsample": put("size", leaf, 17),
+        "size zero": put("size", leaf, 0),
+        "fractional index": put("left", start, 1.5),
+        "nested column": put("threshold", start, [0.5]),
+        "text column": put("size", start, "16"),
+        "not a list": set_roots(None),
+    }
+    for name, corrupt in corruptions.items():
         bad = json.loads(json.dumps(doc))
-        if column is None:
-            bad["trees"][1] = []
-        else:
-            bad["trees"][1][0][column] = value
+        corrupt(bad)
         with pytest.raises(IncompatibleModelError):
             IsolationForestModel.from_json_dict(bad)
+            pytest.fail(f"accepted: {name}")
 
 
 def reference_scores(model, points):
@@ -264,6 +326,18 @@ def test_batch_rows_equal_batches_of_one(case):
     batch = score_batch(model, queries)
     singles = np.array([score_batch(model, q[None, :])[0] for q in queries])
     assert np.array_equal(batch, singles)
+
+
+@settings(max_examples=50, deadline=None)
+@given(forests_and_queries())
+def test_loading_rebuilds_the_packed_arrays_bit_for_bit(case):
+    model, queries = case
+    back = IsolationForestModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
+    for name in ("feature", "threshold", "left", "right", "size", "roots"):
+        a, b = getattr(model, name), getattr(back, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert back.levels == model.levels
+    assert np.array_equal(score_batch(back, queries), score_batch(model, queries))
 
 
 def test_batch_split_into_chunks_scores_the_same(monkeypatch):

@@ -9,13 +9,16 @@ from dexter.ts_features import (
     FEATURE_NAMES,
     catalogue_hash,
     catalogue_manifest,
-    extract_all,
-    extract_features,
     extract_features_batch,
     sliding_windows,
 )
 
 IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
+
+
+def extract_one(window):
+    """Features of a single window, as a batch of one."""
+    return extract_features_batch(np.asarray(window, dtype=float)[None])[0]
 
 
 def brute_autocorr(x, lag):
@@ -67,8 +70,7 @@ def test_catalogue_is_fixed_and_hashable():
 
 def test_constant_window_degenerate_values():
     c = 3.25
-    fv = extract_features([c] * 10)
-    v = fv.values
+    v = extract_one([c] * 10)
     assert v[IDX["mean"]] == pytest.approx(c)
     assert v[IDX["std"]] == 0.0
     assert v[IDX["minimum"]] == c and v[IDX["maximum"]] == c and v[IDX["median"]] == c
@@ -89,13 +91,13 @@ def test_constant_window_degenerate_values():
 
 def test_alternating_window_autocorrelation():
     window = [1.0, -1.0] * 5
-    v = extract_features(window).values
+    v = extract_one(window)
     assert v[IDX["autocorr_lag1"]] == pytest.approx(brute_autocorr(window, 1), abs=1e-9)
     assert v[IDX["autocorr_lag2"]] > 0.0
 
 
 def test_linear_ramp():
-    v = extract_features(list(range(10))).values
+    v = extract_one(list(range(10)))
     assert v[IDX["longest_increasing_run"]] == 10.0
     assert v[IDX["count_above_mean"]] == 5.0
     assert v[IDX["mean"]] == pytest.approx(4.5)
@@ -153,8 +155,8 @@ def test_shift_covariance():
     shift = 3.7
     for _ in range(20):
         w = rng.normal(size=10)
-        base = extract_features(w).values
-        shifted = extract_features(w + shift).values
+        base = extract_one(w)
+        shifted = extract_one(w + shift)
         for name in ("mean", "minimum", "maximum", "median"):
             assert shifted[IDX[name]] == pytest.approx(base[IDX[name]] + shift, abs=1e-9)
         for name in (
@@ -170,40 +172,25 @@ def test_batch_matches_single_extraction():
     windows = rng.normal(size=(50, 12))
     batch = extract_features_batch(windows)
     for i in range(50):
-        single = extract_features(windows[i]).values
+        single = extract_one(windows[i])
         assert np.array_equal(batch[i], single)
-
-
-def test_extract_all_shapes_and_independence():
-    rng = np.random.default_rng(6)
-    dims = [rng.normal(size=(3, 10)) for _ in range(2)]
-    result = extract_all(dims)
-    assert len(result) == 2 and all(len(r) == 3 for r in result)
-    assert all(fv.dimension_index == d for d, r in enumerate(result) for fv in r)
-
-    permuted = extract_all(dims[::-1])
-    for a, b in zip(result[0], permuted[1]):
-        assert np.array_equal(a.values, b.values)
-
-    direct = extract_features(dims[1][2])
-    assert np.array_equal(result[1][2].values, direct.values)
 
 
 def test_input_validation():
     with pytest.raises(WindowTooShortError):
-        extract_features([1.0, 2.0, 3.0])
+        extract_one([1.0, 2.0, 3.0])
     with pytest.raises(InvalidInputError):
-        extract_features([1.0, np.nan, 2.0, 3.0])
+        extract_one([1.0, np.nan, 2.0, 3.0])
     with pytest.raises(InvalidInputError):
-        extract_features([[1.0, 2.0], [3.0, 4.0]])
+        extract_one([[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_purity_and_determinism():
     rng = np.random.default_rng(7)
     w = rng.normal(size=10)
     before = w.copy()
-    a = extract_features(w).values
-    b = extract_features(w).values
+    a = extract_one(w)
+    b = extract_one(w)
     assert np.array_equal(a, b)
     assert np.array_equal(w, before)
 
