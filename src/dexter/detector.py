@@ -55,10 +55,23 @@ class DexterModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DexterModel":
+        try:
+            forests, window_size = d["forests"], int(d["window_size"])
+            manifest_hash = d["feature_manifest_hash"]
+        except KeyError as exc:
+            raise IncompatibleModelError(f"dexter model is missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise IncompatibleModelError(f"malformed dexter model: {exc}") from exc
+        if not isinstance(forests, list) or not forests:
+            raise IncompatibleModelError("dexter model has no forests")
+        if window_size < ts_features.MIN_WINDOW:
+            raise IncompatibleModelError(
+                f"dexter model window_size {window_size} < minimum {ts_features.MIN_WINDOW}"
+            )
         return cls(
-            forests=[iforest.IsolationForestModel.from_json_dict(f) for f in d["forests"]],
-            window_size=int(d["window_size"]),
-            feature_manifest_hash=d["feature_manifest_hash"],
+            forests=[iforest.IsolationForestModel.from_json_dict(f) for f in forests],
+            window_size=window_size,
+            feature_manifest_hash=manifest_hash,
         )
 
 

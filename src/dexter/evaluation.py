@@ -21,7 +21,7 @@ import numpy as np
 from . import baselines, detector as dexter_detector
 from .cusum import CusumDetector
 from .environments import BaseEnv, PolicyKind, ScenarioConfig, builtin_policy, estimate_dimension_scales, run_episode
-from .errors import ConfigError, UndefinedMetricError
+from .errors import ConfigError, IncompatibleModelError, UndefinedMetricError
 from .seeding import child_seed
 
 DETECTOR_KINDS = ("dexter", "pedm", "meanshift")
@@ -187,7 +187,11 @@ class TrainedDetector:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainedDetector":
-        kind = doc["kind"]
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if kind not in DETECTOR_KINDS:
+            raise IncompatibleModelError(
+                f"detector document has missing or unknown kind {kind!r}; expected one of {DETECTOR_KINDS}"
+            )
         model = None
         decision = None
         if doc.get("model") is not None:

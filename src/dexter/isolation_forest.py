@@ -450,8 +450,3 @@ def score_batch(model: IsolationForestModel, points) -> np.ndarray:
     mean_depth = total / len(model.roots)
     denom = model.normalizer_c if model.normalizer_c > 0 else 1.0
     return np.power(2.0, -mean_depth / denom)
-
-
-def score(model: IsolationForestModel, point) -> float:
-    """Anomaly score of a single feature vector."""
-    return float(score_batch(model, np.asarray(point, dtype=float)[None, :])[0])

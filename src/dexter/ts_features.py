@@ -11,6 +11,17 @@ incompatible pairings are refused.
 Degenerate (zero-variance) windows map autocorrelation, partial
 autocorrelation, and approximate entropy to 0 so every feature vector stays
 finite.
+
+A batch is computed in whole-array passes with no loop over window
+positions: both approximate-entropy embeddings take their Chebyshev
+distances from one (n, W, W) matrix of pairwise differences, one sort gives
+the median, and a running maximum gives the longest increasing run. Each
+statistic keeps the arithmetic of its plain NumPy formula (``mean``,
+``std``, ``median``, match fractions), so values are bit-identical to the
+per-template formulation, and a window extracted alone equals its row in any
+batch. At W = 10 one call takes about 0.18 ms for one window and 0.57 ms
+for 200 on a 2-vCPU VM (0.43 ms and 2.7 ms with per-template arrays and
+per-step loops; BENCH_5.json).
 """
 
 import hashlib
@@ -74,40 +85,44 @@ def catalogue_hash() -> str:
 
 def _autocorrelations(xc: np.ndarray, c0: np.ndarray, max_lag: int) -> np.ndarray:
     """Sample autocorrelations r_k = sum_t xc_t xc_{t+k} / sum_t xc_t^2 for
-    k = 1..max_lag; 0 where the window has zero variance."""
+    k = 1..max_lag, one row per lag; 0 where the window has zero variance or
+    k >= W."""
     n, w = xc.shape
-    out = np.zeros((n, max_lag))
-    ok = c0 > _ZERO_VAR_EPS
-    for k in range(1, max_lag + 1):
-        if k < w:
-            ck = np.sum(xc[:, k:] * xc[:, :-k], axis=1)
-            out[:, k - 1] = np.where(ok, ck / np.where(ok, c0, 1.0), 0.0)
-    return out
+    ck = np.zeros((max_lag, n))
+    for k in range(1, min(max_lag, w - 1) + 1):
+        ck[k - 1] = (xc[:, k:] * xc[:, :-k]).sum(axis=1)
+    return np.divide(ck, c0, out=np.zeros_like(ck), where=c0 > _ZERO_VAR_EPS)
 
 
-def _longest_increasing_run(x: np.ndarray) -> np.ndarray:
-    """Length in samples of the longest strictly increasing run per row."""
-    inc = np.diff(x, axis=1) > 0
-    run = np.zeros(x.shape[0])
-    best = np.zeros(x.shape[0])
-    for j in range(inc.shape[1]):
-        run = np.where(inc[:, j], run + 1.0, 0.0)
-        best = np.maximum(best, run)
-    return best + 1.0
+def _longest_increasing_run(rises: np.ndarray) -> np.ndarray:
+    """Length in samples of the longest strictly increasing run per row of
+    the (n, W-1) mask of rises x_{t+1} > x_t: the run ending at a rise began
+    after the last non-rise before it."""
+    pos = np.arange(1, rises.shape[1] + 1)
+    last_break = np.maximum.accumulate(np.where(rises, 0, pos), axis=1)
+    return (pos - last_break).max(axis=1) + 1.0
 
 
 def _approx_entropy(x: np.ndarray, std: np.ndarray) -> np.ndarray:
     """Approximate entropy with embedding m, tolerance r = 0.2 std (floored),
-    Chebyshev distance, self-matches included."""
-    r = np.maximum(APEN_RADIUS_FACTOR * std, APEN_RADIUS_FLOOR)
+    Chebyshev distance, self-matches included. The distance between the
+    length-m templates at a and b is max_{k<m} |x_{a+k} - x_{b+k}|: the
+    elementwise maximum of m diagonal shifts of one pairwise matrix, and
+    embedding m + 1 takes the maximum with one more shift."""
+    r = np.maximum(APEN_RADIUS_FACTOR * std, APEN_RADIUS_FLOOR)[:, None, None]
+    pair = np.abs(x[:, :, None] - x[:, None, :])
+    m = APEN_EMBEDDING
+    count = x.shape[1] - m + 1
+    dist = pair[:, :count, :count]
+    for k in range(1, m):
+        dist = np.maximum(dist, pair[:, k:k + count, k:k + count])
+    longer = np.maximum(dist[:, :-1, :-1], pair[:, m:, m:])
 
-    def phi(m: int) -> np.ndarray:
-        emb = np.lib.stride_tricks.sliding_window_view(x, m, axis=1)  # (n, w-m+1, m)
-        dist = np.abs(emb[:, :, None, :] - emb[:, None, :, :]).max(axis=-1)
-        counts = (dist <= r[:, None, None]).mean(axis=2)
-        return np.log(counts).mean(axis=1)
+    def phi(d: np.ndarray) -> np.ndarray:
+        templates = d.shape[1]
+        return np.log((d <= r).sum(axis=2) / templates).sum(axis=1) / templates
 
-    return phi(APEN_EMBEDDING) - phi(APEN_EMBEDDING + 1)
+    return phi(dist) - phi(longer)
 
 
 def extract_features_batch(windows: np.ndarray) -> np.ndarray:
@@ -122,51 +137,46 @@ def extract_features_batch(windows: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise InvalidInputError("windows contain non-finite values")
 
-    mean = x.mean(axis=1)
-    std = x.std(axis=1)
+    # A sum divided by its count is the arithmetic of ndarray.mean, and
+    # sqrt(c0 / W) that of ndarray.std.
+    mean = x.sum(axis=1) / w
     xc = x - mean[:, None]
-    c0 = np.sum(xc * xc, axis=1)
+    c0 = (xc * xc).sum(axis=1)
+    std = np.sqrt(c0 / w)
 
-    interior = x[:, 1:-1]
-    num_peaks = np.sum((interior > x[:, :-2]) & (interior > x[:, 2:]), axis=1).astype(float)
+    diffs = x[:, 1:] - x[:, :-1]
+    rises = diffs > 0
 
-    diffs = np.diff(x, axis=1)
-    mean_abs_change = np.abs(diffs).mean(axis=1)
-    abs_energy = np.sum(x * x, axis=1)
+    # np.median's arithmetic: the middle element, or the mean of the middle
+    # two, with a zero result as +0. Minimum and maximum stay reductions: in
+    # a row whose extreme is a zero of both signs, the sort may put either
+    # zero first, where min and max pick by their own rule.
+    ordered = np.sort(x, axis=1)
+    h = w // 2
+    median = ordered[:, h] + 0.0 if w % 2 else (ordered[:, h - 1] + ordered[:, h] + 0.0) / 2
 
     acf = _autocorrelations(xc, c0, 4)
-
     # Durbin-Levinson step 2 on sample autocorrelations.
-    r1, r2 = acf[:, 0], acf[:, 1]
-    denom = 1.0 - r1 * r1
-    denom_ok = np.abs(denom) > _ZERO_VAR_EPS
-    pacf2 = np.where(denom_ok, (r2 - r1 * r1) / np.where(denom_ok, denom, 1.0), 0.0)
-
-    count_above_mean = np.sum(x > mean[:, None], axis=1).astype(float)
-    longest_run = _longest_increasing_run(x)
+    r1sq = acf[0] * acf[0]
+    denom = 1.0 - r1sq
+    pacf2 = np.divide(acf[1] - r1sq, denom, out=np.zeros(n), where=np.abs(denom) > _ZERO_VAR_EPS)
 
     spectrum = np.abs(np.fft.fft(x, axis=1))
-    fft_idx = np.array([k % w for k in (1, 2, 3, 4)])
-    fft_mags = spectrum[:, fft_idx]
-
     one_sided = spectrum[:, : w // 2 + 1]
     total = one_sided.sum(axis=1)
-    bins = np.arange(one_sided.shape[1], dtype=float)
-    total_ok = total > _ZERO_VAR_EPS
-    centroid = np.where(total_ok, (one_sided * bins).sum(axis=1) / np.where(total_ok, total, 1.0), 0.0)
+    weighted = (one_sided * np.arange(one_sided.shape[1], dtype=float)).sum(axis=1)
+    centroid = np.divide(weighted, total, out=np.zeros(n), where=total > _ZERO_VAR_EPS)
 
-    apen = _approx_entropy(x, std)
-
-    out = np.column_stack([
-        mean, std, x.min(axis=1), x.max(axis=1), np.median(x, axis=1),
-        num_peaks, mean_abs_change, abs_energy,
-        acf[:, 0], acf[:, 1], acf[:, 2], acf[:, 3],
-        pacf2, count_above_mean, longest_run,
-        fft_mags[:, 0], fft_mags[:, 1], fft_mags[:, 2], fft_mags[:, 3],
-        centroid, apen,
-    ])
-    assert out.shape == (n, FEATURE_COUNT)
-    return out
+    columns = [
+        mean, std, x.min(axis=1), x.max(axis=1), median,
+        (rises[:, :-1] & (diffs[:, 1:] < 0)).sum(axis=1),  # peaks
+        np.abs(diffs).sum(axis=1) / (w - 1), (x * x).sum(axis=1),
+        *acf, pacf2, (x > mean[:, None]).sum(axis=1), _longest_increasing_run(rises),
+        *spectrum[:, [1, 2, 3, 4 % w]].T, centroid, _approx_entropy(x, std),
+    ]
+    assert len(columns) == FEATURE_COUNT
+    # Column-major (FEATURE_COUNT, n) is the row-major (n, FEATURE_COUNT) result.
+    return np.array(columns, dtype=float, order="F").T
 
 
 def sliding_windows(series: np.ndarray, window_size: int) -> np.ndarray:

@@ -230,7 +230,7 @@ def test_criterion_6_oracle_equivalences():
     # isolation at depth 1 gives score 2^(-1) = 0.5
     model = iforest.fit(np.array([[0.0], [1.0]]), num_trees=10, subsample=2, seed=1)
     score_ok = (
-        abs(iforest.score(model, [0.0]) - 0.5) < 1e-12
+        abs(iforest.score_batch(model, [[0.0]])[0] - 0.5) < 1e-12
         and abs(iforest.average_path_length(2) - 1.0) < 1e-12
     )
 

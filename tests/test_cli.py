@@ -162,6 +162,29 @@ def test_evaluate_refuses_old_schema_and_truncated_model(workspace, capsys):
         assert "Traceback" not in err
 
 
+def test_evaluate_refuses_malformed_detector_documents(workspace, capsys):
+    tmp, cfg = workspace
+    ds, model = tmp / "ds", tmp / "model.json"
+    main(["generate", "--config", str(cfg), "--out", str(ds)])
+    main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(model)])
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    capsys.readouterr()
+
+    detector = doc["detector"]
+    no_kind = {k: v for k, v in detector.items() if k != "kind"}
+    no_forests = {**detector, "model": {"window_size": 10}}
+    empty = {**detector, "model": {**detector["model"], "forests": []}}
+    short = {**detector, "model": {**detector["model"], "window_size": 3}}
+    for name, bad in (("no_kind", no_kind), ("no_forests", no_forests),
+                      ("empty", empty), ("short", short)):
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps({**doc, "detector": bad}))
+        assert main(["evaluate", "--config", str(cfg), "--model", str(path),
+                     "--dataset", str(ds), "--out", str(tmp / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_json_files_are_streamed_atomically(tmp_path):
     from dexter.persistence import atomic_write_json
     obj = {"b": [1, 2.5, None], "a": {"z": "text", "y": [[0, -1.25e-9]]}}

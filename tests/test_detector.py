@@ -152,6 +152,17 @@ def test_model_json_roundtrip(arts_model):
     assert back.feature_manifest_hash == model.feature_manifest_hash
 
 
+def test_malformed_model_documents_are_rejected(arts_model):
+    good = arts_model[3].to_json_dict()
+    cases = [{k: v for k, v in good.items() if k != key}
+             for key in ("forests", "window_size", "feature_manifest_hash")]
+    cases += [{**good, "forests": []}, {**good, "forests": None},
+              {**good, "window_size": 3}, {**good, "window_size": "ten"}, None, []]
+    for doc in cases:
+        with pytest.raises(IncompatibleModelError):
+            DexterModel.from_json_dict(doc)
+
+
 def test_window_size_validation():
     rng = np.random.default_rng(3)
     with pytest.raises(ConfigError):

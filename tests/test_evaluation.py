@@ -3,7 +3,7 @@ import pytest
 
 from dexter.ar_noise import ARProcessSpec
 from dexter.environments import BaseEnv, Scenario, ScenarioConfig
-from dexter.errors import ConfigError, UndefinedMetricError
+from dexter.errors import ConfigError, IncompatibleModelError, UndefinedMetricError
 from dexter.evaluation import (
     EpisodeCounts,
     LabeledScoreSet,
@@ -216,3 +216,12 @@ def test_trained_detector_roundtrip_via_json():
         b = back.transition_scores(test_ep)
         assert np.array_equal(a[~np.isnan(a)], b[~np.isnan(b)])
         assert trained.alert_step(test_ep) == back.alert_step(test_ep)
+
+
+def test_malformed_detector_documents_are_rejected():
+    for doc in ({"model": None}, {"kind": "forest", "model": None}, None, [],
+                {"kind": "dexter", "model": {"window_size": 10}},
+                {"kind": "dexter", "model": {"window_size": 10, "feature_manifest_hash": "h",
+                                             "forests": []}}):
+        with pytest.raises(IncompatibleModelError):
+            TrainedDetector.from_json_dict(doc)

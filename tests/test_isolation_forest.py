@@ -12,7 +12,6 @@ from dexter.isolation_forest import (
     average_path_length,
     fit,
     harmonic_number,
-    score,
     score_batch,
 )
 from dexter.seeding import rng_from
@@ -58,8 +57,8 @@ def test_identical_training_points_give_single_leaf_trees():
         assert tree.feature[0] == -1
         assert tree.size[0] == 32
     # every query lands in the depth-0 leaf: E[h] = c(psi), score = 0.5
-    assert score(model, [0.0, 0.0, 0.0]) == pytest.approx(0.5)
-    assert score(model, [100.0, -5.0, 2.5]) == pytest.approx(0.5)
+    assert score_batch(model, [[0.0, 0.0, 0.0]])[0] == pytest.approx(0.5)
+    assert score_batch(model, [[100.0, -5.0, 2.5]])[0] == pytest.approx(0.5)
 
 
 def test_two_point_training_scores_half():
@@ -67,8 +66,8 @@ def test_two_point_training_scores_half():
     # normalizer c(2) = 1, so the score is 2^(-1/1) = 0.5 exactly.
     data = np.array([[0.0], [1.0]])
     model = fit(data, num_trees=10, subsample=2, seed=5)
-    assert score(model, [0.0]) == pytest.approx(0.5)
-    assert score(model, [1.0]) == pytest.approx(0.5)
+    assert score_batch(model, [[0.0]])[0] == pytest.approx(0.5)
+    assert score_batch(model, [[1.0]])[0] == pytest.approx(0.5)
 
 
 def test_hand_constructed_tree_score_formula():
@@ -86,7 +85,7 @@ def test_hand_constructed_tree_score_formula():
         nodes=nodes, subsample_size=2, feature_count=1,
         normalizer_c=average_path_length(2), seed=0, num_training_samples=2,
     )
-    assert score(model, [0.0]) == pytest.approx(2.0 ** (-1.0 / 1.0))
+    assert score_batch(model, [[0.0]])[0] == pytest.approx(2.0 ** (-1.0 / 1.0))
 
 
 def test_determinism_given_seed():
@@ -106,7 +105,7 @@ def test_outlier_scores_above_median_training_score():
         data = rng.normal(size=(400, 2))
         model = fit(data, num_trees=50, subsample=128, seed=seed)
         train_scores = score_batch(model, data)
-        assert score(model, [10.0, 10.0]) > np.median(train_scores)
+        assert score_batch(model, [[10.0, 10.0]])[0] > np.median(train_scores)
 
 
 def test_monotonicity_on_1d_uniform():
@@ -115,7 +114,7 @@ def test_monotonicity_on_1d_uniform():
         rng = np.random.default_rng(seed)
         data = rng.uniform(0.0, 1.0, size=(500, 1))
         model = fit(data, num_trees=30, subsample=128, seed=seed)
-        if score(model, [5.0]) > score(model, [0.5]):
+        if score_batch(model, [[5.0]])[0] > score_batch(model, [[0.5]])[0]:
             hits += 1
     assert hits >= 95
 
@@ -150,7 +149,7 @@ def test_batch_matches_single():
     model = fit(data, num_trees=25, subsample=64, seed=1)
     queries = rng.normal(size=(20, 4))
     batch = score_batch(model, queries)
-    singles = np.array([score(model, q) for q in queries])
+    singles = np.array([score_batch(model, [q])[0] for q in queries])
     assert np.allclose(batch, singles, atol=1e-15)
 
 
@@ -178,7 +177,7 @@ def test_validation_errors():
         fit(data, num_trees=0)
     model = fit(data, num_trees=5, subsample=16, seed=0)
     with pytest.raises(IncompatibleModelError):
-        score(model, [1.0, 2.0, 3.0])
+        score_batch(model, [[1.0, 2.0, 3.0]])
 
 
 def test_json_roundtrip_preserves_scores():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dexter.errors import InvalidInputError, WindowTooShortError
 from dexter.ts_features import (
@@ -57,6 +59,96 @@ def brute_approx_entropy(x, m=2, r_factor=0.2):
         return total / count
 
     return phi(m) - phi(m + 1)
+
+
+def reference_features_batch(x):
+    """The catalogue as first written: per-lag and per-step Python loops,
+    (n, L, L, m) template arrays for approximate entropy, np.median. Kept as
+    the bit-for-bit oracle for extract_features_batch."""
+    eps = 1e-24
+    n, w = x.shape
+
+    def autocorrelations(xc, c0, max_lag):
+        out = np.zeros((n, max_lag))
+        ok = c0 > eps
+        for k in range(1, max_lag + 1):
+            if k < w:
+                ck = np.sum(xc[:, k:] * xc[:, :-k], axis=1)
+                out[:, k - 1] = np.where(ok, ck / np.where(ok, c0, 1.0), 0.0)
+        return out
+
+    def longest_increasing_run():
+        inc = np.diff(x, axis=1) > 0
+        run = np.zeros(n)
+        best = np.zeros(n)
+        for j in range(inc.shape[1]):
+            run = np.where(inc[:, j], run + 1.0, 0.0)
+            best = np.maximum(best, run)
+        return best + 1.0
+
+    def approx_entropy(std):
+        r = np.maximum(0.2 * std, 1e-12)
+
+        def phi(m):
+            emb = np.lib.stride_tricks.sliding_window_view(x, m, axis=1)
+            dist = np.abs(emb[:, :, None, :] - emb[:, None, :, :]).max(axis=-1)
+            counts = (dist <= r[:, None, None]).mean(axis=2)
+            return np.log(counts).mean(axis=1)
+
+        return phi(2) - phi(3)
+
+    mean = x.mean(axis=1)
+    std = x.std(axis=1)
+    xc = x - mean[:, None]
+    c0 = np.sum(xc * xc, axis=1)
+    interior = x[:, 1:-1]
+    num_peaks = np.sum((interior > x[:, :-2]) & (interior > x[:, 2:]), axis=1).astype(float)
+    mean_abs_change = np.abs(np.diff(x, axis=1)).mean(axis=1)
+    abs_energy = np.sum(x * x, axis=1)
+    acf = autocorrelations(xc, c0, 4)
+    r1, r2 = acf[:, 0], acf[:, 1]
+    denom = 1.0 - r1 * r1
+    denom_ok = np.abs(denom) > eps
+    pacf2 = np.where(denom_ok, (r2 - r1 * r1) / np.where(denom_ok, denom, 1.0), 0.0)
+    count_above_mean = np.sum(x > mean[:, None], axis=1).astype(float)
+    spectrum = np.abs(np.fft.fft(x, axis=1))
+    fft_mags = spectrum[:, np.array([k % w for k in (1, 2, 3, 4)])]
+    one_sided = spectrum[:, : w // 2 + 1]
+    total = one_sided.sum(axis=1)
+    bins = np.arange(one_sided.shape[1], dtype=float)
+    total_ok = total > eps
+    centroid = np.where(total_ok, (one_sided * bins).sum(axis=1) / np.where(total_ok, total, 1.0), 0.0)
+    return np.column_stack([
+        mean, std, x.min(axis=1), x.max(axis=1), np.median(x, axis=1),
+        num_peaks, mean_abs_change, abs_energy,
+        acf[:, 0], acf[:, 1], acf[:, 2], acf[:, 3],
+        pacf2, count_above_mean, longest_increasing_run(),
+        fft_mags[:, 0], fft_mags[:, 1], fft_mags[:, 2], fft_mags[:, 3],
+        centroid, approx_entropy(std),
+    ])
+
+
+@st.composite
+def window_batches(draw):
+    """(n, W) batches, W in 4..32 and n in 1..64: small integers held over
+    random plateaus (ties), or scaled random walks; some or all rows made
+    constant; every zero given a random sign."""
+    w, n = draw(st.integers(4, 32)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        x = rng.integers(-3, 4, size=(n, w)).astype(float)
+        hold = rng.random((n, w)) < draw(st.sampled_from([0.0, 0.5, 0.9]))
+        for j in range(1, w):
+            x[:, j] = np.where(hold[:, j], x[:, j - 1], x[:, j])
+    else:
+        x = np.cumsum(rng.normal(size=(n, w)), axis=1) * 10.0 ** draw(st.integers(-8, 8))
+    constant = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    x[constant] = x[constant, :1]
+    x *= sign
+    zeros = x == 0
+    x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    return x
 
 
 def test_catalogue_is_fixed_and_hashable():
@@ -174,6 +266,15 @@ def test_batch_matches_single_extraction():
     for i in range(50):
         single = extract_one(windows[i])
         assert np.array_equal(batch[i], single)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_batches())
+def test_batch_equals_reference_bit_for_bit(x):
+    bits = extract_features_batch(x).view(np.int64)
+    assert np.array_equal(bits, reference_features_batch(x).view(np.int64))
+    for i in range(x.shape[0]):
+        assert np.array_equal(extract_features_batch(x[i:i + 1]).view(np.int64), bits[i:i + 1])
 
 
 def test_input_validation():
