@@ -118,16 +118,20 @@ def burn_in_length(order_p: int) -> int:
 def _recurse(out, phi, mu, innovations, start):
     """In-place AR recursion out[t] = mu + sum phi_i out[t-i] + innovations[t]
     for t >= start; indices before the series start count as zero lags."""
-    p = len(phi)
-    if p == 0:
+    if not phi:
         out[start:] = mu + innovations[start:]
         return
-    for t in range(start, len(out)):
-        acc = mu + innovations[t]
-        for i in range(1, p + 1):
-            if phi[i - 1] != 0.0 and t - i >= 0:
-                acc += phi[i - 1] * out[t - i]
-        out[t] = acc
+    # On Python floats. The additions run in lag order and skip zero
+    # coefficients, which fixes the bits of every series.
+    lags = [(i, c) for i, c in enumerate(phi, 1) if c != 0.0]
+    ys = out[:start].tolist()
+    for t, innovation in enumerate(innovations[start:len(out)].tolist(), start):
+        acc = mu + innovation
+        for i, c in lags:
+            if t >= i:
+                acc += c * ys[t - i]
+        ys.append(acc)
+    out[start:] = ys[start:]
 
 
 def generate_series(spec: ARProcessSpec, length: int, seed: int) -> np.ndarray:

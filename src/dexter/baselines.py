@@ -19,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cusum import CusumDetector, calibrate_from_streams, first_alert_step, percentile_threshold, split_halves
+from .cusum import (
+    CusumDetector, calibrate_from_streams, finite_field, first_alert_step, percentile_threshold,
+    split_halves,
+)
 from .errors import ConfigError, DataError, IncompatibleModelError
 from .seeding import rng_from
 
@@ -65,13 +68,31 @@ class DynamicsModelEnsemble:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DynamicsModelEnsemble":
-        return cls(
-            coefficients=np.asarray(d["coefficients"], dtype=float),
-            variances=np.asarray(d["variances"], dtype=float),
-            input_mean=np.asarray(d["input_mean"], dtype=float),
-            input_std=np.asarray(d["input_std"], dtype=float),
-            state_dim=int(d["state_dim"]),
-        )
+        owner = "pedm model"
+        arrays = {name: finite_field(d, name, owner, ndim)
+                  for name, ndim in (("coefficients", 3), ("variances", 2),
+                                     ("input_mean", 1), ("input_std", 1))}
+        state_dim = finite_field(d, "state_dim", owner)
+        if not (state_dim.is_integer() and state_dim >= 1):
+            raise IncompatibleModelError(f"{owner} 'state_dim' must be a positive integer")
+        model = cls(**arrays, state_dim=int(state_dim))
+        inputs = model.state_dim + 1  # the action is the last input
+        members = max(model.ensemble_size, 1)  # so that an empty ensemble fails below
+        expected = {
+            "coefficients": (members, 1 + inputs + inputs * (inputs + 1) // 2, model.state_dim),
+            "variances": (members, model.state_dim),
+            "input_mean": (inputs,),
+            "input_std": (inputs,),
+        }
+        for name, shape in expected.items():
+            if getattr(model, name).shape != shape:
+                raise IncompatibleModelError(
+                    f"{owner} {name!r} has shape {getattr(model, name).shape}, expected {shape}"
+                )
+        for name in ("variances", "input_std"):
+            if not (getattr(model, name) > 0).all():
+                raise IncompatibleModelError(f"{owner} {name!r} must be positive")
+        return model
 
 
 def _standardize_inputs(states: np.ndarray, actions: np.ndarray, mean, std) -> np.ndarray:
@@ -245,13 +266,17 @@ class MeanShiftDetector:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MeanShiftDetector":
-        return cls(
-            reference_mean=np.asarray(d["reference_mean"], dtype=float),
-            reference_std=np.asarray(d["reference_std"], dtype=float),
-            threshold=float(d["threshold"]),
-            kappa=float(d["kappa"]),
-            target_fpr=float(d["target_fpr"]),
+        owner = "meanshift model"
+        model = cls(
+            reference_mean=finite_field(d, "reference_mean", owner, ndim=1),
+            reference_std=finite_field(d, "reference_std", owner, ndim=1),
+            **{name: finite_field(d, name, owner) for name in ("threshold", "kappa", "target_fpr")},
         )
+        if model.reference_mean.size == 0 or model.reference_std.shape != model.reference_mean.shape:
+            raise IncompatibleModelError(f"{owner} reference_mean and reference_std differ in shape")
+        if not (model.reference_std > 0).all():
+            raise IncompatibleModelError(f"{owner} reference_std must be positive")
+        return model
 
     def monitor(self) -> MeanShiftCusum:
         return MeanShiftCusum(self.reference_mean, self.reference_std, self.threshold, self.kappa)

@@ -18,8 +18,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IncompatibleModelError
 from .seeding import rng_from
+
+
+def finite_field(doc, name: str, owner: str, ndim: int = 0):
+    """``doc[name]`` of a model document as a finite float (``ndim`` 0) or
+    a float array of ``ndim`` dimensions. A missing field, a non-numeric or
+    non-finite value and a wrong number of dimensions raise
+    :class:`IncompatibleModelError` naming the field."""
+    if not isinstance(doc, dict):
+        raise IncompatibleModelError(f"{owner} document is not an object")
+    if name not in doc:
+        raise IncompatibleModelError(f"{owner} is missing {name!r}")
+    try:
+        value = np.asarray(doc[name])
+    except ValueError as exc:  # ragged nested lists
+        raise IncompatibleModelError(f"{owner} {name!r} is malformed: {exc}") from exc
+    if (value.ndim != ndim or (value.size and value.dtype.kind not in "iuf")
+            or not np.isfinite(value).all()):
+        shape = "a finite number" if ndim == 0 else f"a {ndim}-D array of finite numbers"
+        raise IncompatibleModelError(f"{owner} {name!r} is not {shape}")
+    return float(value) if ndim == 0 else np.asarray(value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -39,11 +59,8 @@ class CusumDetector:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CusumDetector":
-        return cls(
-            mean_score_abar=float(d["mean_score_abar"]),
-            threshold_tau=float(d["threshold_tau"]),
-            target_fpr=float(d["target_fpr"]),
-        )
+        return cls(**{name: finite_field(d, name, "cusum detector")
+                      for name in ("mean_score_abar", "threshold_tau", "target_fpr")})
 
 
 def _clamped_step(statistic: float, score: float, mean: float) -> float:

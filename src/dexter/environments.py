@@ -21,11 +21,12 @@ anomalous transitions.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite
 
 import numpy as np
 
 from .ar_noise import ARProcessSpec, NoiseMatrix, generate_matrix, spliced_matrix
-from .errors import ConfigError, SimulationDivergedError
+from .errors import ConfigError, DataError, SimulationDivergedError
 from .seeding import child_seed, rng_from
 
 DEFAULT_HORIZON = 200
@@ -49,20 +50,21 @@ class PolicyKind(str, Enum):
     HEURISTIC = "heuristic"
 
 
-@dataclass(frozen=True)
-class EnvState:
-    """Environment state vector plus the number of completed transitions."""
-
-    vector: np.ndarray
-    step_index: int = 0
+def _diverged(env_name: str, state) -> SimulationDivergedError:
+    return SimulationDivergedError(f"{env_name} state became non-finite: {state}")
 
 
-def _require_finite(vector: np.ndarray, env_name: str):
-    if not np.isfinite(vector).all():
-        raise SimulationDivergedError(f"{env_name} state became non-finite: {vector}")
+class _FloatStepEnv:
+    """Base of the environments. Each one advances its state as a list of
+    Python floats in :meth:`step`, which both the episode loop and the
+    array-level :meth:`transition` call, so the dynamics exist once."""
+
+    def transition(self, vector, action: int) -> np.ndarray:
+        """The next state vector after ``action`` from state ``vector``."""
+        return np.array(self.step(np.asarray(vector, dtype=float).tolist(), action)[0])
 
 
-class CartpoleEnv:
+class CartpoleEnv(_FloatStepEnv):
     """Classic cart-pole balancing with the standard constants and explicit
     Euler integration; binary force direction actions (0 = left, 1 = right)."""
 
@@ -79,45 +81,37 @@ class CartpoleEnv:
 
     dim = 4
     num_actions = 2
-    name = BaseEnv.CARTPOLE
 
-    def __init__(self, horizon: int = DEFAULT_HORIZON):
-        self.horizon = horizon
+    def reset(self, rng: np.random.Generator) -> list:
+        return rng.uniform(-0.05, 0.05, size=4).tolist()
 
-    def reset(self, rng: np.random.Generator) -> EnvState:
-        return EnvState(vector=rng.uniform(-0.05, 0.05, size=4), step_index=0)
-
-    def transition(self, vector: np.ndarray, action: int) -> np.ndarray:
-        _require_finite(vector, "cartpole")
-        x, x_dot, theta, theta_dot = vector
+    def step(self, state: list, action: int):
+        """(next state, reward 1.0, whether the cart or pole left its bounds)."""
+        x, x_dot, theta, theta_dot = state
+        if not (isfinite(x) and isfinite(x_dot) and isfinite(theta) and isfinite(theta_dot)):
+            raise _diverged("cartpole", state)
         force = self.FORCE_MAG if action == 1 else -self.FORCE_MAG
         cos_t = math.cos(theta)
         sin_t = math.sin(theta)
-        temp = (force + self.POLEMASS_LENGTH * theta_dot**2 * sin_t) / self.TOTAL_MASS
+        try:
+            temp = (force + self.POLEMASS_LENGTH * theta_dot**2 * sin_t) / self.TOTAL_MASS
+        except OverflowError:  # a float power raises where an array's gives inf
+            raise _diverged("cartpole", state) from None
         theta_acc = (self.GRAVITY * sin_t - cos_t * temp) / (
             self.HALF_LENGTH * (4.0 / 3.0 - self.MASS_POLE * cos_t**2 / self.TOTAL_MASS)
         )
         x_acc = temp - self.POLEMASS_LENGTH * theta_acc * cos_t / self.TOTAL_MASS
-        nxt = np.array([
-            x + self.DT * x_dot,
-            x_dot + self.DT * x_acc,
-            theta + self.DT * theta_dot,
-            theta_dot + self.DT * theta_acc,
-        ])
-        _require_finite(nxt, "cartpole")
-        return nxt
-
-    def out_of_bounds(self, vector: np.ndarray) -> bool:
-        return abs(vector[0]) > self.X_LIMIT or abs(vector[2]) > self.THETA_LIMIT
-
-    def step(self, state: EnvState, action: int):
-        nxt = self.transition(state.vector, action)
-        new_index = state.step_index + 1
-        terminated = self.out_of_bounds(nxt) or new_index >= self.horizon
-        return EnvState(vector=nxt, step_index=new_index), 1.0, terminated
+        x = x + self.DT * x_dot
+        x_dot = x_dot + self.DT * x_acc
+        theta = theta + self.DT * theta_dot
+        theta_dot = theta_dot + self.DT * theta_acc
+        nxt = [x, x_dot, theta, theta_dot]
+        if not (isfinite(x) and isfinite(x_dot) and isfinite(theta) and isfinite(theta_dot)):
+            raise _diverged("cartpole", nxt)
+        return nxt, 1.0, abs(x) > self.X_LIMIT or abs(theta) > self.THETA_LIMIT
 
 
-class AcrobotEnv:
+class AcrobotEnv(_FloatStepEnv):
     """Classic two-link acrobot with RK4 integration.
 
     Observations are [cos th1, sin th1, cos th2, sin th2, w1, w2]; actions
@@ -137,30 +131,15 @@ class AcrobotEnv:
 
     dim = 6
     num_actions = 3
-    name = BaseEnv.ACROBOT
 
-    def __init__(self, horizon: int = DEFAULT_HORIZON):
-        self.horizon = horizon
-
-    def reset(self, rng: np.random.Generator) -> EnvState:
-        angles = rng.uniform(-0.1, 0.1, size=4)
-        return EnvState(vector=self._embed(angles), step_index=0)
+    def reset(self, rng: np.random.Generator) -> list:
+        return self._embed(*rng.uniform(-0.1, 0.1, size=4).tolist())
 
     @staticmethod
-    def _embed(angles: np.ndarray) -> np.ndarray:
-        th1, th2, w1, w2 = angles
-        return np.array([math.cos(th1), math.sin(th1), math.cos(th2), math.sin(th2), w1, w2])
+    def _embed(th1, th2, w1, w2) -> list:
+        return [math.cos(th1), math.sin(th1), math.cos(th2), math.sin(th2), w1, w2]
 
-    @staticmethod
-    def _angles(vector: np.ndarray) -> np.ndarray:
-        return np.array([
-            math.atan2(vector[1], vector[0]),
-            math.atan2(vector[3], vector[2]),
-            vector[4],
-            vector[5],
-        ])
-
-    def _derivs(self, y: np.ndarray, torque: float) -> np.ndarray:
+    def _derivs(self, y, torque: float) -> tuple:
         m, l1, lc, inertia, g = (
             self.LINK_MASS, self.LINK_LENGTH, self.LINK_COM, self.LINK_INERTIA, self.GRAVITY,
         )
@@ -178,63 +157,54 @@ class AcrobotEnv:
             m * lc**2 + inertia - d2**2 / d1
         )
         a1 = -(d2 * a2 + phi1) / d1
-        return np.array([w1, w2, a1, a2])
+        return w1, w2, a1, a2
 
-    def _rk4(self, y: np.ndarray, torque: float) -> np.ndarray:
+    def _rk4(self, y, torque: float) -> list:
+        # The operation order below fixes the bits of every episode; the
+        # simulation oracle in the tests holds it to the array form.
         dt = self.DT
+        half, sixth = dt / 2.0, dt / 6.0
         k1 = self._derivs(y, torque)
-        k2 = self._derivs(y + dt / 2.0 * k1, torque)
-        k3 = self._derivs(y + dt / 2.0 * k2, torque)
-        k4 = self._derivs(y + dt * k3, torque)
-        return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = self._derivs([a + half * k for a, k in zip(y, k1)], torque)
+        k3 = self._derivs([a + half * k for a, k in zip(y, k2)], torque)
+        k4 = self._derivs([a + dt * k for a, k in zip(y, k3)], torque)
+        return [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
-    def transition(self, vector: np.ndarray, action: int) -> np.ndarray:
-        _require_finite(vector, "acrobot")
-        y = self._rk4(self._angles(vector), self.TORQUES[action])
-        th1 = math.atan2(math.sin(y[0]), math.cos(y[0]))
-        th2 = math.atan2(math.sin(y[1]), math.cos(y[1]))
-        w1 = min(max(y[2], -self.MAX_VEL_1), self.MAX_VEL_1)
-        w2 = min(max(y[3], -self.MAX_VEL_2), self.MAX_VEL_2)
-        nxt = self._embed(np.array([th1, th2, w1, w2]))
-        _require_finite(nxt, "acrobot")
-        return nxt
-
-    def at_goal(self, vector: np.ndarray) -> bool:
-        th1, th2 = self._angles(vector)[:2]
+    def at_goal(self, state) -> bool:
+        th1, th2 = math.atan2(state[1], state[0]), math.atan2(state[3], state[2])
         return -math.cos(th1) - math.cos(th1 + th2) > 1.0
 
-    def step(self, state: EnvState, action: int):
-        nxt = self.transition(state.vector, action)
-        new_index = state.step_index + 1
+    def step(self, state: list, action: int):
+        """(next state, reward, whether the free end reached the goal height)."""
+        if not all(map(isfinite, state)):
+            raise _diverged("acrobot", state)
+        angles = (math.atan2(state[1], state[0]), math.atan2(state[3], state[2]), state[4], state[5])
+        try:
+            y = self._rk4(angles, self.TORQUES[action])
+            th1 = math.atan2(math.sin(y[0]), math.cos(y[0]))
+            th2 = math.atan2(math.sin(y[1]), math.cos(y[1]))
+        except (OverflowError, ValueError):  # float power overflow; sin or cos of inf
+            raise _diverged("acrobot", state) from None
+        w1 = min(max(y[2], -self.MAX_VEL_1), self.MAX_VEL_1)
+        w2 = min(max(y[3], -self.MAX_VEL_2), self.MAX_VEL_2)
+        nxt = self._embed(th1, th2, w1, w2)
+        if not all(map(isfinite, nxt)):
+            raise _diverged("acrobot", nxt)
         goal = self.at_goal(nxt)
-        terminated = goal or new_index >= self.horizon
-        reward = 0.0 if goal else -1.0
-        return EnvState(vector=nxt, step_index=new_index), reward, terminated
+        return nxt, 0.0 if goal else -1.0, goal
 
 
-class ConstantEnv:
+class ConstantEnv(_FloatStepEnv):
     """1-D environment whose state never changes; the ARTS base."""
 
     dim = 1
     num_actions = 1
-    name = BaseEnv.CONSTANT
 
-    def __init__(self, horizon: int = DEFAULT_HORIZON):
-        self.horizon = horizon
+    def reset(self, rng: np.random.Generator) -> list:
+        return [0.0]
 
-    def reset(self, rng: np.random.Generator) -> EnvState:
-        return EnvState(vector=np.zeros(1), step_index=0)
-
-    def transition(self, vector: np.ndarray, action: int) -> np.ndarray:
-        return vector.copy()
-
-    def step(self, state: EnvState, action: int):
-        new_index = state.step_index + 1
-        return (
-            EnvState(vector=state.vector.copy(), step_index=new_index),
-            0.0,
-            new_index >= self.horizon,
-        )
+    def step(self, state: list, action: int):
+        return list(state), 0.0, False
 
 
 _ENV_CLASSES = {
@@ -244,44 +214,8 @@ _ENV_CLASSES = {
 }
 
 
-def make_env(base_env: BaseEnv, horizon: int = DEFAULT_HORIZON):
-    return _ENV_CLASSES[BaseEnv(base_env)](horizon=horizon)
-
-
-def arts_step(t: int, noise: NoiseMatrix) -> float:
-    """ARTS observation at step t: a direct lookup into the 1-row noise
-    matrix; the underlying state is constant and actions are ignored."""
-    if noise.num_dimensions != 1:
-        raise ConfigError("ARTS noise matrix must have exactly 1 row")
-    if not 0 <= t < noise.max_steps:
-        raise IndexError(f"step {t} outside noise horizon {noise.max_steps}")
-    return float(noise.values[0, t])
-
-
-def _noise_column(noise: NoiseMatrix, per_dim_scale: np.ndarray, t: int, dim: int) -> np.ndarray:
-    if noise.num_dimensions != dim:
-        raise ConfigError(
-            f"noise matrix has {noise.num_dimensions} rows, environment needs {dim}"
-        )
-    return noise.values[:, t] * per_dim_scale
-
-
-def arno_step(env, state: EnvState, action: int, noise: NoiseMatrix, per_dim_scale, t: int):
-    """Sensory-anomaly step: the environment transitions on the true state;
-    only the returned observation carries the scaled noise column t+1."""
-    next_state, reward, terminated = env.step(state, action)
-    column = _noise_column(noise, np.asarray(per_dim_scale, dtype=float), t + 1, env.dim)
-    observation = next_state.vector + column
-    return next_state, observation, reward, terminated
-
-
-def arns_step(env, state: EnvState, action: int, noise: NoiseMatrix, per_dim_scale, t: int):
-    """Semantic-anomaly step: the transition function is evaluated on the
-    perturbed state; the returned state is the true next state."""
-    column = _noise_column(noise, np.asarray(per_dim_scale, dtype=float), t + 1, env.dim)
-    perturbed = EnvState(vector=state.vector + column, step_index=state.step_index)
-    _require_finite(perturbed.vector, "arns-perturbed")
-    return env.step(perturbed, action)
+def make_env(base_env: BaseEnv):
+    return _ENV_CLASSES[BaseEnv(base_env)]()
 
 
 @dataclass(frozen=True)
@@ -403,16 +337,34 @@ class Episode:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Episode":
-        return cls(
-            observations=np.asarray(d["observations"], dtype=float),
-            actions=np.asarray(d["actions"], dtype=int),
-            injection_time=d["injection_time"],
-            labels=np.asarray(d["labels"], dtype=bool),
-            reward_sum=float(d["reward_sum"]),
-            seed=int(d["seed"]),
-            scenario=d["scenario"],
-            usable=bool(d.get("usable", True)),
-        )
+        """The episode of one dataset record; a record with a missing key,
+        observations that are not a finite 2-D matrix, or actions or labels
+        not one per transition raises :class:`DataError`."""
+        try:
+            episode = cls(
+                observations=np.asarray(d["observations"], dtype=float),
+                actions=np.asarray(d["actions"], dtype=int),
+                injection_time=d["injection_time"],
+                labels=np.asarray(d["labels"], dtype=bool),
+                reward_sum=float(d["reward_sum"]),
+                seed=int(d["seed"]),
+                scenario=d["scenario"],
+                usable=bool(d.get("usable", True)),
+            )
+        except KeyError as exc:
+            raise DataError(f"episode record is missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed episode record: {exc}") from exc
+        obs = episode.observations
+        if obs.ndim != 2 or not np.isfinite(obs).all():
+            raise DataError("episode observations must be a finite 2-D matrix")
+        transitions = (obs.shape[0] - 1,)
+        if episode.actions.shape != transitions or episode.labels.shape != transitions:
+            raise DataError(
+                f"episode with {obs.shape[0]} observations needs {transitions[0]} actions and "
+                f"labels, got {episode.actions.shape} and {episode.labels.shape}"
+            )
+        return episode
 
 
 def random_policy(num_actions: int):
@@ -458,47 +410,60 @@ def builtin_policy(base_env: BaseEnv, kind: PolicyKind):
     return acrobot_heuristic_policy()
 
 
-def _simulate(config: ScenarioConfig, policy, noise: NoiseMatrix, env_rng, policy_rng,
-              record_hidden: bool):
-    env = make_env(config.base_env, config.horizon)
-    scales = config.scales()
-    state = env.reset(env_rng)
+def _observe(scenario, state: list, columns, t: int) -> np.ndarray:
+    if scenario is Scenario.ARNO:
+        return np.array([v + n for v, n in zip(state, columns[t])])
+    if scenario is Scenario.ARTS:
+        return np.array(columns[t])
+    return np.array(state)
 
-    if config.scenario is Scenario.ARTS:
-        first_obs = np.array([arts_step(0, noise)])
-    elif config.scenario is Scenario.ARNO:
-        first_obs = state.vector + _noise_column(noise, scales, 0, env.dim)
-    else:
-        first_obs = state.vector.copy()
 
-    observations = [first_obs]
-    hidden = [state.vector.copy()] if record_hidden else None
+def _rollout(env, state: list, policy, policy_rng, horizon: int, scenario=None, columns=(),
+             record_states: bool = False):
+    """The simulation loop: step ``env`` from ``state`` until it terminates
+    or ``horizon`` observations exist.
+
+    ``columns[t]`` is the noise of observation t. Under ARTS it is the
+    observation; under ARNO it is added to the observed state; under ARNS it
+    is added to the state that the transition into t starts from. With
+    ``scenario=None`` the clean state is observed. Returns the observations
+    (the arrays the policy was given), the states as float lists (None
+    unless ``record_states``), the actions and the reward sum.
+    """
+    observations = [_observe(scenario, state, columns, 0)]
+    states = [state] if record_states else None
     actions = []
     reward_sum = 0.0
-    terminated = False
-    t = 0
-    while len(observations) < config.horizon and not terminated:
+    for t in range(1, horizon):
         action = policy(observations[-1], policy_rng)
-        if config.scenario is Scenario.ARTS:
-            state, reward, terminated = env.step(state, action)
-            obs = np.array([arts_step(t + 1, noise)])
-        elif config.scenario is Scenario.ARNO:
-            state, obs, reward, terminated = arno_step(env, state, action, noise, scales, t)
-        else:
-            state, reward, terminated = arns_step(env, state, action, noise, scales, t)
-            obs = state.vector.copy()
-        observations.append(obs)
+        if scenario is Scenario.ARNS:
+            state = [v + n for v, n in zip(state, columns[t])]
+        state, reward, terminal = env.step(state, action)
+        observations.append(_observe(scenario, state, columns, t))
+        if record_states:
+            states.append(state)
         actions.append(action)
         reward_sum += reward
-        if record_hidden:
-            hidden.append(state.vector.copy())
-        t += 1
+        if terminal:
+            break
+    return observations, states, actions, reward_sum
 
+
+def _simulate(config: ScenarioConfig, policy, noise: NoiseMatrix, env_rng, policy_rng,
+              record_hidden: bool):
+    env = make_env(config.base_env)
+    scales = config.scales()
+    # ARTS observes its noise unscaled.
+    values = noise.values if config.scenario is Scenario.ARTS else noise.values * scales[:, None]
+    observations, states, actions, reward_sum = _rollout(
+        env, env.reset(env_rng), policy, policy_rng, config.horizon,
+        config.scenario, values.T.tolist(), record_hidden,
+    )
     return (
-        np.asarray(observations),
-        np.asarray(actions, dtype=int),
+        np.array(observations),
+        np.array(actions, dtype=int),
         reward_sum,
-        None if hidden is None else np.asarray(hidden),
+        np.array(states) if record_hidden else None,
     )
 
 
@@ -562,18 +527,15 @@ def estimate_dimension_scales(base_env: BaseEnv, policy, num_episodes: int = 50,
                               horizon: int = DEFAULT_HORIZON, seed: int = 0) -> np.ndarray:
     """Per-dimension observation std over clean, noise-free rollouts; the
     normalization factors for noise magnitudes."""
-    env = make_env(base_env, horizon)
+    if num_episodes < 1:
+        raise ConfigError("num_episodes must be >= 1")
+    env = make_env(base_env)
     pooled = []
     for i in range(num_episodes):
-        env_rng = rng_from(seed, "scale_env", i)
-        policy_rng = rng_from(seed, "scale_policy", i)
-        state = env.reset(env_rng)
-        vectors = [state.vector.copy()]
-        terminated = False
-        while len(vectors) < horizon and not terminated:
-            action = policy(vectors[-1], policy_rng)
-            state, _, terminated = env.step(state, action)
-            vectors.append(state.vector.copy())
-        pooled.append(np.asarray(vectors))
+        observations, _, _, _ = _rollout(
+            env, env.reset(rng_from(seed, "scale_env", i)), policy,
+            rng_from(seed, "scale_policy", i), horizon,
+        )
+        pooled.append(np.array(observations))
     stds = np.concatenate(pooled, axis=0).std(axis=0)
     return np.maximum(stds, 1e-8)

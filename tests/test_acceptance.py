@@ -20,7 +20,6 @@ from dexter.cusum import CusumDetector, CusumMonitor, first_alert_step
 from dexter.environments import (
     BaseEnv,
     CartpoleEnv,
-    EnvState,
     PolicyKind,
     Scenario,
     ScenarioConfig,
@@ -280,26 +279,22 @@ def test_criterion_8_invariant_suites(tmp_path):
     )
     policy = builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC)
     ep = run_episode(cfg, policy, seed=11, record_hidden=True)
-    env = CartpoleEnv(cfg.horizon)
-    state = EnvState(vector=ep.hidden_states[0].copy())
-    replay = [state.vector.copy()]
-    for action in ep.actions:
-        state, _, _ = env.step(state, int(action))
-        replay.append(state.vector.copy())
-    arno_ok = np.array_equal(np.asarray(replay), ep.hidden_states)
+    env = CartpoleEnv()
+
+    def replay(episode):
+        states = [episode.hidden_states[0].tolist()]
+        for action in episode.actions:
+            states.append(env.step(states[-1], int(action))[0])
+        return np.array(states)
+
+    arno_ok = np.array_equal(replay(ep), ep.hidden_states)
 
     # ARNS with zero noise is bit-equal to the clean environment
-    from dexter.ar_noise import NoiseMatrix
-    from dexter.environments import arns_step
+    from dataclasses import replace
 
-    blank = NoiseMatrix(values=np.zeros((4, 60)), spec=ARProcessSpec.no_correlation(), seed=0)
-    a = EnvState(vector=np.array([0.01, 0.0, 0.01, 0.0]))
-    b = EnvState(vector=np.array([0.01, 0.0, 0.01, 0.0]))
-    arns_ok = True
-    for t in range(30):
-        a, _, _ = arns_step(env, a, t % 2, blank, np.ones(4), t)
-        b, _, _ = env.step(b, t % 2)
-        arns_ok = arns_ok and np.array_equal(a.vector, b.vector)
+    blank = replace(cfg, scenario=Scenario.ARNS, per_dimension_scale=(0.0, 0.0, 0.0, 0.0))
+    arns_ep = run_episode(blank, policy, seed=11, record_hidden=True)
+    arns_ok = arns_ep.length > 30 and np.array_equal(replay(arns_ep), arns_ep.hidden_states)
 
     # CUSUM non-negativity and the closed-form alert step
     det = CusumDetector(mean_score_abar=0.4, threshold_tau=1.0, target_fpr=0.01)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import simulation_oracle as oracle
 from dexter.ar_noise import (
     ARProcessSpec,
     CorrelationMode,
     NoiseMatrix,
+    _recurse,
     generate_matrix,
     generate_series,
     spliced_matrix,
@@ -243,3 +247,28 @@ def test_spec_json_roundtrip():
         ARProcessSpec.two_step(-0.4, mu=0.0),
     ):
         assert ARProcessSpec.from_json_dict(spec.to_json_dict()) == spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(CorrelationMode),
+    phi=st.floats(-0.99, 0.99),
+    mu=st.floats(-5.0, 5.0),
+    length=st.integers(1, 300),
+    start_fraction=st.floats(0.0, 1.0),
+    log_scale=st.integers(-6, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recurse_equals_oracle_bit_for_bit(mode, phi, mu, length, start_fraction, log_scale, seed):
+    # The recursion as first written (tests/simulation_oracle.py), on every
+    # mode, from any start: the prefix before ``start`` is given lags.
+    coefficients = {CorrelationMode.NO_CORRELATION: (), CorrelationMode.ONE_STEP: (phi,),
+                    CorrelationMode.TWO_STEP: (0.0, phi)}[mode]
+    rng = np.random.default_rng(seed)
+    innovations = rng.normal(size=length) * 10.0 ** log_scale
+    prefix = rng.normal(size=length) * 10.0 ** log_scale
+    start = int(start_fraction * length)
+    got, want = prefix.copy(), prefix.copy()
+    _recurse(got, coefficients, mu, innovations, start)
+    oracle.recurse(want, coefficients, mu, innovations, start)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -243,6 +243,20 @@ def test_dynamics_ensemble_json_roundtrip():
     )
 
 
+@pytest.mark.parametrize("field, value", [
+    ("coefficients", None), ("variances", "1.0"), ("input_std", [1.0, float("nan")]),
+    ("state_dim", 2.5), ("coefficients", [[[1.0]]]), ("variances", [[0.0, 1.0]] * 3),
+])
+def test_dynamics_ensemble_rejects_malformed_fields(field, value):
+    states, actions, next_states = linear_system_transitions(300, 9)
+    doc = fit_dynamics(states, actions, next_states, ensemble_size=3, seed=4).to_json_dict()
+    with pytest.raises(IncompatibleModelError, match=field):
+        DynamicsModelEnsemble.from_json_dict({**doc, field: value})
+    missing = {k: v for k, v in doc.items() if k != field}
+    with pytest.raises(IncompatibleModelError, match=field):
+        DynamicsModelEnsemble.from_json_dict(missing)
+
+
 def test_meanshift_reference_stream_stays_quiet():
     det = MeanShiftDetector(
         reference_mean=np.zeros(3), reference_std=np.ones(3), threshold=5.0
@@ -354,3 +368,15 @@ def test_meanshift_validation_and_roundtrip():
     assert meanshift_detect_online(det, probe) == meanshift_detect_online(back, probe)
     assert np.array_equal(meanshift_episode_scores(det, probe),
                           meanshift_episode_scores(back, probe))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("reference_mean", [[0.0, 1.0]]), ("reference_std", [1.0, -1.0]), ("threshold", "2"),
+    ("kappa", float("inf")), ("target_fpr", True),
+])
+def test_meanshift_rejects_malformed_fields(field, value):
+    doc = MeanShiftDetector(np.zeros(2), np.ones(2), threshold=3.0).to_json_dict()
+    with pytest.raises(IncompatibleModelError, match=field):
+        MeanShiftDetector.from_json_dict({**doc, field: value})
+    with pytest.raises(IncompatibleModelError, match=field):
+        MeanShiftDetector.from_json_dict({k: v for k, v in doc.items() if k != field})

@@ -185,6 +185,45 @@ def test_evaluate_refuses_malformed_detector_documents(workspace, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_evaluate_refuses_malformed_baseline_and_cusum_documents(workspace, capsys):
+    tmp, cfg = workspace
+    ds, model = tmp / "ds", tmp / "model.json"
+    main(["generate", "--config", str(cfg), "--out", str(ds)])
+    main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(model)])
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    capsys.readouterr()
+
+    cases = (
+        ("pedm", {"kind": "pedm", "model": {}}, "coefficients"),
+        ("meanshift", {"kind": "meanshift", "model": {}}, "reference_mean"),
+        ("cusum", {"kind": "dexter", "model": None, "cusum": {}}, "mean_score_abar"),
+    )
+    for name, bad, field in cases:
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps({**doc, "detector": bad}))
+        assert main(["evaluate", "--config", str(cfg), "--model", str(path),
+                     "--dataset", str(ds), "--out", str(tmp / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
+
+def test_train_refuses_malformed_episode_records(workspace, capsys):
+    tmp, cfg = workspace
+    ds = tmp / "ds"
+    assert main(["generate", "--config", str(cfg), "--out", str(ds)]) == 0
+    train = ds / "train.jsonl"
+    records = [json.loads(line) for line in train.read_text(encoding="utf-8").splitlines()]
+    del records[3]["labels"]
+    train.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds),
+                 "--out", str(tmp / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "labels" in err
+    assert "Traceback" not in err
+
+
 def test_json_files_are_streamed_atomically(tmp_path):
     from dexter.persistence import atomic_write_json
     obj = {"b": [1, 2.5, None], "a": {"z": "text", "y": [[0, -1.25e-9]]}}

@@ -12,7 +12,7 @@ from dexter.cusum import (
     percentile_threshold,
     split_halves,
 )
-from dexter.errors import ConfigError
+from dexter.errors import ConfigError, IncompatibleModelError
 
 
 def brute_clamped_max(values, mean):
@@ -150,3 +150,15 @@ def test_percentile_threshold_uses_linear_interpolation():
 def test_detector_json_roundtrip():
     det = CusumDetector(mean_score_abar=0.451, threshold_tau=2.75, target_fpr=0.01)
     assert CusumDetector.from_json_dict(det.to_json_dict()) == det
+
+
+@pytest.mark.parametrize("value", [None, "0.4", float("nan"), float("inf"), [0.4], False])
+def test_detector_json_rejects_missing_and_non_numeric_fields(value):
+    doc = CusumDetector(mean_score_abar=0.451, threshold_tau=2.75, target_fpr=0.01).to_json_dict()
+    for field in doc:
+        with pytest.raises(IncompatibleModelError, match=field):
+            CusumDetector.from_json_dict({**doc, field: value})
+        with pytest.raises(IncompatibleModelError, match=field):
+            CusumDetector.from_json_dict({k: v for k, v in doc.items() if k != field})
+    with pytest.raises(IncompatibleModelError):
+        CusumDetector.from_json_dict(None)

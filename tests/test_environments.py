@@ -1,28 +1,29 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dexter.ar_noise import ARProcessSpec, NoiseMatrix
+import simulation_oracle as oracle
+from dexter.ar_noise import ARProcessSpec, CorrelationMode, NoiseMatrix
 from dexter.environments import (
     AcrobotEnv,
     BaseEnv,
     CartpoleEnv,
     ConstantEnv,
-    EnvState,
     Episode,
     PolicyKind,
     Scenario,
     ScenarioConfig,
-    arno_step,
-    arns_step,
-    arts_step,
+    _simulate,
     builtin_policy,
     estimate_dimension_scales,
     make_env,
     run_episode,
 )
-from dexter.errors import ConfigError, SimulationDivergedError
+from dexter.errors import ConfigError, DataError, SimulationDivergedError
 from dexter.seeding import rng_from
 
 
@@ -82,56 +83,96 @@ def zero_noise(dims, steps):
     )
 
 
+def alternating_policy():
+    """Actions 0, 1, 0, 1, ... whatever the observation."""
+    calls = itertools.count()
+    return lambda observation, rng: next(calls) % 2
+
+
+def noise_config(scenario, base_env=BaseEnv.CARTPOLE, horizon=60, scales=None):
+    return ScenarioConfig(
+        scenario=scenario,
+        base_env=base_env,
+        noise_pre=ARProcessSpec.no_correlation(),
+        noise_post=ARProcessSpec.no_correlation(),
+        injection_window=(6, horizon - 7),
+        horizon=horizon,
+        per_dimension_scale=scales,
+    )
+
+
+def simulate(config, noise, policy=None, seed=0):
+    """(observations, actions, reward sum, hidden states) of one roll-out on
+    the given noise matrix."""
+    return _simulate(
+        config, policy or alternating_policy(), noise,
+        rng_from(seed, "env"), rng_from(seed, "policy"), True,
+    )
+
+
+def replay(env, start, actions):
+    """The states the environment passes through from ``start`` under
+    ``actions``, as a matrix."""
+    states = [np.asarray(start, dtype=float).tolist()]
+    for action in actions:
+        states.append(env.step(states[-1], int(action))[0])
+    return np.array(states)
+
+
 def test_cartpole_step_matches_oracle():
-    env = CartpoleEnv(200)
-    state = EnvState(vector=np.array([0.0, 0.0, 0.05, 0.0]))
-    nxt, reward, terminated = env.step(state, 1)
-    assert np.max(np.abs(nxt.vector - cartpole_oracle(state.vector, 1))) < 1e-12
-    assert reward == 1.0 and not terminated
+    env = CartpoleEnv()
+    state = [0.0, 0.0, 0.05, 0.0]
+    nxt, reward, terminal = env.step(state, 1)
+    assert np.max(np.abs(np.array(nxt) - cartpole_oracle(state, 1))) < 1e-12
+    assert reward == 1.0 and not terminal
 
     rng = np.random.default_rng(0)
     for _ in range(200):
         vec = rng.uniform(-0.2, 0.2, size=4)
         action = int(rng.integers(2))
-        got = env.step(EnvState(vector=vec), action)[0].vector
+        got = env.transition(vec, action)
         assert np.max(np.abs(got - cartpole_oracle(vec, action))) < 1e-12
+        assert np.array_equal(got, env.step(vec.tolist(), action)[0])
 
 
 def test_cartpole_alternating_forces_stay_upright():
-    env = CartpoleEnv(200)
-    state = EnvState(vector=np.zeros(4))
+    env = CartpoleEnv()
+    state = [0.0, 0.0, 0.0, 0.0]
     for i in range(20):
-        state, _, terminated = env.step(state, i % 2)
-        assert abs(state.vector[2]) < env.THETA_LIMIT
-        assert not terminated
+        state, _, terminal = env.step(state, i % 2)
+        assert abs(state[2]) < env.THETA_LIMIT
+        assert not terminal
 
 
 def test_cartpole_horizon_cap():
-    env = CartpoleEnv(200)
-    state = EnvState(vector=np.zeros(4), step_index=200)
-    _, _, terminated = env.step(state, 0)
-    assert terminated
+    cfg = noise_config(Scenario.ARNO, horizon=20, scales=(0.0, 0.0, 0.0, 0.0))
+    obs, actions, reward_sum, hidden = simulate(cfg, zero_noise(4, 20))
+    assert obs.shape == hidden.shape == (20, 4)
+    assert len(actions) == 19 and reward_sum == 19.0
 
 
 def test_cartpole_bounds_and_divergence():
-    env = CartpoleEnv(200)
-    leaning = EnvState(vector=np.array([0.0, 0.0, 0.3, 0.0]))
-    _, _, terminated = env.step(leaning, 0)
-    assert terminated  # beyond the 12 degree limit
+    env = CartpoleEnv()
+    _, _, terminal = env.step([0.0, 0.0, 0.3, 0.0], 0)
+    assert terminal  # beyond the 12 degree limit
     with pytest.raises(SimulationDivergedError):
-        env.step(EnvState(vector=np.array([np.inf, 0.0, 0.0, 0.0])), 0)
+        env.step([np.inf, 0.0, 0.0, 0.0], 0)
+    with pytest.raises(SimulationDivergedError):
+        env.transition(np.array([0.0, 0.0, 0.0, np.nan]), 0)
+    with pytest.raises(SimulationDivergedError):  # the squared velocity overflows
+        env.step([0.0, 0.0, 0.1, 1e200], 0)
 
 
 def test_acrobot_hanging_rest_is_fixed_point():
-    env = AcrobotEnv(200)
-    rest = EnvState(vector=np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0]))
-    nxt, reward, terminated = env.step(rest, 1)  # zero torque
-    assert np.max(np.abs(nxt.vector - rest.vector)) < 1e-12
-    assert reward == -1.0 and not terminated
+    env = AcrobotEnv()
+    rest = [1.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    nxt, reward, terminal = env.step(rest, 1)  # zero torque
+    assert np.max(np.abs(np.array(nxt) - rest)) < 1e-12
+    assert reward == -1.0 and not terminal
 
 
 def test_acrobot_cos_sin_invariant():
-    env = AcrobotEnv(200)
+    env = AcrobotEnv()
     rng = np.random.default_rng(1)
     for _ in range(100):
         angles = rng.uniform(-np.pi, np.pi, size=2)
@@ -141,28 +182,28 @@ def test_acrobot_cos_sin_invariant():
             math.cos(angles[1]), math.sin(angles[1]),
             vels[0], vels[1],
         ])
-        nxt = env.step(EnvState(vector=vec), int(rng.integers(3)))[0].vector
+        nxt = env.transition(vec, int(rng.integers(3)))
         assert abs(nxt[0] ** 2 + nxt[1] ** 2 - 1.0) < 1e-9
         assert abs(nxt[2] ** 2 + nxt[3] ** 2 - 1.0) < 1e-9
 
 
 def test_acrobot_positive_torque_spins_up_second_link():
-    env = AcrobotEnv(200)
-    state = EnvState(vector=np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0]))
+    env = AcrobotEnv()
+    state = [1.0, 0.0, 1.0, 0.0, 0.0, 0.0]
     for _ in range(5):
         state, _, _ = env.step(state, 2)  # +1 torque
-    assert state.vector[5] > 0.0
+    assert state[5] > 0.0
 
     # independent RK4 oracle agrees on the trajectory
     angles = np.zeros(4)
     for _ in range(5):
         angles = acrobot_oracle_rk4(angles, 1.0)
     assert angles[3] > 0.0
-    assert abs(state.vector[5] - angles[3]) < 1e-9
+    assert abs(state[5] - angles[3]) < 1e-9
 
 
 def test_acrobot_step_matches_oracle_on_random_states():
-    env = AcrobotEnv(200)
+    env = AcrobotEnv()
     rng = np.random.default_rng(2)
     for _ in range(50):
         angles = np.concatenate([rng.uniform(-1.0, 1.0, 2), rng.uniform(-2.0, 2.0, 2)])
@@ -172,7 +213,7 @@ def test_acrobot_step_matches_oracle_on_random_states():
             math.cos(angles[1]), math.sin(angles[1]),
             angles[2], angles[3],
         ])
-        got = env.step(EnvState(vector=vec), action)[0].vector
+        got = env.transition(vec, action)
         expected = acrobot_oracle_rk4(angles, env.TORQUES[action])
         assert abs(got[4] - np.clip(expected[2], -env.MAX_VEL_1, env.MAX_VEL_1)) < 1e-9
         assert abs(got[5] - np.clip(expected[3], -env.MAX_VEL_2, env.MAX_VEL_2)) < 1e-9
@@ -181,14 +222,14 @@ def test_acrobot_step_matches_oracle_on_random_states():
 
 
 def test_arts_step_direct_lookup():
-    noise = NoiseMatrix(
-        values=np.array([[0.1, 0.2, 0.3]]), spec=ARProcessSpec.no_correlation(), seed=0
-    )
-    assert arts_step(1, noise) == pytest.approx(0.2)
-    with pytest.raises(IndexError):
-        arts_step(3, noise)
-    with pytest.raises(ConfigError):
-        arts_step(0, zero_noise(2, 5))
+    # The ARTS observation at step t is the noise row's entry t, unscaled.
+    values = np.random.default_rng(3).normal(size=(1, 30))
+    noise = NoiseMatrix(values=values, spec=ARProcessSpec.no_correlation(), seed=0)
+    cfg = noise_config(Scenario.ARTS, BaseEnv.CONSTANT, horizon=30, scales=(4.0,))
+    obs, actions, reward_sum, hidden = simulate(cfg, noise, policy=lambda o, rng: 0)
+    assert np.array_equal(obs, values.T)
+    assert np.array_equal(hidden, np.zeros((30, 1)))
+    assert reward_sum == 0.0 and np.array_equal(actions, np.zeros(29, dtype=int))
 
 
 def test_arts_episode_observations_carry_the_configured_correlation():
@@ -210,28 +251,21 @@ def test_arts_episode_observations_carry_the_configured_correlation():
 
 
 def test_arno_zero_noise_is_identity():
-    env = CartpoleEnv(200)
-    noise = zero_noise(4, 50)
-    scales = np.ones(4)
-    noised = EnvState(vector=np.array([0.0, 0.0, 0.02, 0.0]))
-    clean = EnvState(vector=np.array([0.0, 0.0, 0.02, 0.0]))
-    for t in range(20):
-        noised, obs, _, _ = arno_step(env, noised, t % 2, noise, scales, t)
-        clean, _, _ = env.step(clean, t % 2)
-        assert np.array_equal(obs, clean.vector)
-        assert np.array_equal(noised.vector, clean.vector)
+    cfg = noise_config(Scenario.ARNO, horizon=20)
+    obs, actions, _, hidden = simulate(cfg, zero_noise(4, 20))
+    assert np.array_equal(obs, hidden)
+    assert np.array_equal(hidden, replay(CartpoleEnv(), hidden[0], actions))
 
 
 def test_arno_observation_is_state_plus_scaled_noise_column():
-    env = CartpoleEnv(200)
     rng = np.random.default_rng(4)
     noise = NoiseMatrix(values=rng.normal(size=(4, 50)), spec=ARProcessSpec.no_correlation(), seed=1)
     scales = np.array([1.0, 2.0, 0.5, 3.0])
-    state = EnvState(vector=np.array([0.0, 0.0, 0.02, 0.0]))
-    for t in range(20):
-        state, obs, _, _ = arno_step(env, state, t % 2, noise, scales, t)
-        assert np.array_equal(obs, state.vector + noise.values[:, t + 1] * scales)
-        assert np.allclose(obs - state.vector, noise.values[:, t + 1] * scales, atol=1e-12)
+    cfg = noise_config(Scenario.ARNO, horizon=50, scales=tuple(scales))
+    obs, _, _, hidden = simulate(cfg, noise)
+    columns = noise.values[:, : len(obs)].T
+    assert np.array_equal(obs, hidden + columns * scales)
+    assert np.allclose(obs - hidden, columns * scales, atol=1e-12)
 
 
 def test_arno_hidden_dynamics_equal_clean_run_bit_exact():
@@ -244,14 +278,8 @@ def test_arno_hidden_dynamics_equal_clean_run_bit_exact():
     )
     policy = builtin_policy(cfg.base_env, PolicyKind.HEURISTIC)
     ep = run_episode(cfg, policy, seed=11, record_hidden=True)
-
-    env = CartpoleEnv(cfg.horizon)
-    state = EnvState(vector=ep.hidden_states[0].copy())
-    replayed = [state.vector.copy()]
-    for action in ep.actions:
-        state, _, _ = env.step(state, int(action))
-        replayed.append(state.vector.copy())
-    assert np.array_equal(np.asarray(replayed), ep.hidden_states)
+    replayed = replay(CartpoleEnv(), ep.hidden_states[0], ep.actions)
+    assert np.array_equal(replayed, ep.hidden_states)
 
 
 def test_arno_noise_std_scales_with_dimension_std():
@@ -274,31 +302,22 @@ def test_arno_noise_std_scales_with_dimension_std():
 
 
 def test_arns_zero_noise_bit_equal_to_clean_env():
-    env = CartpoleEnv(200)
-    noise = zero_noise(4, 60)
-    scales = np.ones(4)
-    noisy = EnvState(vector=np.array([0.01, 0.0, 0.01, 0.0]))
-    clean = EnvState(vector=np.array([0.01, 0.0, 0.01, 0.0]))
-    for t in range(30):
-        noisy, _, _ = arns_step(env, noisy, t % 2, noise, scales, t)
-        clean, _, _ = env.step(clean, t % 2)
-        assert np.array_equal(noisy.vector, clean.vector)
+    cfg = noise_config(Scenario.ARNS)
+    obs, actions, _, hidden = simulate(cfg, zero_noise(4, 60))
+    assert np.array_equal(obs, hidden)
+    assert np.array_equal(hidden, replay(CartpoleEnv(), hidden[0], actions))
 
 
 def test_arns_noise_at_single_step_preserves_prefix():
-    env = CartpoleEnv(200)
-    scales = np.ones(4)
+    cfg = noise_config(Scenario.ARNS)
     blank = zero_noise(4, 60)
     bump = zero_noise(4, 60)
     bump.values[2, 25] = 0.2  # angle noise consumed by the transition into obs 25
-    a = EnvState(vector=np.array([0.01, 0.0, 0.01, 0.0]))
-    b = EnvState(vector=np.array([0.01, 0.0, 0.01, 0.0]))
-    for t in range(40):
-        a, _, _ = arns_step(env, a, t % 2, blank, scales, t)
-        b, _, _ = arns_step(env, b, t % 2, bump, scales, t)
-        if t + 1 < 25:
-            assert np.array_equal(a.vector, b.vector)
-    assert not np.array_equal(a.vector, b.vector)
+    _, _, _, a = simulate(cfg, blank)
+    _, _, _, b = simulate(cfg, bump)
+    assert len(a) > 25 and len(b) > 25
+    assert np.array_equal(a[:25], b[:25])
+    assert not np.array_equal(a[25], b[25])
 
 
 def test_arns_strong_angle_noise_shortens_episodes():
@@ -316,13 +335,13 @@ def test_arns_strong_angle_noise_shortens_episodes():
     noisy_lens, clean_lens = [], []
     for i in range(100):
         noisy_lens.append(run_episode(noisy_cfg, policy, seed=i, inject=True).length)
-        clean_env = CartpoleEnv(200)
+        clean_env = CartpoleEnv()
         state = clean_env.reset(rng_from(i, "clean_env"))
         n = 1
         terminated = False
         prng = rng_from(i, "clean_policy")
         while n < 200 and not terminated:
-            state, _, terminated = clean_env.step(state, policy(state.vector, prng))
+            state, _, terminated = clean_env.step(state, policy(np.array(state), prng))
             n += 1
         clean_lens.append(n)
     assert np.mean(noisy_lens) < np.mean(clean_lens)
@@ -428,20 +447,20 @@ def test_builtin_policies():
     assert abs((draws == 1).mean() - 0.5) < 0.05
 
     heuristic = builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC)
-    env = CartpoleEnv(200)
+    env = CartpoleEnv()
     lengths = []
     for seed in range(100):
         state = env.reset(rng_from(seed, "env"))
         n, terminated = 1, False
         while n < 200 and not terminated:
-            state, _, terminated = env.step(state, heuristic(state.vector, rng))
+            state, _, terminated = env.step(state, heuristic(np.array(state), rng))
             n += 1
         lengths.append(n)
     assert np.mean(lengths) >= 150
 
 
 def test_acrobot_heuristic_beats_random():
-    env = AcrobotEnv(200)
+    env = AcrobotEnv()
 
     def goals(policy, tag):
         count = 0
@@ -450,9 +469,9 @@ def test_acrobot_heuristic_beats_random():
             prng = rng_from(seed, tag + "_policy")
             n, terminated = 1, False
             while n < 200 and not terminated:
-                state, _, terminated = env.step(state, policy(state.vector, prng))
+                state, _, terminated = env.step(state, policy(np.array(state), prng))
                 n += 1
-            count += terminated and env.at_goal(state.vector)
+            count += terminated and env.at_goal(state)
         return count
 
     heuristic_goals = goals(builtin_policy(BaseEnv.ACROBOT, PolicyKind.HEURISTIC), "h")
@@ -483,10 +502,160 @@ def test_episode_json_roundtrip():
     assert back.scenario == ep.scenario
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d.pop("labels"), "labels"),
+    (lambda d: d.pop("observations"), "observations"),
+    (lambda d: d.update(observations=[1.0, 2.0]), "2-D"),
+    (lambda d: d.update(observations=[[float("nan")]] * 3), "finite"),
+    (lambda d: d.update(actions=d["actions"][:-1]), "actions"),
+    (lambda d: d.update(labels=d["labels"] + [True]), "labels"),
+    (lambda d: d.update(reward_sum="lots"), "malformed"),
+])
+def test_episode_json_rejects_malformed_records(edit, field):
+    cfg = noise_config(Scenario.ARTS, BaseEnv.CONSTANT, horizon=20, scales=(1.0,))
+    policy = builtin_policy(cfg.base_env, PolicyKind.RANDOM)
+    doc = run_episode(cfg, policy, seed=2).to_json_dict()
+    edit(doc)
+    with pytest.raises(DataError, match=field):
+        Episode.from_json_dict(doc)
+
+
 def test_make_env_constant():
-    env = make_env(BaseEnv.CONSTANT, 50)
+    env = make_env(BaseEnv.CONSTANT)
     assert isinstance(env, ConstantEnv)
     state = env.reset(np.random.default_rng(0))
-    nxt, reward, terminated = env.step(state, 0)
-    assert np.array_equal(nxt.vector, state.vector)
-    assert reward == 0.0 and not terminated
+    nxt, reward, terminal = env.step(state, 0)
+    assert nxt == state == [0.0]
+    assert reward == 0.0 and not terminal
+
+
+# Bit-for-bit equality with the simulation as first written
+# (tests/simulation_oracle.py).
+
+SCENARIO_BASES = [
+    (Scenario.ARTS, BaseEnv.CONSTANT),
+    (Scenario.ARNO, BaseEnv.CARTPOLE),
+    (Scenario.ARNO, BaseEnv.ACROBOT),
+    (Scenario.ARNS, BaseEnv.CARTPOLE),
+]
+
+
+def ar_spec(mode, phi, magnitude):
+    if mode is CorrelationMode.NO_CORRELATION:
+        return ARProcessSpec.no_correlation(scale=magnitude)
+    if mode is CorrelationMode.ONE_STEP:
+        return ARProcessSpec.one_step(phi, scale=magnitude)
+    return ARProcessSpec.two_step(phi, scale=magnitude)
+
+
+@st.composite
+def episode_configs(draw):
+    scenario, base_env = draw(st.sampled_from(SCENARIO_BASES))
+    magnitude = 10.0 ** draw(st.floats(-3.0, 1.0))
+    pre, post = (
+        ar_spec(draw(st.sampled_from(CorrelationMode)), draw(st.floats(-0.99, 0.99)), magnitude)
+        for _ in range(2)
+    )
+    horizon = draw(st.integers(20, 120))
+    low = draw(st.integers(6, horizon - 7))
+    dim = {BaseEnv.CONSTANT: 1, BaseEnv.CARTPOLE: 4, BaseEnv.ACROBOT: 6}[base_env]
+    scales = draw(st.none() | st.tuples(*[st.floats(0.0, 2.0)] * dim))
+    return ScenarioConfig(
+        scenario=scenario, base_env=base_env, noise_pre=pre, noise_post=post,
+        injection_window=(low, draw(st.integers(low, horizon - 7))), horizon=horizon,
+        per_dimension_scale=scales,
+    )
+
+
+def watched(policy):
+    """``policy`` plus the list of observations it was given."""
+    seen = []
+
+    def wrapped(observation, rng):
+        assert isinstance(observation, np.ndarray) and observation.ndim == 1
+        seen.append(observation.copy())
+        return policy(observation, rng)
+
+    return wrapped, seen
+
+
+def bits(array):
+    return np.asarray(array, dtype=float).view(np.int64)
+
+
+def assert_same_episode(got, want):
+    assert np.array_equal(bits(got.observations), bits(want.observations))
+    assert got.observations.shape == want.observations.shape
+    assert got.actions.dtype == want.actions.dtype
+    assert np.array_equal(got.actions, want.actions)
+    assert np.array_equal(got.labels, want.labels)
+    assert bits(got.reward_sum) == bits(want.reward_sum)
+    assert got.injection_time == want.injection_time
+    assert got.usable == want.usable
+    if want.hidden_states is None:
+        assert got.hidden_states is None
+    else:
+        assert np.array_equal(bits(got.hidden_states), bits(want.hidden_states))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    config=episode_configs(),
+    kind=st.sampled_from(PolicyKind),
+    inject=st.booleans(),
+    record_hidden=st.booleans(),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_run_episode_equals_oracle_bit_for_bit(config, kind, inject, record_hidden, seed):
+    policy, seen = watched(builtin_policy(config.base_env, kind))
+    got = run_episode(config, policy, seed, inject=inject, record_hidden=record_hidden)
+    oracle_policy, oracle_seen = watched(builtin_policy(config.base_env, kind))
+    want = oracle.run_episode(config, oracle_policy, seed, inject=inject, record_hidden=record_hidden)
+    assert_same_episode(got, want)
+    assert len(seen) == len(oracle_seen)
+    assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(seen, oracle_seen))
+
+
+@pytest.mark.parametrize("scenario", [Scenario.ARNO, Scenario.ARNS])
+@pytest.mark.parametrize("dim", range(4))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e160, -1e200, 1e300])
+@settings(max_examples=5, deadline=None)
+@given(step=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_divergence_raises_at_the_oracle_step(scenario, dim, bad, step, seed):
+    # A non-finite or huge noise entry: ARNS feeds it into the transition,
+    # ARNO only into the observation.
+    values = np.random.default_rng(seed).normal(size=(4, 60)) * 0.01
+    values[dim, step] = bad
+    noise = NoiseMatrix(values=values, spec=ARProcessSpec.no_correlation(), seed=0)
+    cfg = noise_config(scenario)
+
+    def outcome(simulate_fn):
+        policy, seen = watched(builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC))
+        try:
+            with np.errstate(all="ignore"):
+                result = simulate_fn(cfg, policy, noise, rng_from(seed, "env"),
+                                     rng_from(seed, "policy"), True)
+        except SimulationDivergedError:
+            return "diverged", len(seen), None
+        return "finished", len(seen), result
+
+    got, want = outcome(_simulate), outcome(oracle.simulate)
+    assert got[:2] == want[:2]
+    if want[2] is not None:
+        for a, b in zip(got[2], want[2]):
+            assert np.array_equal(bits(a), bits(b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    base_env=st.sampled_from(BaseEnv),
+    kind=st.sampled_from(PolicyKind),
+    num_episodes=st.integers(1, 4),
+    horizon=st.integers(20, 100),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_estimate_dimension_scales_equals_oracle(base_env, kind, num_episodes, horizon, seed):
+    policy = builtin_policy(base_env, kind)
+    got = estimate_dimension_scales(base_env, policy, num_episodes, horizon, seed)
+    want = oracle.estimate_dimension_scales(base_env, policy, num_episodes, horizon, seed)
+    assert np.array_equal(bits(got), bits(want))
