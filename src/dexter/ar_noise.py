@@ -182,7 +182,9 @@ def spliced_series(
     eps = rng.normal(0.0, 1.0, total)
 
     y = np.zeros(total)
-    _recurse(y, pre_spec.coefficients_phi, pre_spec.mean_mu, eps * pre_spec.innovation_sigma, 0)
+    split = burn + injection_step
+    _recurse(y[:split], pre_spec.coefficients_phi, pre_spec.mean_mu,
+             eps[:split] * pre_spec.innovation_sigma, 0)
 
     # Variance-matched continuation: innovations scaled so the post process's
     # stationary std equals the pre process's.
@@ -190,7 +192,7 @@ def spliced_series(
     post_phi = post_spec.coefficients_phi
     phi_last = post_phi[-1] if post_phi else 0.0
     post_inn_sigma = target_std * np.sqrt(1.0 - phi_last * phi_last)
-    _recurse(y, post_phi, post_spec.mean_mu, eps * post_inn_sigma, burn + injection_step)
+    _recurse(y, post_phi, post_spec.mean_mu, eps * post_inn_sigma, split)
 
     return y[burn:] * pre_spec.magnitude_scale
 

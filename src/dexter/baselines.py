@@ -169,15 +169,6 @@ def pedm_score_batch(ensemble: DynamicsModelEnsemble, states, actions, next_stat
     return nll.mean(axis=0)
 
 
-def pedm_score(ensemble: DynamicsModelEnsemble, state, action, next_state) -> float:
-    return float(pedm_score_batch(
-        ensemble,
-        np.asarray(state, dtype=float)[None, :],
-        np.asarray([action]),
-        np.asarray(next_state, dtype=float)[None, :],
-    )[0])
-
-
 def episode_transitions(episode):
     obs = np.asarray(episode.observations, dtype=float)
     actions = np.asarray(episode.actions)

@@ -328,9 +328,9 @@ class Episode:
             "seed": int(self.seed),
             "scenario": self.scenario,
             "injection_time": None if self.injection_time is None else int(self.injection_time),
-            "observations": [[float(v) for v in row] for row in self.observations],
-            "actions": [int(a) for a in self.actions],
-            "labels": [bool(b) for b in self.labels],
+            "observations": np.asarray(self.observations, dtype=float).tolist(),
+            "actions": np.asarray(self.actions, dtype=int).tolist(),
+            "labels": np.asarray(self.labels, dtype=bool).tolist(),
             "reward_sum": float(self.reward_sum),
             "usable": bool(self.usable),
         }

@@ -38,30 +38,42 @@ a further column only where the tried one is constant), and a stable
 partition moves every node's points into its two children. Nodes are
 numbered breadth-first within each tree, so each child follows its parent.
 
-Packed layout. A forest stores the nodes of all its trees in five flat
-arrays (``feature``, ``threshold``, ``left``, ``right``, ``size``), tree
-after tree, with ``roots[i]`` the offset of tree i's root. Child indices are
-global positions in those arrays, and every node index is int32. A leaf's
-``left`` and ``right`` both point at the leaf itself and its ``feature`` is
-0, so routing a point through a leaf is a harmless comparison that keeps it
-where it is. The packed arrays are the only copy of the nodes. The
-per-tree-view form (``model.trees[i]``, and the model file's columns over
-all trees) is rebuilt from them on demand, with -1 marking leaves and
-children numbered within their tree; a fitted or loaded forest enters the
-packed layout only through ``_pack``, which checks it.
+Packed layout. A forest stores the nodes of all its trees in flat arrays,
+tree after tree: ``feature``, ``threshold``, ``size`` and ``kids``, the
+children interleaved with ``kids[2 i]`` node i's right child and
+``kids[2 i + 1]`` its left, so that a split's outcome indexes the child
+directly. ``roots[i]`` is the offset of tree i's root. Child indices are
+global positions, and every node index is int32. A leaf's children are the
+leaf itself and its ``feature`` is 0, so routing a point through a leaf is a
+harmless comparison that keeps it where it is. These arrays are the only copy
+of the nodes; ``left`` and ``right`` are strided views of ``kids``. The
+per-tree-view form (``model.trees[i]``, and the model file's columns over all
+trees) is rebuilt from them on demand, with -1 marking leaves and children
+numbered within their tree; a fitted or loaded forest enters the packed
+layout only through ``_pack``, which checks it.
 
-Scoring walks every (tree, point) pair of a batch at once (a very large
-batch in chunks of points) for a fixed number of levels, the forest's
-deepest leaf depth (at most ceil(log2(psi)) for a fitted forest): each level
-gathers the current nodes' split, picks a child with one ``np.where`` and
-adds 1 to the depth of every pair that moved, which is exactly the pairs
-still at an internal node. Then h = depth + c(leaf size).
+Scoring. A point's h in one tree is the depth of the leaf its walk ends at
+plus c(leaf size), so a forest keeps one path length per node, derived on
+first use. Two walks give each point's sum of h over the trees; they make
+the same comparisons and the same additions in the same order, so they agree
+bit for bit, and a NaN feature value compares false and routes right in both.
 
-The per-tree path lengths are summed in tree order, one tree at a time.
-NumPy's ``sum`` over the tree axis can reduce pairwise (it does for a batch
-of one), which rounds differently from the sequential sum, so a point would
-score differently alone than inside a batch, and streamed scores would stop
-matching ``score_stream`` bit for bit.
+- A batch of many (tree, point) pairs is walked with NumPy, every pair of a
+  chunk of points together, for a fixed number of levels: the forest's
+  deepest leaf depth, at most ceil(log2(psi)) for a fitted forest. A level is
+  ``node = kids[2 node + (x[feature[node]] < threshold[node])]``, a few
+  ``np.take`` passes into buffers reused from level to level; a pair that
+  has reached its leaf stays there.
+- A batch of at most ``_PYTHON_WALK_PAIRS`` pairs, such as one point of a
+  small forest as online monitoring scores it, is walked tree by tree in
+  plain Python on memoryviews of the same arrays, which skips the NumPy
+  walk's fixed cost of some eighty calls.
+
+The per-tree path lengths are summed in tree order from 0.0, one tree at a
+time. NumPy's ``sum`` over the tree axis can reduce pairwise (it does for a
+batch of one), which rounds differently from the sequential sum, so a point
+would score differently alone than inside a batch, and streamed scores would
+stop matching ``score_stream`` bit for bit.
 """
 
 from collections.abc import Sequence
@@ -74,8 +86,17 @@ from .seeding import rng_from
 
 DEFAULT_NUM_TREES = 100
 DEFAULT_SUBSAMPLE = 256
-# Most (tree, point) pairs one scoring walk advances together.
-_CHUNK_PAIRS = 1 << 18
+# Most (tree, point) pairs one NumPy scoring walk advances together; its
+# buffers take 33 bytes a pair. On 300 x 191, 300 x 873 and 25 x 4000
+# batches 2^16 scored within 6% of the best power of two from 2^13 to 2^18,
+# while 2^13 was 40-54% slower with 300 trees and 2^18 12% slower on
+# 300 x 873 (BENCH_7.json).
+_CHUNK_PAIRS = 1 << 16
+# Most (tree, point) pairs a batch may hold to be walked in plain Python. That
+# walk costs about 3 us a pair; the NumPy walk's floor of about 200 us, which
+# grows with the tree count, was lower from 25 trees x 3 points and from
+# 150 trees x 1 point on (BENCH_7.json).
+_PYTHON_WALK_PAIRS = 64
 # Most subsample points one chunk of trees is grown with.
 _CHUNK_POINTS = 1 << 17
 
@@ -128,9 +149,9 @@ def _column(nodes, name: str, kinds: str) -> np.ndarray:
 
 def _pack(nodes, feature_count: int, subsample_size: int):
     """Check a forest given in the per-tree-view form and return its packed
-    arrays (feature, threshold, left, right, size, roots, levels), where
-    ``levels`` is the deepest leaf depth. Fitting and loading both build
-    their forests through here.
+    arrays (feature, threshold, kids, size, roots, levels), where ``levels``
+    is the deepest leaf depth. Fitting and loading both build their forests
+    through here.
 
     ``nodes`` maps each of ``NODE_COLUMNS`` to one flat sequence over all
     trees, tree after tree, and ``"roots"`` to the position of each tree's
@@ -173,17 +194,24 @@ def _pack(nodes, feature_count: int, subsample_size: int):
 
     left[leaf] = right[leaf] = node[leaf]
     feature[leaf] = 0
-    feature, left, right, size, roots = (
-        a.astype(np.int32) for a in (feature, left, right, size, roots))
-    levels = 0
-    frontier = roots
+    kids = np.empty(2 * n, dtype=np.int32)
+    kids[0::2], kids[1::2] = right, left
+    feature, size, roots = (a.astype(np.int32) for a in (feature, size, roots))
+    levels = int(_node_depths(kids, roots).max())
+    return feature, threshold, kids, size, roots, levels
+
+
+def _node_depths(kids: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The depth of every node of a packed forest, a root's being 0."""
+    depth = np.zeros(len(kids) // 2, dtype=np.int32)
+    frontier, level = roots, 0
     while True:
-        frontier = frontier[left[frontier] != frontier]
+        frontier = frontier[kids[2 * frontier] != frontier]
         if frontier.size == 0:
-            break
-        frontier = np.concatenate([left[frontier], right[frontier]])
-        levels += 1
-    return feature, threshold, left, right, size, roots, levels
+            return depth
+        level += 1
+        frontier = kids[np.concatenate([2 * frontier, 2 * frontier + 1])]
+        depth[frontier] = level
 
 
 class _TreeViews(Sequence):
@@ -213,7 +241,7 @@ class IsolationForestModel:
 
     def __init__(self, nodes, subsample_size: int, feature_count: int, normalizer_c: float,
                  seed: int, num_training_samples: int, feature_manifest_hash: str | None = None):
-        (self.feature, self.threshold, self.left, self.right, self.size,
+        (self.feature, self.threshold, self.kids, self.size,
          self.roots, self.levels) = _pack(nodes, feature_count, subsample_size)
         self.subsample_size = subsample_size
         self.feature_count = feature_count
@@ -221,11 +249,19 @@ class IsolationForestModel:
         self.seed = seed
         self.num_training_samples = num_training_samples
         self.feature_manifest_hash = feature_manifest_hash
-        self._leaf_adjust = None
+        self._path_lengths = None
 
     @property
     def trees(self) -> _TreeViews:
         return _TreeViews(self)
+
+    @property
+    def left(self) -> np.ndarray:
+        return self.kids[1::2]
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.kids[0::2]
 
     def _view_columns(self, start: int, stop: int):
         """``NODE_COLUMNS`` of nodes start..stop-1 in the per-tree-view form:
@@ -238,12 +274,13 @@ class IsolationForestModel:
                 np.where(leaf, -1, self.left[nodes] - tree_start),
                 np.where(leaf, -1, self.right[nodes] - tree_start), self.size[nodes].copy())
 
-    def leaf_adjust_table(self) -> np.ndarray:
-        if self._leaf_adjust is None:
-            self._leaf_adjust = np.array(
-                [average_path_length(n) for n in range(self.subsample_size + 1)]
-            )
-        return self._leaf_adjust
+    def path_length_table(self) -> np.ndarray:
+        """h at every node: its depth plus c(size), the path length of a
+        point whose walk ends there. Derived on first use and kept."""
+        if self._path_lengths is None:
+            adjust = np.array([average_path_length(n) for n in range(self.subsample_size + 1)])
+            self._path_lengths = _node_depths(self.kids, self.roots) + adjust[self.size]
+        return self._path_lengths
 
     def to_json_dict(self) -> dict:
         columns = self._view_columns(0, len(self.feature))
@@ -417,17 +454,52 @@ def fit(data, num_trees: int = DEFAULT_NUM_TREES, subsample: int | None = None, 
 
 def _path_length_sums(model: IsolationForestModel, pts: np.ndarray) -> np.ndarray:
     """Each point's path lengths h(x) summed over the trees in tree order."""
+    if pts.shape[0] * len(model.roots) <= _PYTHON_WALK_PAIRS:
+        return np.array([_walk_one(model, point) for point in pts.tolist()])
+    return _walk_many(model, pts)
+
+
+def _walk_one(model: IsolationForestModel, point: list) -> float:
+    """One point's path-length sum, walked tree by tree in plain Python on
+    memoryviews of the packed arrays."""
+    kids, feature, threshold, path_length = (
+        memoryview(a) for a in (model.kids, model.feature, model.threshold, model.path_length_table()))
+    total = 0.0
+    for node in model.roots.tolist():
+        while True:
+            at = node + node
+            if kids[at] == node:  # a leaf
+                break
+            node = kids[at + (point[feature[node]] < threshold[node])]
+        total += path_length[node]
+    return total
+
+
+def _walk_many(model: IsolationForestModel, pts: np.ndarray) -> np.ndarray:
+    """The path-length sums of a batch, all (tree, point) pairs advanced
+    together one level at a time."""
+    num_points, num_features = pts.shape
     flat = np.ascontiguousarray(pts).ravel()
-    row_start = np.arange(pts.shape[0]) * pts.shape[1]
-    node = np.repeat(model.roots[:, None], pts.shape[0], axis=1)
-    depth = np.zeros(node.shape)
+    row_start = np.arange(0, num_points * num_features, num_features)
+    node = np.repeat(model.roots[:, None], num_points, axis=1)
+    feature = np.empty(node.shape, dtype=np.int32)
+    at = np.empty(node.shape, dtype=np.intp)
+    value, threshold = np.empty(node.shape), np.empty(node.shape)
+    go_left = np.empty(node.shape, dtype=bool)
+    # Every index is in range (``_pack`` checked the children), so "clip"
+    # never clips; unlike the default "raise", it lets ``take`` write into
+    # ``out`` directly instead of through a buffer.
     for _ in range(model.levels):
-        go_left = flat[row_start + model.feature[node]] < model.threshold[node]
-        child = np.where(go_left, model.left[node], model.right[node])
-        depth += child != node
-        node = child
-    path_lengths = depth + model.leaf_adjust_table()[model.size[node]]
-    total = np.zeros(pts.shape[0])
+        np.take(model.feature, node, out=feature, mode="clip")
+        np.add(feature, row_start, out=at)
+        np.take(flat, at, out=value, mode="clip")
+        np.take(model.threshold, node, out=threshold, mode="clip")
+        np.less(value, threshold, out=go_left)
+        np.add(node, node, out=at)
+        at += go_left
+        np.take(model.kids, at, out=node, mode="clip")
+    path_lengths = np.take(model.path_length_table(), node, out=value, mode="clip")
+    total = np.zeros(num_points)
     for row in path_lengths:
         total += row
     return total

@@ -43,6 +43,22 @@ def recurse(out, phi, mu, innovations, start):
         out[t] = acc
 
 
+def spliced_series(pre_spec, post_spec, injection_step, length, seed):
+    """``ar_noise.spliced_series`` as first written: the pre-injection
+    recursion runs to the end of the series, then the post-injection one
+    overwrites everything from the injection step on."""
+    burn = ar_noise.burn_in_length(pre_spec.order_p)
+    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    eps = rng.normal(0.0, 1.0, burn + length)
+    y = np.zeros(burn + length)
+    recurse(y, pre_spec.coefficients_phi, pre_spec.mean_mu, eps * pre_spec.innovation_sigma, 0)
+    post_phi = post_spec.coefficients_phi
+    phi_last = post_phi[-1] if post_phi else 0.0
+    post_inn_sigma = ar_noise.stationary_std(pre_spec) * np.sqrt(1.0 - phi_last * phi_last)
+    recurse(y, post_phi, post_spec.mean_mu, eps * post_inn_sigma, burn + injection_step)
+    return y[burn:] * pre_spec.magnitude_scale
+
+
 @dataclass(frozen=True)
 class EnvState:
     """Environment state vector plus the number of completed transitions."""

@@ -272,3 +272,27 @@ def test_recurse_equals_oracle_bit_for_bit(mode, phi, mu, length, start_fraction
     _recurse(got, coefficients, mu, innovations, start)
     oracle.recurse(want, coefficients, mu, innovations, start)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    modes=st.tuples(st.sampled_from(CorrelationMode), st.sampled_from(CorrelationMode)),
+    phis=st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99)),
+    mu=st.floats(-5.0, 5.0),
+    sigma=st.floats(0.01, 10.0),
+    length=st.integers(2, 300),
+    injection_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_spliced_series_equals_oracle_bit_for_bit(modes, phis, mu, sigma, length,
+                                                  injection_fraction, seed):
+    # The splice as first written (tests/simulation_oracle.py) also ran the
+    # pre-injection recursion over the samples the post one overwrites.
+    pre, post = (ARProcessSpec(mode, {CorrelationMode.NO_CORRELATION: (),
+                                      CorrelationMode.ONE_STEP: (phi,),
+                                      CorrelationMode.TWO_STEP: (0.0, phi)}[mode], mu, sigma)
+                 for mode, phi in zip(modes, phis))
+    injection_step = min(length - 1, 1 + int(injection_fraction * (length - 1)))
+    got = spliced_series(pre, post, injection_step, length, seed)
+    want = oracle.spliced_series(pre, post, injection_step, length, seed)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

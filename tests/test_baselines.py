@@ -15,7 +15,6 @@ from dexter.baselines import (
     pedm_cusum,
     pedm_detect_online,
     pedm_episode_scores,
-    pedm_score,
     pedm_score_batch,
 )
 from dexter.cusum import CusumDetector
@@ -117,13 +116,11 @@ def test_score_is_minimal_at_predicted_mean_and_monotone():
     s = states[0]
     a = int(actions[0])
     mu = predict(ensemble, s[None, :], [a]).mean(axis=0)[0]
-    base = pedm_score(ensemble, s, a, mu)
-    last = base
-    for step in (0.1, 0.2, 0.4, 0.8):
-        worse = pedm_score(ensemble, s, a, mu + np.array([step, 0.0]))
-        assert worse > last
-        last = worse
-    assert pedm_score(ensemble, s, a, mu + np.array([0.0, 0.5])) > base
+    shifts = [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.4, 0.0], [0.8, 0.0], [0.0, 0.5]]
+    scores = pedm_score_batch(ensemble, np.repeat(s[None, :], len(shifts), axis=0),
+                              [a] * len(shifts), mu + np.array(shifts))
+    assert np.all(np.diff(scores[:5]) > 0)
+    assert scores[5] > scores[0]
 
 
 def test_pedm_scores_rise_when_strong_observation_noise_appears():
@@ -230,7 +227,7 @@ def test_fit_dynamics_validation():
         fit_dynamics(states, np.zeros(200), states, ensemble_size=1)
     ensemble = fit_dynamics(states, rng.integers(0, 2, 200), states, seed=0)
     with pytest.raises(IncompatibleModelError):
-        pedm_score(ensemble, np.zeros(3), 0, np.zeros(3))
+        pedm_score_batch(ensemble, np.zeros((1, 3)), [0], np.zeros((1, 3)))
 
 
 def test_dynamics_ensemble_json_roundtrip():

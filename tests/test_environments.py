@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -500,6 +501,21 @@ def test_episode_json_roundtrip():
     assert np.array_equal(back.labels, ep.labels)
     assert back.injection_time == ep.injection_time
     assert back.scenario == ep.scenario
+
+
+def test_episode_json_text_equals_the_per_value_conversion():
+    observations = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                             [2.2250738585072014e-308, -1e300, 0.1],
+                             [1e-310, -123456.789, 3.0]])
+    ep = Episode(observations=observations, actions=np.array([1, 0]), injection_time=1,
+                 labels=np.array([True, False]), reward_sum=-2.5, seed=4, scenario="arts")
+    per_value = {
+        **ep.to_json_dict(),
+        "observations": [[float(v) for v in row] for row in ep.observations],
+        "actions": [int(a) for a in ep.actions],
+        "labels": [bool(b) for b in ep.labels],
+    }
+    assert json.dumps(ep.to_json_dict()) == json.dumps(per_value)
 
 
 @pytest.mark.parametrize("edit, field", [

@@ -305,17 +305,88 @@ def forests_and_queries(draw):
     subsample = draw(st.integers(1, len(data)))
     model = fit(data, num_trees=draw(st.integers(1, 40)), subsample=subsample,
                 seed=draw(st.integers(0, 2**32 - 1)))
-    extra = draw(st.lists(st.lists(values, min_size=num_features, max_size=num_features),
+    # Queries may hold NaN, which routes right at every split, and +-inf.
+    special = st.sampled_from([np.nan, np.inf, -np.inf])
+    extra = draw(st.lists(st.lists(values | special, min_size=num_features, max_size=num_features),
                           max_size=10))
     queries = np.vstack([data[:10], np.reshape(extra, (-1, num_features))])
     return model, queries
+
+
+# _PYTHON_WALK_PAIRS values that send every batch through the NumPy walk and
+# through the plain-Python walk.
+BOTH_WALKS = (0, 1 << 62)
+
+
+def walk_scores(model, queries, python_walk_pairs, chunk_pairs=isolation_forest._CHUNK_PAIRS):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(isolation_forest, "_PYTHON_WALK_PAIRS", python_walk_pairs)
+        patch.setattr(isolation_forest, "_CHUNK_PAIRS", chunk_pairs)
+        return score_batch(model, queries)
 
 
 @settings(max_examples=150, deadline=None)
 @given(forests_and_queries())
 def test_packed_walk_matches_per_tree_reference(case):
     model, queries = case
-    assert np.array_equal(score_batch(model, queries), reference_scores(model, queries))
+    want = reference_scores(model, queries)
+    assert np.array_equal(score_batch(model, queries), want)
+    for pairs in BOTH_WALKS:
+        assert np.array_equal(walk_scores(model, queries, pairs), want)
+
+
+def renumbered(model, rng):
+    """The forest reloaded from a document whose trees number their nodes in
+    a random order that keeps every child after its parent, so siblings are
+    rarely adjacent and a right child often comes before its left sibling."""
+    doc = model.to_json_dict()
+    starts = doc["roots"] + [len(doc["feature"])]
+    columns = {name: [] for name in isolation_forest.NODE_COLUMNS}
+    for start, stop in zip(starts, starts[1:]):
+        left, right = doc["left"][start:stop], doc["right"][start:stop]
+        order, ready = [], [0]
+        while ready:
+            node = ready.pop(rng.integers(len(ready)))
+            order.append(node)
+            if left[node] >= 0:
+                ready += [left[node], right[node]]
+        position = {node: i for i, node in enumerate(order)}
+        position[-1] = -1
+        for node in order:
+            for name in ("feature", "threshold", "size"):
+                columns[name].append(doc[name][start + node])
+            for name in ("left", "right"):
+                columns[name].append(position[doc[name][start + node]])
+    doc.update(columns)
+    return IsolationForestModel.from_json_dict(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forests_and_queries(), st.integers(0, 2**32 - 1))
+def test_both_walks_match_the_reference_on_renumbered_forests(case, seed):
+    model, queries = case
+    back = renumbered(model, np.random.default_rng(seed))
+    want = reference_scores(model, queries)
+    assert np.array_equal(reference_scores(back, queries), want)
+    for pairs in BOTH_WALKS:
+        assert np.array_equal(walk_scores(back, queries, pairs), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forests_and_queries(), st.integers(1, 200))
+def test_numpy_walk_across_chunk_boundaries_matches_the_reference(case, chunk_pairs):
+    model, queries = case
+    assert np.array_equal(walk_scores(model, queries, 0, chunk_pairs), reference_scores(model, queries))
+
+
+def test_both_walks_score_forests_without_levels():
+    rng = np.random.default_rng(12)
+    queries = np.array([[0.0, 1.0], [np.nan, np.inf], [-np.inf, 3.0]])
+    for model in (fit(rng.normal(size=(20, 2)), num_trees=7, subsample=1, seed=1),
+                  fit(np.ones((20, 2)), num_trees=7, subsample=8, seed=1)):
+        assert model.levels == 0
+        for pairs in BOTH_WALKS:
+            assert np.array_equal(walk_scores(model, queries, pairs), reference_scores(model, queries))
 
 
 @settings(max_examples=150, deadline=None)
