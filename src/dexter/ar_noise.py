@@ -216,27 +216,6 @@ class NoiseMatrix:
     def max_steps(self) -> int:
         return self.values.shape[1]
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "spec": self.spec.to_json_dict(),
-            "seed": int(self.seed),
-            "values": [[float(v) for v in row] for row in self.values],
-        }
-        if self.injection_step is not None:
-            d["injection_step"] = int(self.injection_step)
-            d["post_spec"] = self.post_spec.to_json_dict()
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "NoiseMatrix":
-        return cls(
-            values=np.asarray(d["values"], dtype=float),
-            spec=ARProcessSpec.from_json_dict(d["spec"]),
-            seed=int(d["seed"]),
-            injection_step=d.get("injection_step"),
-            post_spec=ARProcessSpec.from_json_dict(d["post_spec"]) if "post_spec" in d else None,
-        )
-
 
 def _row_seed(seed: int, row: int) -> int:
     return child_seed(seed, "noise_row", row)

@@ -129,13 +129,10 @@ def cmd_evaluate(args) -> int:
 
     data_config = persistence.parse_config(manifest["config"])
     scenario_cfg = data_config.scenario_config()
-    warmup = trained.params.get(
-        "window_size", evaluation.DEFAULT_DETECTOR_PARAMS["dexter"]["window_size"]
-    ) - 1
 
     result = evaluation.measure_detector(
         trained, episodes["test_injected"], episodes["test_clean"],
-        horizon=scenario_cfg.horizon, warmup=warmup,
+        horizon=scenario_cfg.horizon, warmup=trained.warmup,
         scenario_id=f"{scenario_cfg.scenario.value}/{scenario_cfg.noise_post.correlation_mode.value}",
         master_seed=data_config.master_seed, target_fpr=data_config.target_fpr,
         counts=data_config.counts(),
@@ -190,6 +187,17 @@ def _bench_cell(payload: dict) -> dict:
     return result.to_json_dict()
 
 
+def _cached_result(cache_path: str) -> dict | None:
+    """The result a bench cell cache holds; None when the file is missing,
+    unreadable, not a JSON object, or holds no result (a failed cell)."""
+    try:
+        doc = persistence.read_json(cache_path)
+    except (OSError, ValueError):
+        return None
+    result = doc.get("result") if isinstance(doc, dict) else None
+    return result if isinstance(result, dict) else None
+
+
 def cmd_bench(args) -> int:
     config = persistence.load_config(args.config, seed_override=args.seed_override)
     resolved = config.resolved_dict()
@@ -210,8 +218,9 @@ def cmd_bench(args) -> int:
     results, pending = {}, []
     for cell_hash, payload in cells:
         cache_path = os.path.join(args.out, "cells", f"{cell_hash}.json")
-        if args.resume and os.path.exists(cache_path):
-            results[cell_hash] = persistence.read_json(cache_path)["result"]
+        cached = _cached_result(cache_path) if args.resume else None
+        if cached is not None:
+            results[cell_hash] = cached
             print(f"cell {payload['detector']}/{payload['correlation_mode']}: cached")
         else:
             pending.append((cell_hash, payload, cache_path))
@@ -266,18 +275,19 @@ def cmd_bench(args) -> int:
 
 def _bench_table(rows: list) -> list:
     """Expand underlying runs into the published table layout: one AUROC row
-    per detector plus one detection-time row per CUSUM variant (dexter_c,
-    pedm_c); the mean-shift detector is itself the sequential test, so it
-    appears once."""
+    per detector plus one detection-time row (``<kind>_c``) per kind decided
+    by the shared CUSUM; the mean-shift detector is itself the sequential
+    test, so it appears once."""
     table = []
     for row in rows:
+        cusum = evaluation.DETECTORS[row["detector_id"]].cusum
         auroc_view = dict(row)
         auroc_view.pop("per_episode", None)
         for key in ("mean_detection_time", "detected_fraction", "num_pre_injection_alerts",
                     "fpr_measured"):
-            auroc_view[key] = row[key] if row["detector_id"] == "meanshift" else None
+            auroc_view[key] = None if cusum else row[key]
         table.append(auroc_view)
-        if row["detector_id"] in ("dexter", "pedm"):
+        if cusum:
             cusum_view = dict(row)
             cusum_view.pop("per_episode", None)
             cusum_view["detector_id"] = f"{row['detector_id']}_c"

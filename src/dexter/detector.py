@@ -30,9 +30,6 @@ class ScoreSeries:
 
     scores: np.ndarray
 
-    def defined(self) -> np.ndarray:
-        return self.scores[~np.isnan(self.scores)]
-
 
 @dataclass
 class DexterModel:
@@ -178,11 +175,6 @@ class DetectorVerdict:
     None when the stream ends without an alert."""
 
     alert_step: int | None
-    num_steps: int
-
-    @property
-    def alerted(self) -> bool:
-        return self.alert_step is not None
 
 
 def detect_online(detector: CusumDetector, model: DexterModel, episode) -> DetectorVerdict:
@@ -196,4 +188,4 @@ def detect_online(detector: CusumDetector, model: DexterModel, episode) -> Detec
         raise ConfigError("detector has not been calibrated")
     series = score_stream(model, episode)
     step = first_alert_step(detector, series.scores)
-    return DetectorVerdict(alert_step=step, num_steps=len(series.scores))
+    return DetectorVerdict(alert_step=step)

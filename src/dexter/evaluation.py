@@ -14,7 +14,8 @@ injected test episodes and the false-positive rate on a held-out clean test
 set. Everything is a deterministic function of the master seed.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,19 +25,6 @@ from .environments import BaseEnv, PolicyKind, ScenarioConfig, builtin_policy, e
 from .errors import ConfigError, IncompatibleModelError, UndefinedMetricError
 from .seeding import child_seed
 
-DETECTOR_KINDS = ("dexter", "pedm", "meanshift")
-
-# Harness-level detector defaults. The isolation-forest ensemble is larger
-# than the textbook defaults of the fit() operation (100 trees of 256 rows).
-# On the ARTS one-step acceptance config (one seed, README "Forest subsample
-# size") a cap of 8000 rows gave the highest AUROC (0.976 against 0.968 at
-# 256); detection time was not measurably better (40.4 against 41.8 steps).
-DEFAULT_DETECTOR_PARAMS = {
-    "dexter": {"window_size": 10, "num_trees": 300, "subsample_cap": 8000},
-    "pedm": {"ensemble_size": 5},
-    "meanshift": {"kappa": 0.5},
-}
-
 
 @dataclass(frozen=True)
 class EpisodeCounts:
@@ -45,14 +33,6 @@ class EpisodeCounts:
     num_test: int = 50
     num_clean_test: int = 200
 
-    def to_json_dict(self) -> dict:
-        return {
-            "num_train": self.num_train,
-            "num_validation": self.num_validation,
-            "num_test": self.num_test,
-            "num_clean_test": self.num_clean_test,
-        }
-
 
 @dataclass(frozen=True)
 class LabeledScoreSet:
@@ -60,7 +40,6 @@ class LabeledScoreSet:
 
     scores: np.ndarray
     labels: np.ndarray
-    episode_ids: tuple = ()
 
 
 def _tie_averaged_ranks(values: np.ndarray) -> np.ndarray:
@@ -134,8 +113,111 @@ def detection_time(alert_steps, injection_times, horizon: int) -> DetectionTimeR
     )
 
 
+class _Dexter:
+    """DEXTER: per-dimension isolation forests over window features, with
+    the shared CUSUM decision rule."""
+
+    # Harness-level forest size, larger than the textbook defaults of
+    # isolation_forest.fit (100 trees of 256 rows). On the ARTS one-step
+    # acceptance config (one seed, README "Forest subsample size") a cap of
+    # 8000 rows gave the highest AUROC (0.976 against 0.968 at 256);
+    # detection time was not measurably better (40.4 against 41.8 steps).
+    defaults = {"window_size": dexter_detector.DEFAULT_WINDOW, "num_trees": 300, "subsample_cap": 8000}
+    cusum = True
+
+    def fit(self, episodes, params, seed):
+        num_windows = sum(np.asarray(ep.observations).shape[0] // params["window_size"] for ep in episodes)
+        return dexter_detector.train(
+            episodes,
+            window_size=params["window_size"],
+            num_trees=params["num_trees"],
+            subsample=min(params["subsample_cap"], num_windows),
+            seed=seed,
+        )
+
+    def load(self, doc):
+        return dexter_detector.DexterModel.from_json_dict(doc)
+
+    def calibrate(self, trained, episodes, target_fpr, seed):
+        trained.decision = dexter_detector.calibrate(trained.model, episodes, target_fpr, seed=seed)
+
+    def scores(self, model, episode):
+        return dexter_detector.score_stream(model, episode).scores[1:]
+
+    def alert_step(self, trained, episode):
+        return dexter_detector.detect_online(trained.decision, trained.model, episode).alert_step
+
+    def window_size(self, model):
+        return model.window_size
+
+
+class _Pedm:
+    """PEDM-lite: a dynamics-model ensemble, with the shared CUSUM decision
+    rule (PEDM-C-lite)."""
+
+    defaults = {"ensemble_size": baselines.DEFAULT_ENSEMBLE_SIZE}
+    cusum = True
+
+    def fit(self, episodes, params, seed):
+        return baselines.fit_dynamics_from_episodes(episodes, ensemble_size=params["ensemble_size"], seed=seed)
+
+    def load(self, doc):
+        return baselines.DynamicsModelEnsemble.from_json_dict(doc)
+
+    def calibrate(self, trained, episodes, target_fpr, seed):
+        trained.decision = baselines.pedm_cusum(trained.model, episodes, target_fpr, seed=seed)
+
+    def scores(self, model, episode):
+        return baselines.pedm_episode_scores(model, episode)
+
+    def alert_step(self, trained, episode):
+        return baselines.pedm_detect_online(trained.decision, trained.model, episode)
+
+    def window_size(self, model):
+        return dexter_detector.DEFAULT_WINDOW
+
+
+class _MeanShift:
+    """Mean-shift CUSUM: its own sequential test, so the calibrated model is
+    the whole detector."""
+
+    defaults = {"kappa": baselines.DEFAULT_KAPPA}
+    cusum = False
+
+    def fit(self, episodes, params, seed):
+        # No training stage separate from calibration: the reference
+        # statistics come from the validation split.
+        return None
+
+    def load(self, doc):
+        return baselines.MeanShiftDetector.from_json_dict(doc)
+
+    def calibrate(self, trained, episodes, target_fpr, seed):
+        trained.model = baselines.fit_meanshift(episodes, target_fpr, kappa=trained.params["kappa"], seed=seed)
+
+    def scores(self, model, episode):
+        return baselines.meanshift_episode_scores(model, episode)
+
+    def alert_step(self, trained, episode):
+        return baselines.meanshift_detect_online(trained.model, episode)
+
+    def window_size(self, model):
+        return dexter_detector.DEFAULT_WINDOW
+
+
+# The detector kinds by name. ``cusum`` marks the kinds decided by the shared
+# CUSUM rule over their transition scores.
+DETECTORS = {"dexter": _Dexter(), "pedm": _Pedm(), "meanshift": _MeanShift()}
+
+
+def _detector(kind):
+    if not isinstance(kind, str) or kind not in DETECTORS:
+        raise ConfigError(f"unknown detector kind {kind!r}; expected one of {tuple(DETECTORS)}")
+    return DETECTORS[kind]
+
+
 class TrainedDetector:
-    """Uniform wrapper around the three detector kinds.
+    """Uniform wrapper around the detector kinds of ``DETECTORS``.
 
     Exposes per-transition scores (entry i scores the transition into
     observation i+1; NaN where undefined) and online alert steps reported as
@@ -144,36 +226,32 @@ class TrainedDetector:
     """
 
     def __init__(self, kind: str, params: dict, model=None, decision: CusumDetector | None = None):
-        if kind not in DETECTOR_KINDS:
-            raise ConfigError(f"unknown detector kind {kind!r}; expected one of {DETECTOR_KINDS}")
+        self.impl = _detector(kind)
         self.kind = kind
         self.params = dict(params)
         self.model = model
         self.decision = decision
 
     def calibrated(self) -> bool:
-        if self.kind == "meanshift":
-            return self.model is not None
-        return self.decision is not None
+        return (self.decision if self.impl.cusum else self.model) is not None
+
+    @property
+    def warmup(self) -> int:
+        """Leading transitions of an episode that the AUROCs leave out:
+        those before the first full DEXTER window (the model's own window
+        for dexter, the default window for the other kinds), so every kind
+        is scored on the same transitions."""
+        return self.impl.window_size(self.model) - 1
 
     def transition_scores(self, episode) -> np.ndarray:
-        if self.kind == "dexter":
-            series = dexter_detector.score_stream(self.model, episode)
-            return series.scores[1:]
-        if self.kind == "pedm":
-            return baselines.pedm_episode_scores(self.model, episode)
         if self.model is None:
-            raise ConfigError("mean-shift detector is not calibrated")
-        return baselines.meanshift_episode_scores(self.model, episode)
+            raise ConfigError(f"{self.kind} detector has no model")
+        return self.impl.scores(self.model, episode)
 
     def alert_step(self, episode) -> int | None:
         if not self.calibrated():
             raise ConfigError(f"{self.kind} detector is not calibrated")
-        if self.kind == "dexter":
-            return dexter_detector.detect_online(self.decision, self.model, episode).alert_step
-        if self.kind == "pedm":
-            return baselines.pedm_detect_online(self.decision, self.model, episode)
-        return baselines.meanshift_detect_online(self.model, episode)
+        return self.impl.alert_step(self, episode)
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -181,81 +259,54 @@ class TrainedDetector:
             "params": self.params,
             "model": None if self.model is None else self.model.to_json_dict(),
         }
-        if self.kind in ("dexter", "pedm"):
+        if self.impl.cusum:
             doc["cusum"] = None if self.decision is None else self.decision.to_json_dict()
         return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainedDetector":
-        kind = doc.get("kind") if isinstance(doc, dict) else None
-        if kind not in DETECTOR_KINDS:
-            raise IncompatibleModelError(
-                f"detector document has missing or unknown kind {kind!r}; expected one of {DETECTOR_KINDS}"
-            )
-        model = None
-        decision = None
-        if doc.get("model") is not None:
-            if kind == "dexter":
-                model = dexter_detector.DexterModel.from_json_dict(doc["model"])
-            elif kind == "pedm":
-                model = baselines.DynamicsModelEnsemble.from_json_dict(doc["model"])
-            else:
-                model = baselines.MeanShiftDetector.from_json_dict(doc["model"])
-        if doc.get("cusum") is not None:
-            decision = CusumDetector.from_json_dict(doc["cusum"])
-        return cls(kind=kind, params=doc.get("params", {}), model=model, decision=decision)
+        if not isinstance(doc, dict):
+            raise IncompatibleModelError("detector document is not a JSON object")
+        try:
+            params = detector_params_with_defaults(doc.get("kind"), doc.get("params", {}))
+        except ConfigError as exc:
+            raise IncompatibleModelError(f"malformed detector document: {exc}") from None
+        impl = DETECTORS[doc["kind"]]
+        model = None if doc.get("model") is None else impl.load(doc["model"])
+        decision = None if doc.get("cusum") is None else CusumDetector.from_json_dict(doc["cusum"])
+        return cls(doc["kind"], params, model=model, decision=decision)
 
 
 def detector_params_with_defaults(kind: str, overrides: dict | None = None) -> dict:
-    if kind not in DETECTOR_KINDS:
-        raise ConfigError(f"unknown detector kind {kind!r}; expected one of {DETECTOR_KINDS}")
-    params = dict(DEFAULT_DETECTOR_PARAMS[kind])
-    for key, value in (overrides or {}).items():
+    """The kind's default parameters with ``overrides`` applied. Each
+    override must name a known parameter and hold a number of its default's
+    type (an int where the default is an int, an int or a finite float where
+    it is a float; a bool is neither)."""
+    params = dict(_detector(kind).defaults)
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{kind} parameters must be a JSON object, got {overrides!r}")
+    for key, value in overrides.items():
         if key not in params:
             raise ConfigError(f"unknown {kind} parameter {key!r}; known: {sorted(params)}")
+        wanted = type(params[key])
+        finite = not isinstance(value, float) or math.isfinite(value)
+        if isinstance(value, bool) or not isinstance(value, (int, wanted)) or not finite:
+            raise ConfigError(f"{kind} parameter {key!r} must be "
+                              f"{'an integer' if wanted is int else 'a finite number'}, got {value!r}")
         params[key] = value
     return params
 
 
 def train_detector(kind: str, train_episodes, params: dict | None = None, seed: int = 0) -> TrainedDetector:
     params = detector_params_with_defaults(kind, params)
-    if kind == "dexter":
-        num_windows = sum(
-            np.asarray(ep.observations).shape[0] // params["window_size"] for ep in train_episodes
-        )
-        model = dexter_detector.train(
-            train_episodes,
-            window_size=params["window_size"],
-            num_trees=params["num_trees"],
-            subsample=min(params["subsample_cap"], num_windows),
-            seed=seed,
-        )
-        return TrainedDetector(kind, params, model=model)
-    if kind == "pedm":
-        model = baselines.fit_dynamics_from_episodes(
-            train_episodes, ensemble_size=params["ensemble_size"], seed=seed
-        )
-        return TrainedDetector(kind, params, model=model)
-    # The mean-shift detector has no training stage separate from
-    # calibration: reference statistics come from the validation split.
-    return TrainedDetector(kind, params)
+    return TrainedDetector(kind, params, model=DETECTORS[kind].fit(train_episodes, params, seed))
 
 
 def calibrate_detector(trained: TrainedDetector, validation_episodes, target_fpr: float,
                        seed: int = 0) -> TrainedDetector:
-    if trained.kind == "meanshift":
-        trained.model = baselines.fit_meanshift(
-            validation_episodes, target_fpr, kappa=trained.params["kappa"], seed=seed
-        )
-        return trained
-    if trained.kind == "dexter":
-        trained.decision = dexter_detector.calibrate(
-            trained.model, validation_episodes, target_fpr, seed=seed
-        )
-        return trained
-    trained.decision = baselines.pedm_cusum(
-        trained.model, validation_episodes, target_fpr, seed=seed
-    )
+    """Calibrate ``trained`` in place on clean validation episodes; returns it."""
+    trained.impl.calibrate(trained, validation_episodes, target_fpr, seed)
     return trained
 
 
@@ -280,25 +331,7 @@ class ExperimentResult:
     per_episode: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "detector_id": self.detector_id,
-            "auroc": self.auroc,
-            "auroc_raw": self.auroc_raw,
-            "per_episode_auroc": self.per_episode_auroc,
-            "mean_detection_time": self.mean_detection_time,
-            "detected_fraction": self.detected_fraction,
-            "num_pre_injection_alerts": self.num_pre_injection_alerts,
-            "fpr_measured": self.fpr_measured,
-            "num_test_episodes": self.num_test_episodes,
-            "num_unusable_episodes": self.num_unusable_episodes,
-            "master_seed": self.master_seed,
-            "target_fpr": self.target_fpr,
-            "warmup_excluded_transitions": self.warmup_excluded_transitions,
-            "counts": self.counts.to_json_dict(),
-            "detector_params": self.detector_params,
-            "per_episode": self.per_episode,
-        }
+        return asdict(self)
 
 
 def resolve_policy(config: ScenarioConfig, policy_kind=None):
@@ -349,7 +382,6 @@ def _pool(parts) -> LabeledScoreSet:
     return LabeledScoreSet(
         scores=np.concatenate([s for s, _ in parts]) if parts else np.empty(0),
         labels=np.concatenate([l for _, l in parts]) if parts else np.empty(0, dtype=bool),
-        episode_ids=tuple(range(len(parts))),
     )
 
 
@@ -428,7 +460,6 @@ def run_experiment(config: ScenarioConfig, detector_kind: str, master_seed: int,
     params = detector_params_with_defaults(detector_kind, detector_params)
     policy_kind, policy = resolve_policy(config, policy_kind)
     config = resolve_scales(config, policy, master_seed)
-    warmup = params.get("window_size", DEFAULT_DETECTOR_PARAMS["dexter"]["window_size"]) - 1
 
     train_eps = generate_episodes(config, policy, "train", counts.num_train, master_seed, inject=False)
     val_eps = generate_episodes(config, policy, "validation", counts.num_validation, master_seed, inject=False)
@@ -439,7 +470,7 @@ def run_experiment(config: ScenarioConfig, detector_kind: str, master_seed: int,
     calibrate_detector(trained, val_eps, target_fpr, seed=child_seed(master_seed, "calibration"))
 
     return measure_detector(
-        trained, test_eps, clean_test_eps, config.horizon, warmup,
+        trained, test_eps, clean_test_eps, config.horizon, trained.warmup,
         scenario_id=scenario_id or f"{config.scenario.value}/{config.noise_post.correlation_mode.value}",
         master_seed=master_seed, target_fpr=target_fpr, counts=counts,
     )

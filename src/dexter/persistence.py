@@ -18,7 +18,7 @@ from . import __version__ as TOOL_VERSION
 from .ar_noise import ARProcessSpec, CorrelationMode
 from .environments import BaseEnv, PolicyKind, Scenario, ScenarioConfig, Episode
 from .errors import ConfigError
-from .evaluation import DETECTOR_KINDS, EpisodeCounts, detector_params_with_defaults
+from .evaluation import DETECTORS, EpisodeCounts, detector_params_with_defaults
 from .ts_features import catalogue_hash
 
 SCHEMA_VERSION = 2
@@ -46,7 +46,7 @@ _EVALUATION_DEFAULTS = {
 }
 
 _BENCH_DEFAULTS = {
-    "detectors": ["dexter", "pedm", "meanshift"],
+    "detectors": list(DETECTORS),
     "correlation_modes": ["one_step", "two_step"],
 }
 
@@ -215,7 +215,7 @@ def parse_config(doc: dict, seed_override: int | None = None, require_seed: bool
         raise ConfigError("evaluation.master_seed is mandatory (or pass --seed-override)")
 
     for name in bench["detectors"]:
-        if name not in DETECTOR_KINDS:
+        if not isinstance(name, str) or name not in DETECTORS:
             raise ConfigError(f"bench.detectors contains unknown kind {name!r}")
     for mode in bench["correlation_modes"]:
         CorrelationMode(mode)

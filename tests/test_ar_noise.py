@@ -7,7 +7,6 @@ import simulation_oracle as oracle
 from dexter.ar_noise import (
     ARProcessSpec,
     CorrelationMode,
-    NoiseMatrix,
     _recurse,
     generate_matrix,
     generate_series,
@@ -221,23 +220,6 @@ def test_spliced_matrix_rows_match_spliced_series_seeding():
     assert mat.values.shape == (3, 150)
     assert np.array_equal(mat.values[:, :60], clean.values[:, :60])
     assert mat.injection_step == 60
-
-
-def test_noise_matrix_json_roundtrip():
-    spec = ARProcessSpec.two_step(0.7, sigma=1.5, scale=0.3)
-    mat = generate_matrix(spec, 3, 50, seed=31)
-    doc = mat.to_json_dict()
-    back = NoiseMatrix.from_json_dict(doc)
-    assert np.array_equal(back.values, mat.values)
-    assert back.spec == mat.spec
-    assert back.seed == mat.seed
-
-    pre = ARProcessSpec.no_correlation(sigma=1.5, scale=0.3)
-    spl = spliced_matrix(pre, spec, 20, 2, 50, seed=4)
-    back2 = NoiseMatrix.from_json_dict(spl.to_json_dict())
-    assert np.array_equal(back2.values, spl.values)
-    assert back2.injection_step == 20
-    assert back2.post_spec == spec
 
 
 def test_spec_json_roundtrip():

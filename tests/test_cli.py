@@ -110,6 +110,25 @@ def test_invalid_config_fails_with_exit_code_1(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg3), "--out", str(tmp_path / "ds3")]) == 1
 
 
+def test_train_rejects_mistyped_detector_params(workspace, capsys):
+    tmp, cfg = workspace
+    ds = tmp / "ds"
+    assert main(["generate", "--config", str(cfg), "--out", str(ds)]) == 0
+    doc = json.loads(cfg.read_text())
+    capsys.readouterr()
+    for detector in ({"kind": "dexter", "num_trees": "abc"}, {"kind": "dexter", "window_size": 10.5},
+                     {"kind": "dexter", "num_trees": True}, {"kind": "meanshift", "kappa": "x"},
+                     {"kind": ["dexter"]}):
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps({**doc, "detector": detector}))
+        assert main(["train", "--config", str(bad), "--dataset", str(ds),
+                     "--out", str(tmp / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("parameter" in err or "kind" in err)
+        assert "Traceback" not in err
+    assert not (tmp / "m.json").exists()
+
+
 def test_train_rejects_episodes_shorter_than_window(tmp_path, capsys):
     cfg = tmp_path / "short.json"
     write_config(
@@ -124,8 +143,11 @@ def test_train_rejects_episodes_shorter_than_window(tmp_path, capsys):
     assert "indices" in capsys.readouterr().err
 
 
-def test_model_file_roundtrip_is_stable(workspace):
+@pytest.mark.parametrize("kind", ["dexter", "pedm", "meanshift"])
+def test_model_file_roundtrip_is_stable(workspace, kind):
     tmp, cfg = workspace
+    if kind != "dexter":
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "detector": {"kind": kind}}))
     ds, model, again = tmp / "ds", tmp / "model.json", tmp / "again.json"
     main(["generate", "--config", str(cfg), "--out", str(ds)])
     for path in (model, again):
@@ -175,8 +197,9 @@ def test_evaluate_refuses_malformed_detector_documents(workspace, capsys):
     no_forests = {**detector, "model": {"window_size": 10}}
     empty = {**detector, "model": {**detector["model"], "forests": []}}
     short = {**detector, "model": {**detector["model"], "window_size": 3}}
+    params = {**detector, "params": 5}
     for name, bad in (("no_kind", no_kind), ("no_forests", no_forests),
-                      ("empty", empty), ("short", short)):
+                      ("empty", empty), ("short", short), ("params", params)):
         path = tmp / f"{name}.json"
         path.write_text(json.dumps({**doc, "detector": bad}))
         assert main(["evaluate", "--config", str(cfg), "--model", str(path),
@@ -297,6 +320,17 @@ def test_bench_matrix_cache_and_determinism(workspace):
     out2 = tmp / "bench2"
     assert main(["bench", "--config", str(cfg), "--out", str(out2)]) == 0
     assert read_file(out2 / "results.csv") == before
+
+    # resume recomputes every cell whose cache holds no result
+    failed, empty, garbled = (out1 / "cells" / c for c in sorted(cells)[:3])
+    failed.write_text(json.dumps({**read_json(failed), "result": None, "error": "boom"}))
+    empty.write_text("{}")
+    garbled.write_text('{"result": ')
+    assert main(["bench", "--config", str(cfg), "--out", str(out1), "--resume"]) == 0
+    assert read_json(out1 / "report.json")["num_failed"] == 0
+    assert read_file(out1 / "results.csv") == before
+    for path in (failed, empty, garbled):
+        assert read_file(path) == read_file(out2 / "cells" / path.name)
 
 
 def test_bench_parallel_jobs_match_serial(workspace):

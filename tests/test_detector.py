@@ -64,7 +64,7 @@ def test_score_stream_counts_and_range(arts_model):
     series = score_stream(model, ep)
     assert len(series.scores) == 200
     assert np.isnan(series.scores[:9]).all()
-    defined = series.defined()
+    defined = series.scores[~np.isnan(series.scores)]
     assert len(defined) == 191
     assert np.all(defined > 0.0) and np.all(defined < 1.0)
 
@@ -121,7 +121,6 @@ def test_calibrate_and_detect_online_consistency(arts_model):
     verdict = detect_online(detector, model, ep)
     expected = first_alert_step(detector, score_stream(model, ep).scores)
     assert verdict.alert_step == expected
-    assert verdict.num_steps == ep.length
 
 
 def test_detect_online_requires_calibrated_detector(arts_model):

@@ -112,12 +112,21 @@ def test_detection_time_cases():
 
 
 def test_detector_params_validation():
-    with pytest.raises(ConfigError):
-        detector_params_with_defaults("nope")
-    with pytest.raises(ConfigError):
-        detector_params_with_defaults("dexter", {"bogus_param": 1})
+    for kind, overrides in (
+        ("nope", None), (None, None), (["dexter"], None),
+        ("dexter", {"bogus_param": 1}), ("dexter", 5), ("dexter", ["num_trees"]),
+        ("dexter", {"num_trees": "abc"}), ("dexter", {"num_trees": True}),
+        ("dexter", {"window_size": 10.5}), ("dexter", {"subsample_cap": None}),
+        ("pedm", {"ensemble_size": 5.0}), ("meanshift", {"kappa": "x"}),
+        ("meanshift", {"kappa": False}), ("meanshift", {"kappa": float("nan")}),
+        ("meanshift", {"kappa": float("inf")}),
+    ):
+        with pytest.raises(ConfigError):
+            detector_params_with_defaults(kind, overrides)
     params = detector_params_with_defaults("dexter", {"num_trees": 10})
-    assert params["num_trees"] == 10 and params["window_size"] == 10
+    assert params == {"window_size": 10, "num_trees": 10, "subsample_cap": 8000}
+    assert detector_params_with_defaults("meanshift", {"kappa": 1})["kappa"] == 1
+    assert detector_params_with_defaults("meanshift", {"kappa": 0.25})["kappa"] == 0.25
 
 
 def test_default_target_fpr_is_one_percent():
@@ -220,6 +229,12 @@ def test_trained_detector_roundtrip_via_json():
 
 def test_malformed_detector_documents_are_rejected():
     for doc in ({"model": None}, {"kind": "forest", "model": None}, None, [],
+                {"kind": ["dexter"], "model": None},
+                {"kind": "dexter", "params": 5, "model": None},
+                {"kind": "dexter", "params": {"num_trees": "abc"}, "model": None},
+                {"kind": "dexter", "params": {"window_size": 10.5}, "model": None},
+                {"kind": "pedm", "params": {"bogus_param": 1}, "model": None},
+                {"kind": "meanshift", "params": {"kappa": True}, "model": None},
                 {"kind": "dexter", "model": {"window_size": 10}},
                 {"kind": "dexter", "model": {"window_size": 10, "feature_manifest_hash": "h",
                                              "forests": []}}):
