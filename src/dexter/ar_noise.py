@@ -79,24 +79,6 @@ class ARProcessSpec:
     def two_step(cls, phi2, sigma=1.0, mu=0.0, scale=1.0):
         return cls(CorrelationMode.TWO_STEP, (0.0, phi2), mu, sigma, scale)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "correlation_mode": self.correlation_mode.value,
-            "coefficients_phi": list(self.coefficients_phi),
-            "mean_mu": self.mean_mu,
-            "innovation_sigma": self.innovation_sigma,
-            "magnitude_scale": self.magnitude_scale,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ARProcessSpec":
-        return cls(
-            correlation_mode=CorrelationMode(d["correlation_mode"]),
-            coefficients_phi=tuple(d["coefficients_phi"]),
-            mean_mu=float(d["mean_mu"]),
-            innovation_sigma=float(d["innovation_sigma"]),
-            magnitude_scale=float(d["magnitude_scale"]),
-        )
 
 
 def stationary_std(spec: ARProcessSpec) -> float:

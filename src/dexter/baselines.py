@@ -12,7 +12,8 @@ Two stand-ins accompany the main detector:
   kappa = 0.5 on standardized observations, the classic test for changes in
   the mean of a multivariate stream. Its per-transition anomaly score is the
   largest standardized deviation across coordinates; the online alert uses
-  the accumulated statistic.
+  the accumulated statistic, advanced by the shared ``cusum.clamped_step`` on
+  Python floats and calibrated by the shared split-half protocol.
 """
 
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cusum import (
-    CusumDetector, calibrate_from_streams, finite_field, first_alert_step, percentile_threshold,
-    split_halves,
+    CusumDetector, calibrate_from_streams, calibrate_split_half, clamped_step, finite_field,
+    first_alert_step, first_crossing,
 )
 from .errors import ConfigError, DataError, IncompatibleModelError
 from .seeding import rng_from
@@ -209,33 +210,6 @@ def pedm_detect_online(detector: CusumDetector, ensemble: DynamicsModelEnsemble,
     return None if step is None else step + 1
 
 
-class MeanShiftCusum:
-    """Per-coordinate two-sided CUSUM for mean shifts in a standardized
-    multivariate stream. One instance per monitored episode."""
-
-    def __init__(self, reference_mean, reference_std, threshold: float | None,
-                 kappa: float = DEFAULT_KAPPA):
-        self.reference_mean = np.asarray(reference_mean, dtype=float)
-        self.reference_std = np.asarray(reference_std, dtype=float)
-        self.threshold = threshold
-        self.kappa = float(kappa)
-        dim = self.reference_mean.shape[0]
-        self.upper = np.zeros(dim)
-        self.lower = np.zeros(dim)
-
-    def statistic(self) -> float:
-        return float(np.maximum(self.upper, self.lower).max())
-
-    def step(self, observation) -> bool:
-        """Consume one observation; returns the alert flag."""
-        if self.threshold is None:
-            raise ConfigError("mean-shift CUSUM is not calibrated (no threshold)")
-        z = (np.asarray(observation, dtype=float) - self.reference_mean) / self.reference_std
-        self.upper = np.maximum(0.0, self.upper + z - self.kappa)
-        self.lower = np.maximum(0.0, self.lower - z - self.kappa)
-        return self.statistic() > self.threshold
-
-
 @dataclass
 class MeanShiftDetector:
     """Calibrated reference statistics plus alert threshold."""
@@ -269,28 +243,42 @@ class MeanShiftDetector:
             raise IncompatibleModelError(f"{owner} reference_std must be positive")
         return model
 
-    def monitor(self) -> MeanShiftCusum:
-        return MeanShiftCusum(self.reference_mean, self.reference_std, self.threshold, self.kappa)
 
-
-def meanshift_statistic_trace(detector: MeanShiftDetector, observations) -> np.ndarray:
-    """Accumulated statistic after consuming each observation j >= 1; entry i
-    corresponds to the transition into observation i+1."""
+def _standardized(reference, observations) -> np.ndarray:
+    """The destination observation of every transition, ``obs[1:]``, in
+    units of the reference ``(mean, std)``."""
+    mean, std = reference
     obs = np.asarray(observations, dtype=float)
-    monitor = detector.monitor()
-    trace = np.empty(obs.shape[0] - 1)
-    for j in range(1, obs.shape[0]):
-        monitor.step(obs[j])
-        trace[j - 1] = monitor.statistic()
-    return trace
+    if obs.shape[1:] != mean.shape:
+        raise IncompatibleModelError(
+            f"observations of shape {obs.shape} do not match the model's {mean.size} dimensions"
+        )
+    return (obs[1:] - mean) / std
+
+
+def meanshift_walk(reference, kappa: float, observations):
+    """The accumulated statistic after each transition of an episode: per
+    coordinate an upper and a lower clamped CUSUM of the standardized
+    destination observation, and the largest of them over coordinates.
+    ``reference`` is the ``(mean, std)`` pair of the standardization."""
+    rows = _standardized(reference, observations).tolist()
+    upper = lower = [0.0] * len(reference[0])
+    for z in rows:
+        upper = [clamped_step(u, x, kappa) for u, x in zip(upper, z)]
+        lower = [clamped_step(l, -x, kappa) for l, x in zip(lower, z)]
+        yield max(upper + lower)
 
 
 def meanshift_episode_scores(detector: MeanShiftDetector, episode) -> np.ndarray:
     """Per-transition anomaly score: the largest standardized deviation of
     the destination observation across coordinates."""
-    obs = np.asarray(episode.observations, dtype=float)
-    z = (obs[1:] - detector.reference_mean) / detector.reference_std
+    z = _standardized((detector.reference_mean, detector.reference_std), episode.observations)
     return np.abs(z).max(axis=1)
+
+
+def _meanshift_reference(episodes) -> tuple:
+    pooled = np.concatenate([np.asarray(ep.observations, dtype=float) for ep in episodes])
+    return pooled.mean(axis=0), np.maximum(pooled.std(axis=0), 1e-12)
 
 
 def fit_meanshift(calibration_episodes, target_fpr: float, kappa: float = DEFAULT_KAPPA,
@@ -298,31 +286,16 @@ def fit_meanshift(calibration_episodes, target_fpr: float, kappa: float = DEFAUL
     """Reference statistics from the first half of the clean episodes; alert
     threshold from the (1 - FPR) percentile of per-episode maxima of the
     accumulated statistic on the second half."""
-    episodes = list(calibration_episodes)
-    if len(episodes) < 2:
-        raise ConfigError("calibration requires at least 2 episodes")
-    if not 0.0 < target_fpr < 1.0:
-        raise ConfigError(f"target_fpr must be in (0, 1), got {target_fpr}")
-    first, second = split_halves(len(episodes), seed)
-    pooled = np.concatenate([np.asarray(episodes[i].observations, dtype=float) for i in first])
-    ref_mean = pooled.mean(axis=0)
-    ref_std = np.maximum(pooled.std(axis=0), 1e-12)
-
-    probe = MeanShiftDetector(ref_mean, ref_std, threshold=np.inf, kappa=kappa, target_fpr=target_fpr)
-    maxima = [
-        meanshift_statistic_trace(probe, episodes[i].observations).max()
-        if len(episodes[i].observations) > 1 else 0.0
-        for i in second
-    ]
-    threshold = percentile_threshold(maxima, target_fpr)
+    (ref_mean, ref_std), threshold = calibrate_split_half(
+        calibration_episodes, target_fpr, seed, _meanshift_reference,
+        lambda reference, ep: meanshift_walk(reference, kappa, ep.observations),
+    )
     return MeanShiftDetector(ref_mean, ref_std, threshold, kappa=kappa, target_fpr=target_fpr)
 
 
 def meanshift_detect_online(detector: MeanShiftDetector, episode):
     """Alert step (destination observation index) or None."""
-    obs = np.asarray(episode.observations, dtype=float)
-    monitor = detector.monitor()
-    for j in range(1, obs.shape[0]):
-        if monitor.step(obs[j]):
-            return j
-    return None
+    walk = meanshift_walk((detector.reference_mean, detector.reference_std), detector.kappa,
+                          episode.observations)
+    step = first_crossing(walk, detector.threshold)
+    return None if step is None else step + 1

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from . import evaluation, persistence
 from .errors import ConfigError, DataError, DexterError, IncompatibleModelError
@@ -168,23 +169,28 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _bench_cell(payload: dict) -> dict:
-    """One bench matrix cell; module-level for use with process pools."""
-    config = persistence.parse_config(payload["config"])
-    mode = payload["correlation_mode"]
-    scenario_cfg = config.scenario_config(correlation_mode=mode)
-    params = config.detector_params() if payload["detector"] == config.detector_kind else None
-    result = evaluation.run_experiment(
-        scenario_cfg,
-        payload["detector"],
-        master_seed=payload["cell_seed"],
-        counts=config.counts(),
-        target_fpr=config.target_fpr,
-        policy_kind=config.policy_kind(),
-        detector_params=params,
-        scenario_id=f"{scenario_cfg.scenario.value}/{mode}",
-    )
-    return result.to_json_dict()
+def _bench_cell(payload: dict) -> tuple:
+    """One bench matrix cell as ``(result, None)``, or ``(None, message)``
+    when it fails with a :class:`DexterError`; module-level for use with
+    process pools."""
+    try:
+        config = persistence.parse_config(payload["config"])
+        mode = payload["correlation_mode"]
+        scenario_cfg = config.scenario_config(correlation_mode=mode)
+        params = config.detector_params() if payload["detector"] == config.detector_kind else None
+        result = evaluation.run_experiment(
+            scenario_cfg,
+            payload["detector"],
+            master_seed=payload["cell_seed"],
+            counts=config.counts(),
+            target_fpr=config.target_fpr,
+            policy_kind=config.policy_kind(),
+            detector_params=params,
+            scenario_id=f"{scenario_cfg.scenario.value}/{mode}",
+        )
+    except DexterError as exc:
+        return None, str(exc)
+    return result.to_json_dict(), None
 
 
 def _cached_result(cache_path: str) -> dict | None:
@@ -225,35 +231,21 @@ def cmd_bench(args) -> int:
         else:
             pending.append((cell_hash, payload, cache_path))
 
-    def finish(cell_hash, payload, cache_path, outcome, error=None):
-        doc = {
-            "schema_version": persistence.SCHEMA_VERSION,
-            "tool_version": persistence.TOOL_VERSION,
-            "cell_hash": cell_hash,
-            "cell": {k: payload[k] for k in ("detector", "correlation_mode", "cell_seed")},
-            "result": outcome,
-            "error": error,
-        }
-        persistence.atomic_write_json(cache_path, doc)
-        results[cell_hash] = outcome
-
-    if args.jobs > 1 and pending:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [(c, p, path, pool.submit(_bench_cell, p)) for c, p, path in pending]
-            for cell_hash, payload, cache_path, future in futures:
-                try:
-                    finish(cell_hash, payload, cache_path, future.result())
-                except DexterError as exc:
-                    finish(cell_hash, payload, cache_path, None, error=str(exc))
-                    print(f"cell {payload['detector']}/{payload['correlation_mode']} failed: {exc}",
-                          file=sys.stderr)
-    else:
-        for cell_hash, payload, cache_path in pending:
-            try:
-                finish(cell_hash, payload, cache_path, _bench_cell(payload))
-            except DexterError as exc:
-                finish(cell_hash, payload, cache_path, None, error=str(exc))
-                print(f"cell {payload['detector']}/{payload['correlation_mode']} failed: {exc}",
+    parallel = args.jobs > 1
+    with (ProcessPoolExecutor(max_workers=args.jobs) if parallel else nullcontext()) as pool:
+        outcomes = (pool.map if parallel else map)(_bench_cell, [p for _, p, _ in pending])
+        for (cell_hash, payload, cache_path), (result, error) in zip(pending, outcomes):
+            persistence.atomic_write_json(cache_path, {
+                "schema_version": persistence.SCHEMA_VERSION,
+                "tool_version": persistence.TOOL_VERSION,
+                "cell_hash": cell_hash,
+                "cell": {k: payload[k] for k in ("detector", "correlation_mode", "cell_seed")},
+                "result": result,
+                "error": error,
+            })
+            results[cell_hash] = result
+            if error is not None:
+                print(f"cell {payload['detector']}/{payload['correlation_mode']} failed: {error}",
                       file=sys.stderr)
 
     rows = [results[c] for c, _ in cells if results.get(c) is not None]

@@ -268,32 +268,6 @@ class ScenarioConfig:
             )
         return arr
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.value,
-            "base_env": self.base_env.value,
-            "noise_pre": self.noise_pre.to_json_dict(),
-            "noise_post": self.noise_post.to_json_dict(),
-            "injection_window": list(self.injection_window),
-            "horizon": int(self.horizon),
-            "per_dimension_scale": (
-                None if self.per_dimension_scale is None else list(self.per_dimension_scale)
-            ),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ScenarioConfig":
-        return cls(
-            scenario=Scenario(d["scenario"]),
-            base_env=BaseEnv(d["base_env"]),
-            noise_pre=ARProcessSpec.from_json_dict(d["noise_pre"]),
-            noise_post=ARProcessSpec.from_json_dict(d["noise_post"]),
-            injection_window=tuple(d["injection_window"]),
-            horizon=int(d["horizon"]),
-            per_dimension_scale=(
-                None if d.get("per_dimension_scale") is None else tuple(d["per_dimension_scale"])
-            ),
-        )
 
 
 @dataclass

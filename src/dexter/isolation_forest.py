@@ -53,7 +53,7 @@ numbered within their tree; a fitted or loaded forest enters the packed
 layout only through ``_pack``, which checks it.
 
 Scoring. A point's h in one tree is the depth of the leaf its walk ends at
-plus c(leaf size), so a forest keeps one path length per node, derived on
+plus c(leaf size), so a forest keeps one path length per leaf, derived on
 first use. Two walks give each point's sum of h over the trees; they make
 the same comparisons and the same additions in the same order, so they agree
 bit for bit, and a NaN feature value compares false and routes right in both.
@@ -275,11 +275,16 @@ class IsolationForestModel:
                 np.where(leaf, -1, self.right[nodes] - tree_start), self.size[nodes].copy())
 
     def path_length_table(self) -> np.ndarray:
-        """h at every node: its depth plus c(size), the path length of a
-        point whose walk ends there. Derived on first use and kept."""
+        """The path length h of a point whose walk ends at each node: a
+        leaf's depth plus c(size), c evaluated once per distinct leaf size.
+        Walks end only at leaves, so an internal node holds its depth alone.
+        Derived on first use and kept."""
         if self._path_lengths is None:
-            adjust = np.array([average_path_length(n) for n in range(self.subsample_size + 1)])
-            self._path_lengths = _node_depths(self.kids, self.roots) + adjust[self.size]
+            leaf = self.right == np.arange(len(self.feature))
+            sizes, at = np.unique(self.size[leaf], return_inverse=True)
+            table = _node_depths(self.kids, self.roots).astype(float)
+            table[leaf] += np.array([average_path_length(n) for n in sizes.tolist()])[at]
+            self._path_lengths = table
         return self._path_lengths
 
     def to_json_dict(self) -> dict:

@@ -102,7 +102,15 @@ def read_jsonl(path: str):
         return [json.loads(line) for line in handle if line.strip()]
 
 
-def _merge_section(name: str, defaults: dict, given: dict) -> dict:
+def _section(doc: dict, name: str) -> dict:
+    given = doc.get(name, {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"'{name}' section must be a JSON object, got {given!r}")
+    return given
+
+
+def _merge_section(doc: dict, name: str, defaults: dict) -> dict:
+    given = _section(doc, name)
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown key(s) in '{name}' section: {sorted(unknown)}")
@@ -200,11 +208,11 @@ def parse_config(doc: dict, seed_override: int | None = None, require_seed: bool
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
 
-    scenario = _merge_section("scenario", _SCENARIO_DEFAULTS, doc.get("scenario", {}))
-    evaluation = _merge_section("evaluation", _EVALUATION_DEFAULTS, doc.get("evaluation", {}))
-    bench = _merge_section("bench", _BENCH_DEFAULTS, doc.get("bench", {}))
+    scenario = _merge_section(doc, "scenario", _SCENARIO_DEFAULTS)
+    evaluation = _merge_section(doc, "evaluation", _EVALUATION_DEFAULTS)
+    bench = _merge_section(doc, "bench", _BENCH_DEFAULTS)
 
-    detector_given = dict(doc.get("detector", {}))
+    detector_given = dict(_section(doc, "detector"))
     kind = detector_given.pop("kind", "dexter")
     params = detector_params_with_defaults(kind, detector_given)
     detector = {"kind": kind, **params}
@@ -213,12 +221,22 @@ def parse_config(doc: dict, seed_override: int | None = None, require_seed: bool
         evaluation["master_seed"] = int(seed_override)
     if require_seed and evaluation["master_seed"] is None:
         raise ConfigError("evaluation.master_seed is mandatory (or pass --seed-override)")
+    for key in ("num_train", "num_validation", "num_test", "num_clean_test", "master_seed"):
+        value = evaluation[key]
+        if type(value) is not int and not (key == "master_seed" and value is None):
+            raise ConfigError(f"evaluation.{key} must be an integer, got {value!r}")
+    if type(evaluation["target_fpr"]) not in (int, float):
+        raise ConfigError(f"evaluation.target_fpr must be a number, got {evaluation['target_fpr']!r}")
 
+    for key in ("detectors", "correlation_modes"):
+        if not isinstance(bench[key], list):
+            raise ConfigError(f"bench.{key} must be a list, got {bench[key]!r}")
     for name in bench["detectors"]:
         if not isinstance(name, str) or name not in DETECTORS:
             raise ConfigError(f"bench.detectors contains unknown kind {name!r}")
     for mode in bench["correlation_modes"]:
-        CorrelationMode(mode)
+        if mode not in list(CorrelationMode):
+            raise ConfigError(f"bench.correlation_modes contains unknown mode {mode!r}")
 
     config = RunConfig(
         scenario_section=scenario,

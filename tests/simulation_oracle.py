@@ -1,11 +1,17 @@
-"""The episode simulation and AR recursion as first written, kept as the
-bit-for-bit oracles for ``dexter.environments`` and ``dexter.ar_noise``.
+"""The episode simulation, the AR recursion and the mean-shift CUSUM as
+first written, kept as the bit-for-bit oracles for ``dexter.environments``,
+``dexter.ar_noise`` and the mean-shift baseline of ``dexter.baselines``.
 
 Every step here runs on NumPy arrays: each transition builds its state
 array, checks it with ``np.isfinite(...).all()`` and wraps it in an
 ``EnvState``; the noise column is sliced and scaled per step; the AR
 recursion indexes NumPy scalars. The library now runs one loop on Python
 floats and must reproduce these results bit for bit, errors included.
+
+The mean-shift CUSUM here keeps its per-coordinate statistics in NumPy
+arrays advanced with ``np.maximum``, and calibrates with its own copy of
+the split-half protocol; the library walks Python floats through the shared
+``cusum.clamped_step`` and ``cusum.calibrate_split_half``.
 """
 
 import math
@@ -16,6 +22,8 @@ import numpy as np
 
 from dexter import ar_noise
 from dexter.ar_noise import NoiseMatrix, generate_matrix, spliced_matrix
+from dexter.baselines import DEFAULT_KAPPA, MeanShiftDetector
+from dexter.cusum import percentile_threshold, split_halves
 from dexter.environments import (
     DEFAULT_HORIZON,
     EPISODE_RETRY_CAP,
@@ -382,3 +390,78 @@ def estimate_dimension_scales(base_env: BaseEnv, policy, num_episodes: int = 50,
         pooled.append(np.asarray(vectors))
     stds = np.concatenate(pooled, axis=0).std(axis=0)
     return np.maximum(stds, 1e-8)
+
+
+class MeanShiftCusum:
+    """Per-coordinate two-sided CUSUM for mean shifts in a standardized
+    multivariate stream. One instance per monitored episode."""
+
+    def __init__(self, reference_mean, reference_std, threshold: float | None,
+                 kappa: float = DEFAULT_KAPPA):
+        self.reference_mean = np.asarray(reference_mean, dtype=float)
+        self.reference_std = np.asarray(reference_std, dtype=float)
+        self.threshold = threshold
+        self.kappa = float(kappa)
+        dim = self.reference_mean.shape[0]
+        self.upper = np.zeros(dim)
+        self.lower = np.zeros(dim)
+
+    def statistic(self) -> float:
+        return float(np.maximum(self.upper, self.lower).max())
+
+    def step(self, observation) -> bool:
+        """Consume one observation; returns the alert flag."""
+        if self.threshold is None:
+            raise ConfigError("mean-shift CUSUM is not calibrated (no threshold)")
+        z = (np.asarray(observation, dtype=float) - self.reference_mean) / self.reference_std
+        self.upper = np.maximum(0.0, self.upper + z - self.kappa)
+        self.lower = np.maximum(0.0, self.lower - z - self.kappa)
+        return self.statistic() > self.threshold
+
+
+def meanshift_monitor(detector: MeanShiftDetector) -> MeanShiftCusum:
+    return MeanShiftCusum(detector.reference_mean, detector.reference_std, detector.threshold,
+                          detector.kappa)
+
+
+def meanshift_statistic_trace(detector: MeanShiftDetector, observations) -> np.ndarray:
+    """Accumulated statistic after consuming each observation j >= 1; entry i
+    corresponds to the transition into observation i+1."""
+    obs = np.asarray(observations, dtype=float)
+    monitor = meanshift_monitor(detector)
+    trace = np.empty(obs.shape[0] - 1)
+    for j in range(1, obs.shape[0]):
+        monitor.step(obs[j])
+        trace[j - 1] = monitor.statistic()
+    return trace
+
+
+def fit_meanshift(calibration_episodes, target_fpr: float, kappa: float = DEFAULT_KAPPA,
+                  seed: int = 0) -> MeanShiftDetector:
+    episodes = list(calibration_episodes)
+    if len(episodes) < 2:
+        raise ConfigError("calibration requires at least 2 episodes")
+    if not 0.0 < target_fpr < 1.0:
+        raise ConfigError(f"target_fpr must be in (0, 1), got {target_fpr}")
+    first, second = split_halves(len(episodes), seed)
+    pooled = np.concatenate([np.asarray(episodes[i].observations, dtype=float) for i in first])
+    ref_mean = pooled.mean(axis=0)
+    ref_std = np.maximum(pooled.std(axis=0), 1e-12)
+
+    probe = MeanShiftDetector(ref_mean, ref_std, threshold=np.inf, kappa=kappa, target_fpr=target_fpr)
+    maxima = [
+        meanshift_statistic_trace(probe, episodes[i].observations).max()
+        if len(episodes[i].observations) > 1 else 0.0
+        for i in second
+    ]
+    threshold = percentile_threshold(maxima, target_fpr)
+    return MeanShiftDetector(ref_mean, ref_std, threshold, kappa=kappa, target_fpr=target_fpr)
+
+
+def meanshift_detect_online(detector: MeanShiftDetector, episode):
+    obs = np.asarray(episode.observations, dtype=float)
+    monitor = meanshift_monitor(detector)
+    for j in range(1, obs.shape[0]):
+        if monitor.step(obs[j]):
+            return j
+    return None

@@ -222,15 +222,6 @@ def test_spliced_matrix_rows_match_spliced_series_seeding():
     assert mat.injection_step == 60
 
 
-def test_spec_json_roundtrip():
-    for spec in (
-        ARProcessSpec.no_correlation(sigma=2.0, scale=0.1),
-        ARProcessSpec.one_step(0.95),
-        ARProcessSpec.two_step(-0.4, mu=0.0),
-    ):
-        assert ARProcessSpec.from_json_dict(spec.to_json_dict()) == spec
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     mode=st.sampled_from(CorrelationMode),

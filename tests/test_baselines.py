@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import simulation_oracle as oracle
 from dexter.ar_noise import ARProcessSpec, spliced_series
 from dexter.baselines import (
     DynamicsModelEnsemble,
-    MeanShiftCusum,
     MeanShiftDetector,
     fit_dynamics,
     fit_dynamics_from_episodes,
     fit_meanshift,
     meanshift_detect_online,
     meanshift_episode_scores,
-    meanshift_statistic_trace,
+    meanshift_walk,
     pedm_cusum,
     pedm_detect_online,
     pedm_episode_scores,
@@ -258,33 +261,20 @@ def test_meanshift_reference_stream_stays_quiet():
     det = MeanShiftDetector(
         reference_mean=np.zeros(3), reference_std=np.ones(3), threshold=5.0
     )
-    monitor = det.monitor()
-    for _ in range(50):
-        assert not monitor.step(np.zeros(3))
-        assert monitor.statistic() == 0.0
+    obs = np.zeros((51, 3))
+    assert list(meanshift_walk((det.reference_mean, det.reference_std), det.kappa, obs)) == [0.0] * 50
+    assert meanshift_detect_online(det, FakeEpisode(obs)) is None
 
 
 def test_meanshift_statistics_decay_after_excursion():
-    det = MeanShiftDetector(
-        reference_mean=np.zeros(2), reference_std=np.ones(2), threshold=100.0
-    )
-    monitor = det.monitor()
-    monitor.step(np.array([4.0, 0.0]))
-    peak = monitor.statistic()
+    reference = (np.zeros(2), np.ones(2))
+    obs = np.zeros((17, 2))
+    obs[1, 0] = 4.0
+    trace = list(meanshift_walk(reference, 0.5, obs))
+    peak = trace[0]
     assert peak == pytest.approx(3.5)
-    for _ in range(4):
-        monitor.step(np.zeros(2))
-    assert monitor.statistic() < peak
-    monitor.step(np.zeros(2))
-    for _ in range(10):
-        monitor.step(np.zeros(2))
-    assert monitor.statistic() == 0.0
-
-
-def test_meanshift_uncalibrated_step_errors():
-    monitor = MeanShiftCusum(np.zeros(2), np.ones(2), threshold=None)
-    with pytest.raises(ConfigError):
-        monitor.step(np.zeros(2))
+    assert trace[4] < peak
+    assert trace[-1] == 0.0
 
 
 def test_meanshift_detects_mean_step_quickly():
@@ -345,11 +335,53 @@ def test_meanshift_statistic_trace_nonnegative_and_aligned():
     rng = np.random.default_rng(13)
     det = MeanShiftDetector(reference_mean=np.zeros(2), reference_std=np.ones(2), threshold=1e9)
     obs = rng.normal(size=(100, 2))
-    trace = meanshift_statistic_trace(det, obs)
-    assert trace.shape == (99,)
-    assert (trace >= 0.0).all()
+    trace = list(meanshift_walk((det.reference_mean, det.reference_std), det.kappa, obs))
+    assert len(trace) == 99
+    assert min(trace) >= 0.0
     scores = meanshift_episode_scores(det, FakeEpisode(obs))
     assert scores.shape == (99,)
+
+
+@st.composite
+def meanshift_cases(draw):
+    dim = draw(st.integers(1, 6))
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    episodes = [draw(hnp.arrays(float, (draw(st.integers(1, 300)), dim), elements=values))
+                for _ in range(draw(st.integers(2, 6)))]
+    probe = draw(hnp.arrays(float, (draw(st.integers(1, 300)), dim), elements=values))
+    kappa = draw(st.sampled_from([0.0, -0.1, 0.5, 2.0]) | st.floats(-1.0, 3.0))
+    fpr = draw(st.sampled_from([0.01, 0.2, 0.5]))
+    return episodes, probe, kappa, fpr, draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(meanshift_cases())
+def test_meanshift_walk_matches_numpy_oracle_bit_for_bit(case):
+    episodes, probe, kappa, fpr, seed = case
+    clean = [FakeEpisode(obs) for obs in episodes]
+    det = fit_meanshift(clean, target_fpr=fpr, kappa=kappa, seed=seed)
+    expected = oracle.fit_meanshift(clean, target_fpr=fpr, kappa=kappa, seed=seed)
+    assert np.float64(det.threshold).view(np.int64) == np.float64(expected.threshold).view(np.int64)
+    assert np.array_equal(det.reference_mean, expected.reference_mean)
+    assert np.array_equal(det.reference_std, expected.reference_std)
+
+    walk = np.array(list(meanshift_walk((det.reference_mean, det.reference_std), kappa, probe)))
+    trace = oracle.meanshift_statistic_trace(det, probe)
+    assert np.array_equal(walk.view(np.int64), trace.view(np.int64))
+    episode = FakeEpisode(probe)
+    assert meanshift_detect_online(det, episode) == oracle.meanshift_detect_online(det, episode)
+
+
+def test_meanshift_refuses_observations_of_another_width():
+    det = MeanShiftDetector(reference_mean=np.zeros(1), reference_std=np.ones(1), threshold=1.0)
+    wide = FakeEpisode(np.zeros((50, 4)))
+    for call in (meanshift_detect_online, meanshift_episode_scores):
+        with pytest.raises(IncompatibleModelError, match="dimensions"):
+            call(det, wide)
+    narrow = MeanShiftDetector(reference_mean=np.zeros(4), reference_std=np.ones(4), threshold=1.0)
+    for call in (meanshift_detect_online, meanshift_episode_scores):
+        with pytest.raises(IncompatibleModelError, match="dimensions"):
+            call(narrow, FakeEpisode(np.zeros((50, 2))))
 
 
 def test_meanshift_validation_and_roundtrip():

@@ -110,6 +110,25 @@ def test_invalid_config_fails_with_exit_code_1(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg3), "--out", str(tmp_path / "ds3")]) == 1
 
 
+@pytest.mark.parametrize("section, value", [
+    ("detector", 5), ("scenario", 5), ("evaluation", [1]), ("bench", "all"),
+    ("bench", {"detectors": 5}), ("bench", {"correlation_modes": "one_step"}),
+    ("bench", {"correlation_modes": ["bogus"]}), ("evaluation", {"master_seed": "x"}),
+    ("evaluation", {"master_seed": True}), ("evaluation", {"num_train": "many"}),
+    ("evaluation", {"num_test": 2.5}), ("evaluation", {"target_fpr": "x"}),
+])
+def test_mistyped_config_sections_fail_with_exit_code_1(tmp_path, capsys, section, value):
+    cfg = tmp_path / "bad.json"
+    doc = write_config(cfg)
+    doc[section] = {**doc.get(section, {}), **value} if isinstance(value, dict) else value
+    cfg.write_text(json.dumps(doc))
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and section in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ds").exists()
+
+
 def test_train_rejects_mistyped_detector_params(workspace, capsys):
     tmp, cfg = workspace
     ds = tmp / "ds"
@@ -368,3 +387,23 @@ def test_cartpole_model_file_has_one_forest_per_dimension(tmp_path):
     assert doc["detector"]["model"]["window_size"] == 10
     assert "mean_score_abar" in doc["detector"]["cusum"]
     assert "threshold_tau" in doc["detector"]["cusum"]
+
+
+def test_evaluate_refuses_meanshift_model_of_another_width(workspace, capsys):
+    tmp, cfg = workspace
+    meanshift_cfg, arno_cfg = tmp / "meanshift.json", tmp / "arno.json"
+    meanshift_cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "detector": {"kind": "meanshift"}}))
+    write_config(arno_cfg, scenario={"scenario": "arno", "base_env": "cartpole",
+                                     "magnitude_scale": 0.5, "per_dimension_scale": [1.0] * 4})
+    arts, arno, model = tmp / "arts", tmp / "arno", tmp / "model.json"
+    assert main(["generate", "--config", str(meanshift_cfg), "--out", str(arts)]) == 0
+    assert main(["generate", "--config", str(arno_cfg), "--out", str(arno)]) == 0
+    assert main(["train", "--config", str(meanshift_cfg), "--dataset", str(arts),
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(meanshift_cfg), "--model", str(model),
+                 "--dataset", str(arno), "--out", str(tmp / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dimensions" in err
+    assert "Traceback" not in err
+    assert not (tmp / "r").exists()

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from dexter.cusum import (
     CusumDetector,
     CusumMonitor,
+    _clamped_walk,
     calibrate_from_streams,
+    calibrate_split_half,
     first_alert_step,
-    max_clamped_excursion,
     percentile_threshold,
     split_halves,
 )
@@ -25,12 +26,17 @@ def brute_clamped_max(values, mean):
     return best
 
 
+def max_excursion(stream, mean):
+    """The running maximum calibration records for one stream."""
+    return max(_clamped_walk(mean, stream), default=0.0)
+
+
 def test_clamped_excursion_matches_direct_recursion():
     rng = np.random.default_rng(0)
     for _ in range(200):
         stream = rng.normal(size=rng.integers(1, 60))
         mean = rng.normal()
-        assert max_clamped_excursion(stream, mean) == pytest.approx(
+        assert max_excursion(stream, mean) == pytest.approx(
             brute_clamped_max(stream, mean), abs=1e-12
         )
 
@@ -41,10 +47,31 @@ def test_clamped_excursion_matches_direct_recursion():
 def test_calibration_maximum_is_the_monitor_statistic_bit_for_bit(stream, mean):
     monitor = CusumMonitor(CusumDetector(mean_score_abar=mean, threshold_tau=np.inf, target_fpr=0.01))
     largest = 0.0
-    for value in stream:
+    walk = list(_clamped_walk(mean, np.array(stream)))
+    assert len(walk) == len(stream)
+    for value, walked in zip(stream, walk):
         monitor.update(value)
+        assert walked == monitor.statistic
         largest = max(largest, monitor.statistic)
-    assert max_clamped_excursion(np.array(stream), mean) == largest
+    assert max_excursion(np.array(stream), mean) == largest
+
+
+def test_split_half_calibration_fits_on_first_half_and_walks_the_second():
+    items = list(range(9))
+    first, second = split_halves(len(items), seed=5)
+    seen = []
+
+    def reference(half):
+        seen.append(half)
+        return 100
+
+    def walk(ref, item):
+        return iter([] if item == second[0] else [ref + item, float(item)])
+
+    ref, threshold = calibrate_split_half(items, 0.25, 5, reference, walk)
+    assert seen == [[items[i] for i in first]] and ref == 100
+    maxima = [0.0] + [100 + items[i] for i in second[1:]]
+    assert threshold == percentile_threshold(maxima, 0.25)
 
 
 def test_degenerate_calibration_gives_zero_threshold():
@@ -117,10 +144,7 @@ def test_percentile_exceedance_count_contract():
     det = calibrate_from_streams(streams, target_fpr=0.01, seed=0)
     _, second = split_halves(len(streams), 0)
     assert len(second) == 200
-    exceed = sum(
-        max_clamped_excursion(streams[i], det.mean_score_abar) > det.threshold_tau
-        for i in second
-    )
+    exceed = sum(max_excursion(streams[i], det.mean_score_abar) > det.threshold_tau for i in second)
     assert exceed <= 2
 
 
@@ -139,6 +163,8 @@ def test_calibration_validation():
             calibrate_from_streams(streams, target_fpr=bad_fpr)
     with pytest.raises(ConfigError):
         calibrate_from_streams([np.full(10, 0.5)], target_fpr=0.01)
+    with pytest.raises(ConfigError, match="no defined scores"):
+        calibrate_from_streams([np.full(10, np.nan)] * 4, target_fpr=0.01)
 
 
 def test_percentile_threshold_uses_linear_interpolation():

@@ -2,17 +2,53 @@
 (``vars(owner)[attr]``): the untraced runs time ``TrainedDetector.alert_step``
 for the ``step_p*`` samples, and ``--trace 1`` wraps every layer probe. A
 refactor that renames or moves one of those attributes breaks the benchmark
-without failing any library test, so each probe is checked here."""
+without failing any library test, so each probe is checked here. The probes'
+record functions read attributes of the arguments and results they see
+(``model.trees``, ``trained.kind``), so a tiny experiment of each kind is
+also run under every probe."""
 
 import os
 import sys
 
+import pytest
+
+from dexter import evaluation, persistence
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
 
 import layers  # noqa: E402
+from tracer import Tracer  # noqa: E402
 
 
 def test_every_probe_names_an_attribute_of_its_owner():
     probes = layers.stage_probes() + layers.layer_probes()
     missing = [f"{p.owner.__name__}.{p.attr}" for p in probes if p.attr not in vars(p.owner)]
     assert not missing
+
+
+@pytest.mark.parametrize("kind", ["dexter", "pedm", "meanshift"])
+def test_probe_records_run_on_a_tiny_experiment(kind):
+    config = persistence.parse_config({
+        "scenario": {"scenario": "arno", "base_env": "cartpole", "magnitude_scale": 0.5,
+                     "per_dimension_scale": [1.0] * 4},
+        "evaluation": {"master_seed": 3},
+    })
+    counts = evaluation.EpisodeCounts(num_train=4, num_validation=4, num_test=2, num_clean_test=4)
+    params = {"num_trees": 5} if kind == "dexter" else None
+    with Tracer(layers.stage_probes() + layers.layer_probes()) as tracer:
+        evaluation.run_experiment(config.scenario_config(), kind, master_seed=3, counts=counts,
+                                  detector_params=params)
+    traced = tracer.layers
+    metrics = layers.per_layer_metrics(traced)
+    assert traced["evaluation.measure_detector"].calls == 1
+    assert traced["decision"].calls == 6
+    if kind == "dexter":
+        assert traced["isolation_forest.fit"].counts == {"trees": 20}
+        assert metrics["isolation_forest.score_batch.point_trees"][0] > 0
+        assert traced["ts_features.extract_features_batch"].counts["windows"] > 0
+        assert len(traced["detector.score_stream"].keys) == 10
+        assert len(traced["decision"].samples) == 6
+    else:
+        assert traced["decision"].samples == []
+        fit = {"pedm": "fit_dynamics_from_episodes", "meanshift": "fit_meanshift"}[kind]
+        assert traced[f"baselines.{fit}"].calls == 1
