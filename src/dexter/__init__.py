@@ -27,7 +27,15 @@ from .ar_noise import (
     spliced_series,
 )
 from .cusum import CusumDetector, CusumMonitor
-from .detector import DexterModel, ScoreSeries, calibrate, detect_online, score_stream, train
+from .detector import (
+    DexterModel,
+    DexterStream,
+    ScoreSeries,
+    calibrate,
+    detect_online,
+    score_stream,
+    train,
+)
 from .environments import (
     BaseEnv,
     Episode,
@@ -56,6 +64,7 @@ __all__ = [
     "CusumDetector",
     "CusumMonitor",
     "DexterModel",
+    "DexterStream",
     "Episode",
     "EpisodeCounts",
     "ExperimentResult",

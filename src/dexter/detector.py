@@ -7,16 +7,20 @@ catalogue per window and dimension, and fits one isolation forest per state
 dimension. At test time a window slides by one step; the anomaly score A_t
 for step t >= W-1 is the arithmetic mean over dimensions of each forest's
 score for the window ending at t. Scores are undefined (NaN) for t < W-1,
-and the CUSUM statistic stays frozen during that warm-up.
+and the CUSUM statistic stays frozen during that warm-up. ``score_stream``
+scores a whole episode at once; ``DexterStream`` scores it one observation
+at a time, as a monitor running beside the system would, with the same
+scores and alerts.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import isolation_forest as iforest
 from . import ts_features
-from .cusum import CusumDetector, calibrate_from_streams, first_alert_step
+from .cusum import CusumDetector, CusumMonitor, calibrate_from_streams, first_alert_step
 from .errors import ConfigError, DataError, IncompatibleModelError
 from .seeding import child_seed
 
@@ -189,3 +193,59 @@ def detect_online(detector: CusumDetector, model: DexterModel, episode) -> Detec
     series = score_stream(model, episode)
     step = first_alert_step(detector, series.scores)
     return DetectorVerdict(alert_step=step)
+
+
+class DexterStream:
+    """Online DEXTER+C over one episode, one observation at a time.
+
+    The stream keeps the last W values of every dimension. ``push`` scores
+    the window that ends at the new observation and advances a
+    :class:`CusumMonitor` with that score; it returns ``(score, alerted)``.
+    The score is NaN until W observations have arrived, and ``alerted``
+    stays True from the first alert on. Scores and alerts equal
+    :func:`score_stream` and :func:`detect_online` on the same episode bit
+    for bit: the D windows go through one
+    :func:`ts_features.extract_features_batch` call, whose rows do not
+    depend on the batch; each forest scores its own row; and the
+    per-dimension scores are summed in dimension order from 0.0 and divided
+    by D.
+
+    ``push`` checks the observation before it changes any state. One of
+    the wrong width raises :class:`IncompatibleModelError`, and one with a
+    non-finite or non-numeric value raises :class:`DataError`. After either
+    error the stream is as it was, so the next observation continues it.
+    """
+
+    def __init__(self, model: DexterModel, decision: CusumDetector):
+        if decision is None:
+            raise ConfigError("detector has not been calibrated")
+        if model.feature_manifest_hash != ts_features.catalogue_hash():
+            raise IncompatibleModelError("model was built with a different feature catalogue")
+        self.model = model
+        self.monitor = CusumMonitor(decision)
+        self.steps = 0
+        self._windows = np.zeros((model.num_dimensions, model.window_size))
+
+    def push(self, observation) -> tuple:
+        try:
+            obs = np.atleast_1d(np.asarray(observation, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"observation is not numeric: {exc}") from exc
+        if obs.shape != (self.model.num_dimensions,):
+            raise IncompatibleModelError(
+                f"observation shape {obs.shape} != model dimension {self.model.num_dimensions}"
+            )
+        if not np.isfinite(obs).all():
+            raise DataError(f"observation contains non-finite values: {obs.tolist()}")
+        windows = self._windows
+        windows[:, :-1] = windows[:, 1:]
+        windows[:, -1] = obs
+        self.steps += 1
+        score = math.nan
+        if self.steps >= self.model.window_size:
+            features = ts_features.extract_features_batch(windows)
+            total = 0.0
+            for d, forest in enumerate(self.model.forests):
+                total += iforest.score_batch(forest, features[d:d + 1])[0]
+            score = float(total / self.model.num_dimensions)
+        return score, self.monitor.update(score)

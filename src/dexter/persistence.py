@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -119,6 +120,47 @@ def _merge_section(doc: dict, name: str, defaults: dict) -> dict:
     return merged
 
 
+def _finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _check_scenario_section(sc: dict):
+    """Type and range of every scenario field, so that a bad value is a
+    ConfigError naming its field instead of a failure while the scenario is
+    built. Ranges that depend on other fields (the injection window inside
+    the horizon, one scale per dimension) are checked by ScenarioConfig."""
+    def fail(key, expected):
+        raise ConfigError(f"scenario.{key} must be {expected}, got {sc[key]!r}")
+
+    enums = {"scenario": Scenario, "base_env": BaseEnv, "policy": PolicyKind,
+             "correlation_mode": CorrelationMode}
+    for key, enum in enums.items():
+        names = [member.value for member in enum]
+        if key == "policy" and sc[key] is None:
+            continue
+        if not (isinstance(sc[key], str) and sc[key] in names):
+            fail(key, f"one of {names}")
+    if type(sc["horizon"]) is not int:
+        fail("horizon", "an integer")
+    for key in ("phi", "innovation_sigma", "magnitude_scale"):
+        if not _finite_number(sc[key]):
+            fail(key, "a finite number")
+    if not abs(sc["phi"]) < 1:
+        fail("phi", "in (-1, 1) for a stationary process")
+    for key in ("innovation_sigma", "magnitude_scale"):
+        if not sc[key] > 0:
+            fail(key, "positive")
+    window = sc["injection_window"]
+    if window is not None and not (isinstance(window, (list, tuple)) and len(window) == 2
+                                   and all(type(v) is int for v in window)):
+        fail("injection_window", "null or a pair of integers")
+    # A zero scale silences the noise of its dimension.
+    scales = sc["per_dimension_scale"]
+    if scales is not None and not (isinstance(scales, (list, tuple))
+                                   and all(_finite_number(v) and v >= 0 for v in scales)):
+        fail("per_dimension_scale", "null or a list of finite non-negative numbers")
+
+
 @dataclass
 class RunConfig:
     """Validated, fully defaulted run configuration."""
@@ -209,6 +251,7 @@ def parse_config(doc: dict, seed_override: int | None = None, require_seed: bool
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
 
     scenario = _merge_section(doc, "scenario", _SCENARIO_DEFAULTS)
+    _check_scenario_section(scenario)
     evaluation = _merge_section(doc, "evaluation", _EVALUATION_DEFAULTS)
     bench = _merge_section(doc, "bench", _BENCH_DEFAULTS)
 
@@ -245,7 +288,7 @@ def parse_config(doc: dict, seed_override: int | None = None, require_seed: bool
         bench_section=bench,
         output_dir=doc.get("output_dir"),
     )
-    config.scenario_config()  # validates scenario invariants eagerly
+    config.scenario_config().scales()  # validates scenario invariants eagerly
     if not 0.0 < config.target_fpr < 1.0:
         raise ConfigError("evaluation.target_fpr must be in (0, 1)")
     return config

@@ -12,20 +12,33 @@ Degenerate (zero-variance) windows map autocorrelation, partial
 autocorrelation, and approximate entropy to 0 so every feature vector stays
 finite.
 
-A batch is computed in whole-array passes with no loop over window
-positions: both approximate-entropy embeddings take their Chebyshev
-distances from one (n, W, W) matrix of pairwise differences, one sort gives
-the median, and a running maximum gives the longest increasing run. Each
-statistic keeps the arithmetic of its plain NumPy formula (``mean``,
-``std``, ``median``, match fractions), so values are bit-identical to the
-per-template formulation, and a window extracted alone equals its row in any
-batch. At W = 10 one call takes about 0.18 ms for one window and 0.57 ms
-for 200 on a 2-vCPU VM (0.43 ms and 2.7 ms with per-template arrays and
-per-step loops; BENCH_5.json).
+A batch takes one of two paths, chosen by its size alone:
+
+- More than ``_PYTHON_PATH_VALUES`` values (windows x W) are computed in
+  whole-array passes with no loop over window positions: both
+  approximate-entropy embeddings take their Chebyshev distances from one
+  (n, W, W) matrix of pairwise differences, one sort gives the median, and
+  a running maximum gives the longest increasing run. Each statistic keeps
+  the arithmetic of its plain NumPy formula (``mean``, ``std``, ``median``,
+  match fractions), so values are bit-identical to the per-template
+  formulation.
+- A smaller batch, such as the one window per dimension that online
+  monitoring extracts, is computed row by row on Python floats, which skips
+  the fixed cost of the whole-array passes' hundred-odd NumPy calls. Every
+  sum replays NumPy's pairwise ``add.reduce`` (``_add_reduce``), the median
+  comes from ``sorted``, and approximate entropy counts template matches on
+  the bit masks of one W x W table |x_i - x_j| <= r. The spectrum and the
+  logarithms of the match fractions stay one NumPy call each over the
+  batch. A zero minimum or maximum is taken from NumPy's reduction, because
+  which signed zero it returns is NumPy's own choice.
+
+Either way a window extracted alone equals its row in any batch, bit for
+bit (BENCH_10.json times both paths).
 """
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -63,6 +76,12 @@ APEN_RADIUS_FACTOR = 0.2  # tolerance r = 0.2 * window std
 APEN_RADIUS_FLOOR = 1e-12
 
 _ZERO_VAR_EPS = 1e-24
+# Batches of at most this many values (windows x W) take the plain-Python
+# path. Its cost grows with every window (the match table with W^2), while
+# the NumPy path's floor of about 110 us hardly does. Timed both ways at
+# W = 4 to 32, the plain-Python path was faster up to about 24 values and
+# within about 10% either way from 24 to 32 (BENCH_10.json).
+_PYTHON_PATH_VALUES = 32
 
 
 def catalogue_manifest() -> dict:
@@ -125,6 +144,130 @@ def _approx_entropy(x: np.ndarray, std: np.ndarray) -> np.ndarray:
     return phi(dist) - phi(longer)
 
 
+def _add_reduce(values: list) -> float:
+    """NumPy's float ``add.reduce`` over one row of at most 128 values (one
+    pairwise block; NumPy halves longer rows first): fewer than eight are
+    added in order; more are dealt to eight running sums in blocks of eight,
+    combined pairwise, and the remainder is added in order. The result is
+    added to the +0.0 identity, so a zero sum is +0.0 (starting from 0.0
+    does that for the short case)."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for value in values[stop:]:
+        total += value
+    return 0.0 + total
+
+
+def _row_features(v: list, spectrum: list) -> list:
+    """The catalogue but approximate entropy for one window of Python
+    floats, given its absolute spectrum, with the arithmetic of
+    ``_extract_numpy``: every sum is ``_add_reduce``, every division and
+    square root is the same correctly rounded operation."""
+    w = len(v)
+    mean = _add_reduce(v) / w
+    xc = [value - mean for value in v]
+    c0 = _add_reduce([value * value for value in xc])
+    acf = [
+        _add_reduce([a * b for a, b in zip(xc[k:], xc)]) / c0 if k < w and c0 > _ZERO_VAR_EPS else 0.0
+        for k in range(1, 5)
+    ]
+    r1sq = acf[0] * acf[0]
+    denom = 1.0 - r1sq
+    diffs = [b - a for a, b in zip(v, v[1:])]
+    peaks = run = longest = 0
+    previous = 0.0
+    for diff in diffs:
+        if diff > 0:
+            run += 1
+            longest = max(longest, run)
+        else:
+            run = 0
+            peaks += diff < 0 and previous > 0
+        previous = diff
+    ordered = sorted(v)
+    h = w // 2
+    one_sided = spectrum[: h + 1]
+    total = _add_reduce(one_sided)
+    weighted = _add_reduce([magnitude * k for k, magnitude in enumerate(one_sided)])
+    return [
+        mean, math.sqrt(c0 / w), ordered[0], ordered[-1],
+        ordered[h] + 0.0 if w % 2 else (ordered[h - 1] + ordered[h] + 0.0) / 2,
+        float(peaks), _add_reduce([abs(diff) for diff in diffs]) / (w - 1),
+        _add_reduce([value * value for value in v]),
+        *acf, (acf[1] - r1sq) / denom if abs(denom) > _ZERO_VAR_EPS else 0.0,
+        float(sum(value > mean for value in v)), longest + 1.0,
+        spectrum[1], spectrum[2], spectrum[3], spectrum[4 % w],
+        weighted / total if total > _ZERO_VAR_EPS else 0.0,
+    ]
+
+
+def _template_matches(v: list, r: float) -> tuple:
+    """Per template, the number of templates (itself included) within
+    Chebyshev distance r, for embedding m and m + 1, as ``_approx_entropy``
+    counts them. Bit b of ``close[a]`` marks |x_a - x_b| <= r, so the
+    templates matching the one at a are the bits of ``close[a + k] >> k``
+    common to every k < m."""
+    w = len(v)
+    close = [1 << a for a in range(w)]
+    for a in range(w):
+        xa = v[a]
+        for b in range(a + 1, w):
+            if abs(xa - v[b]) <= r:
+                close[a] |= 1 << b
+                close[b] |= 1 << a
+    m = APEN_EMBEDDING
+    matches = close[:w - m + 1]
+    for k in range(1, m):
+        matches = [bits & (other >> k) for bits, other in zip(matches, close[k:])]
+    longer = [bits & (other >> m) for bits, other in zip(matches, close[m:])]
+    return [bits.bit_count() for bits in matches], [bits.bit_count() for bits in longer]
+
+
+def _extract_small(x: np.ndarray) -> np.ndarray:
+    """The features of a checked batch of a few windows, row by row on
+    Python floats, which skips the whole-array passes' fixed cost of about a
+    hundred NumPy calls. The spectrum and the logarithms of the match
+    fractions stay one NumPy call each over the whole batch, so their bits
+    cannot drift from the batch path's."""
+    rows, fractions = [], []
+    for v, spectrum in zip(x.tolist(), np.abs(np.fft.fft(x, axis=1)).tolist()):
+        row = _row_features(v, spectrum)
+        shorter, longer = _template_matches(v, max(APEN_RADIUS_FACTOR * row[1], APEN_RADIUS_FLOOR))
+        fractions += [c / len(shorter) for c in shorter] + [c / len(longer) for c in longer]
+        rows.append(row)
+    logs = np.log(fractions).tolist()
+    count = x.shape[1] - APEN_EMBEDDING + 1
+    per_row = 2 * count - 1
+    for i, row in enumerate(rows):
+        # Which zero a min or max reduction returns when the extreme is a
+        # zero of both signs is NumPy's own choice; ask it for that one value.
+        if row[2] == 0.0:
+            row[2] = float(x.min(axis=1)[i])
+        if row[3] == 0.0:
+            row[3] = float(x.max(axis=1)[i])
+        start = i * per_row
+        phi = _add_reduce(logs[start:start + count]) / count
+        phi_longer = _add_reduce(logs[start + count:start + per_row]) / (count - 1)
+        row.append(phi - phi_longer)
+    return np.array(rows).reshape(-1, FEATURE_COUNT)
+
+
 def extract_features_batch(windows: np.ndarray) -> np.ndarray:
     """Feature matrix of shape (num_windows, FEATURE_COUNT) for a batch of
     equal-length windows given as a (num_windows, W) array."""
@@ -136,7 +279,14 @@ def extract_features_batch(windows: np.ndarray) -> np.ndarray:
         raise WindowTooShortError(f"window size {w} < minimum {MIN_WINDOW}")
     if not np.isfinite(x).all():
         raise InvalidInputError("windows contain non-finite values")
+    if n * w <= _PYTHON_PATH_VALUES:
+        return _extract_small(x)
+    return _extract_numpy(x)
 
+
+def _extract_numpy(x: np.ndarray) -> np.ndarray:
+    """The features of a checked batch in whole-array passes."""
+    n, w = x.shape
     # A sum divided by its count is the arithmetic of ndarray.mean, and
     # sqrt(c0 / W) that of ndarray.std.
     mean = x.sum(axis=1) / w

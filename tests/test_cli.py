@@ -109,6 +109,12 @@ def test_invalid_config_fails_with_exit_code_1(tmp_path, capsys):
     cfg3.write_text(json.dumps(doc))
     assert main(["generate", "--config", str(cfg3), "--out", str(tmp_path / "ds3")]) == 1
 
+    cfg4 = tmp_path / "bad4.json"
+    write_config(cfg4, scenario={"per_dimension_scale": [1.0, 1.0]})
+    assert main(["generate", "--config", str(cfg4), "--out", str(tmp_path / "ds4")]) == 1
+    assert "per_dimension_scale" in capsys.readouterr().err
+    assert not (tmp_path / "ds4").exists()
+
 
 @pytest.mark.parametrize("section, value", [
     ("detector", 5), ("scenario", 5), ("evaluation", [1]), ("bench", "all"),
@@ -116,6 +122,14 @@ def test_invalid_config_fails_with_exit_code_1(tmp_path, capsys):
     ("bench", {"correlation_modes": ["bogus"]}), ("evaluation", {"master_seed": "x"}),
     ("evaluation", {"master_seed": True}), ("evaluation", {"num_train": "many"}),
     ("evaluation", {"num_test": 2.5}), ("evaluation", {"target_fpr": "x"}),
+    ("scenario", {"scenario": "bogus"}), ("scenario", {"base_env": 3}),
+    ("scenario", {"policy": "bogus"}), ("scenario", {"correlation_mode": "bogus"}),
+    ("scenario", {"horizon": "x"}), ("scenario", {"horizon": 200.0}),
+    ("scenario", {"phi": "x"}), ("scenario", {"phi": 1.5}), ("scenario", {"phi": -1.0}),
+    ("scenario", {"innovation_sigma": 0.0}), ("scenario", {"magnitude_scale": -1}),
+    ("scenario", {"magnitude_scale": True}), ("scenario", {"injection_window": 5}),
+    ("scenario", {"injection_window": [10]}), ("scenario", {"injection_window": [10, "x"]}),
+    ("scenario", {"per_dimension_scale": 1.0}), ("scenario", {"per_dimension_scale": [-1.0]}),
 ])
 def test_mistyped_config_sections_fail_with_exit_code_1(tmp_path, capsys, section, value):
     cfg = tmp_path / "bad.json"

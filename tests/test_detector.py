@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dexter import isolation_forest as iforest
 from dexter.ar_noise import ARProcessSpec
 from dexter.cusum import CusumDetector, first_alert_step
-from dexter.detector import DexterModel, calibrate, detect_online, score_stream, train
+from dexter.detector import DexterModel, DexterStream, calibrate, detect_online, score_stream, train
 from dexter.environments import BaseEnv, Scenario, ScenarioConfig, builtin_policy, run_episode
 from dexter.errors import ConfigError, DataError, IncompatibleModelError
 from dexter.seeding import child_seed
@@ -174,3 +176,66 @@ def test_cusum_detector_fields_after_calibration(arts_model):
     assert isinstance(detector, CusumDetector)
     assert 0.0 < detector.mean_score_abar < 1.0
     assert detector.target_fpr == 0.1
+
+
+@st.composite
+def stream_cases(draw):
+    """A small model of 1, 4 or 6 dimensions and window 4..16, a CUSUM rule,
+    and an episode of random-walk observations (of 1, W - 1, W, 30 or 60
+    steps, possibly with a level shift, an exact zero or ties from rounding)
+    at a magnitude between 1e-3 and 1e3."""
+    dims, window = draw(st.sampled_from([1, 4, 6])), draw(st.integers(4, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    train_eps = [np.cumsum(rng.normal(size=(4 * window, dims)), axis=0) * scale for _ in range(2)]
+    model = train(train_eps, window_size=window, num_trees=draw(st.integers(1, 12)),
+                  seed=draw(st.integers(0, 1000)))
+    length = draw(st.sampled_from([1, window - 1, window, 30, 60]))
+    episode = np.cumsum(rng.normal(size=(length, dims)), axis=0)
+    episode[len(episode) // 2:] += draw(st.sampled_from([0.0, 5.0]))
+    if draw(st.booleans()):
+        episode = np.round(episode)
+        episode[0, 0] = -0.0
+    decision = CusumDetector(mean_score_abar=draw(st.floats(0.3, 0.6)),
+                             threshold_tau=draw(st.floats(0.0, 1.0)), target_fpr=0.05)
+    return model, decision, episode * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream_cases())
+def test_stream_equals_score_stream_and_first_alert_bit_for_bit(case):
+    model, decision, episode = case
+    stream = DexterStream(model, decision)
+    pushed = [stream.push(observation) for observation in episode]
+    scores = np.array([score for score, _ in pushed])
+    expected = score_stream(model, episode).scores
+    assert np.array_equal(scores.view(np.int64), expected.view(np.int64))
+    alerts = [alerted for _, alerted in pushed]
+    first = next((t for t, alerted in enumerate(alerts) if alerted), None)
+    assert first == first_alert_step(decision, expected)
+    assert all(alerts[first:]) if first is not None else not any(alerts)
+
+
+def test_stream_refuses_bad_observations_and_keeps_its_state(arts_model):
+    cfg, policy, episodes, model = arts_model
+    decision = CusumDetector(mean_score_abar=0.4, threshold_tau=0.5, target_fpr=0.05)
+    ep = run_episode(cfg, policy, seed=4242)
+    stream = DexterStream(model, decision)
+    pushed = []
+    for t, observation in enumerate(ep.observations):
+        if t == 15:
+            for bad in ([np.nan], [np.inf], ["x"], None):
+                with pytest.raises(DataError):
+                    stream.push(bad)
+            for wrong in ([1.0, 2.0], [], [[1.0]]):
+                with pytest.raises(IncompatibleModelError):
+                    stream.push(wrong)
+        pushed.append(stream.push(observation))
+    scores = np.array([score for score, _ in pushed])
+    assert np.array_equal(scores.view(np.int64), score_stream(model, ep).scores.view(np.int64))
+    tampered = DexterModel(forests=model.forests, window_size=model.window_size,
+                           feature_manifest_hash="bogus")
+    with pytest.raises(IncompatibleModelError):
+        DexterStream(tampered, decision)
+    with pytest.raises(ConfigError):
+        DexterStream(model, None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dexter import ts_features
 from dexter.errors import InvalidInputError, WindowTooShortError
 from dexter.ts_features import (
     FEATURE_COUNT,
@@ -132,7 +133,7 @@ def reference_features_batch(x):
 def window_batches(draw):
     """(n, W) batches, W in 4..32 and n in 1..64: small integers held over
     random plateaus (ties), or scaled random walks; some or all rows made
-    constant; every zero given a random sign."""
+    constant; every zero given a random sign, or every zero made -0.0."""
     w, n = draw(st.integers(4, 32)), draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sign = draw(st.sampled_from([1.0, -1.0]))
@@ -147,7 +148,7 @@ def window_batches(draw):
     x[constant] = x[constant, :1]
     x *= sign
     zeros = x == 0
-    x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    x[zeros] = np.where(rng.random(zeros.sum()) < draw(st.sampled_from([0.5, 1.0])), -0.0, 0.0)
     return x
 
 
@@ -242,6 +243,15 @@ def test_approx_entropy_matches_brute_force():
         assert feats[i, IDX["approx_entropy"]] == pytest.approx(expected, abs=1e-9)
 
 
+def test_approx_entropy_counts_a_distance_of_exactly_r_as_a_match():
+    window = np.array([[-6.0, -1.0, 6.0, 6.0, 5.0, 3.0, -6.0, 6.0, -6.0, 3.0]])
+    r = 0.2 * window.std()
+    assert r == 1.0 and (np.abs(window[0, :, None] - window[0]) == r).any()
+    expected = reference_features_batch(window).view(np.int64)
+    for path in (ts_features._extract_numpy, ts_features._extract_small):
+        assert np.array_equal(path(window).view(np.int64), expected)
+
+
 def test_shift_covariance():
     rng = np.random.default_rng(4)
     shift = 3.7
@@ -271,19 +281,57 @@ def test_batch_matches_single_extraction():
 @settings(max_examples=300, deadline=None)
 @given(window_batches())
 def test_batch_equals_reference_bit_for_bit(x):
-    bits = extract_features_batch(x).view(np.int64)
-    assert np.array_equal(bits, reference_features_batch(x).view(np.int64))
+    bits = reference_features_batch(x).view(np.int64)
+    assert np.array_equal(extract_features_batch(x).view(np.int64), bits)
+    for path in (ts_features._extract_numpy, ts_features._extract_small):
+        assert np.array_equal(path(x).view(np.int64), bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_batches())
+def test_row_alone_equals_row_of_large_batch_bit_for_bit(x):
+    """Every drawn window alone takes the plain-Python path (W <= 32); the
+    batch, repeated past the crossover, takes the NumPy path."""
+    batch = np.concatenate([x] * (ts_features._PYTHON_PATH_VALUES // x.size + 1))
+    assert batch.size > ts_features._PYTHON_PATH_VALUES >= x.shape[1]
+    bits = extract_features_batch(batch).view(np.int64)
     for i in range(x.shape[0]):
         assert np.array_equal(extract_features_batch(x[i:i + 1]).view(np.int64), bits[i:i + 1])
 
 
+@pytest.mark.parametrize("shape, path", [
+    ((4, 8), "_extract_small"), ((1, 32), "_extract_small"), ((2, 16), "_extract_small"),
+    ((3, 11), "_extract_numpy"), ((1, 33), "_extract_numpy"), ((0, 10), "_extract_small"),
+])
+def test_path_choice_at_the_crossover(monkeypatch, shape, path):
+    """Up to 32 values (windows x W) take the plain-Python path, 33 the
+    NumPy one; both give the reference's bits, and an empty batch keeps its
+    (0, FEATURE_COUNT) shape."""
+    assert ts_features._PYTHON_PATH_VALUES == 32
+    taken = []
+    for name in ("_extract_small", "_extract_numpy"):
+        real = getattr(ts_features, name)
+        monkeypatch.setattr(ts_features, name, lambda x, name=name, real=real: taken.append(name) or real(x))
+    x = np.cumsum(np.random.default_rng(8).normal(size=shape), axis=1)
+    feats = extract_features_batch(x)
+    assert taken == [path] and feats.shape == (shape[0], FEATURE_COUNT)
+    assert np.array_equal(feats.view(np.int64), reference_features_batch(x).view(np.int64))
+
+
 def test_input_validation():
-    with pytest.raises(WindowTooShortError):
-        extract_one([1.0, 2.0, 3.0])
-    with pytest.raises(InvalidInputError):
-        extract_one([1.0, np.nan, 2.0, 3.0])
-    with pytest.raises(InvalidInputError):
-        extract_one([[1.0, 2.0], [3.0, 4.0]])
+    """The checks run before either path is chosen: one window of W <= 32
+    would take the plain-Python path, 40 windows the NumPy one."""
+    for num_windows in (1, 40):
+        with pytest.raises(WindowTooShortError):
+            extract_features_batch(np.ones((num_windows, 3)))
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.ones((num_windows, 5))
+            x[-1, 1] = bad
+            with pytest.raises(InvalidInputError):
+                extract_features_batch(x)
+        for not_2d in (np.ones(num_windows * 5), np.ones((num_windows, 5, 1))):
+            with pytest.raises(InvalidInputError):
+                extract_features_batch(not_2d)
 
 
 def test_purity_and_determinism():
