@@ -80,10 +80,23 @@ def _load_dataset(dataset_dir: str):
     manifest_path = os.path.join(dataset_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise ConfigError(f"dataset manifest not found: {manifest_path}")
-    manifest = persistence.read_json(manifest_path)
-    episodes = {}
-    for key, name in manifest["files"]["paths"].items():
-        episodes[key] = persistence.load_episodes(os.path.join(dataset_dir, name))
+    try:
+        manifest = persistence.read_json(manifest_path)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ConfigError(f"dataset manifest {manifest_path} is not JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"dataset manifest {manifest_path} is not a JSON object")
+    for key in ("files", "config", "config_hash"):
+        if key not in manifest:
+            raise ConfigError(f"dataset manifest {manifest_path} is missing {key!r}")
+    paths = manifest["files"].get("paths") if isinstance(manifest["files"], dict) else None
+    if not isinstance(paths, dict):
+        raise ConfigError(f"dataset manifest {manifest_path} is missing 'files.paths'")
+    for key in DATASET_FILES:
+        if not isinstance(paths.get(key), str):
+            raise ConfigError(f"dataset manifest {manifest_path} is missing the {key!r} bank")
+    episodes = {key: persistence.load_episodes(os.path.join(dataset_dir, paths[key]))
+                for key in DATASET_FILES}
     return manifest, episodes
 
 
@@ -133,7 +146,7 @@ def cmd_evaluate(args) -> int:
 
     result = evaluation.measure_detector(
         trained, episodes["test_injected"], episodes["test_clean"],
-        horizon=scenario_cfg.horizon, warmup=trained.warmup,
+        horizon=scenario_cfg.horizon,
         scenario_id=f"{scenario_cfg.scenario.value}/{scenario_cfg.noise_post.correlation_mode.value}",
         master_seed=data_config.master_seed, target_fpr=data_config.target_fpr,
         counts=data_config.counts(),

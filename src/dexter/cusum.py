@@ -64,8 +64,17 @@ class CusumDetector:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CusumDetector":
-        return cls(**{name: finite_field(d, name, "cusum detector")
-                      for name in ("mean_score_abar", "threshold_tau", "target_fpr")})
+        """The rule of a model document. Calibration yields a threshold of at
+        least 0 (a percentile of running maxima of a statistic clamped at 0)
+        and a target in (0, 1), so a document holding anything else is
+        refused."""
+        detector = cls(**{name: finite_field(d, name, "cusum detector")
+                          for name in ("mean_score_abar", "threshold_tau", "target_fpr")})
+        if detector.threshold_tau < 0.0:
+            raise IncompatibleModelError(f"cusum detector threshold_tau {detector.threshold_tau} < 0")
+        if not 0.0 < detector.target_fpr < 1.0:
+            raise IncompatibleModelError(f"cusum detector target_fpr {detector.target_fpr} outside (0, 1)")
+        return detector
 
 
 def clamped_step(statistic: float, score: float, mean: float) -> float:

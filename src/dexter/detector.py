@@ -96,7 +96,8 @@ def train(dataset, window_size: int = DEFAULT_WINDOW, num_trees: int = iforest.D
 
     Every per-dimension forest is trained on that dimension's feature vectors
     pooled over all episodes' non-overlapping windows. Episodes shorter than
-    the window are rejected.
+    the window, and observations so large that their features overflow, are
+    rejected.
     """
     episodes = list(dataset)
     if not episodes:
@@ -125,8 +126,13 @@ def train(dataset, window_size: int = DEFAULT_WINDOW, num_trees: int = iforest.D
     manifest_hash = ts_features.catalogue_hash()
     forests = []
     for d in range(num_dims):
+        features = np.concatenate(per_dim_features[d])
+        # Finite observations of magnitude above ~1e154 overflow the
+        # squared-value features; a forest split on them is meaningless.
+        if not np.isfinite(features).all():
+            raise DataError(f"dimension {d}: window features overflow; observations are too large")
         model = iforest.fit(
-            np.concatenate(per_dim_features[d]),
+            features,
             num_trees=num_trees,
             subsample=subsample,
             seed=forest_seed,

@@ -15,12 +15,11 @@ set. Everything is a deterministic function of the master seed.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import baselines, detector as dexter_detector
-from .cusum import CusumDetector
+from . import baselines, cusum, detector as dexter_detector
 from .environments import BaseEnv, PolicyKind, ScenarioConfig, builtin_policy, estimate_dimension_scales, run_episode
 from .errors import ConfigError, IncompatibleModelError, UndefinedMetricError
 from .seeding import child_seed
@@ -138,14 +137,8 @@ class _Dexter:
     def load(self, doc):
         return dexter_detector.DexterModel.from_json_dict(doc)
 
-    def calibrate(self, trained, episodes, target_fpr, seed):
-        trained.decision = dexter_detector.calibrate(trained.model, episodes, target_fpr, seed=seed)
-
     def scores(self, model, episode):
         return dexter_detector.score_stream(model, episode).scores[1:]
-
-    def alert_step(self, trained, episode):
-        return dexter_detector.detect_online(trained.decision, trained.model, episode).alert_step
 
     def window_size(self, model):
         return model.window_size
@@ -164,14 +157,8 @@ class _Pedm:
     def load(self, doc):
         return baselines.DynamicsModelEnsemble.from_json_dict(doc)
 
-    def calibrate(self, trained, episodes, target_fpr, seed):
-        trained.decision = baselines.pedm_cusum(trained.model, episodes, target_fpr, seed=seed)
-
     def scores(self, model, episode):
         return baselines.pedm_episode_scores(model, episode)
-
-    def alert_step(self, trained, episode):
-        return baselines.pedm_detect_online(trained.decision, trained.model, episode)
 
     def window_size(self, model):
         return dexter_detector.DEFAULT_WINDOW
@@ -206,7 +193,8 @@ class _MeanShift:
 
 
 # The detector kinds by name. ``cusum`` marks the kinds decided by the shared
-# CUSUM rule over their transition scores.
+# CUSUM rule over their transition scores, which ``TrainedDetector`` runs;
+# the other kinds bring their own ``calibrate`` and ``alert_step``.
 DETECTORS = {"dexter": _Dexter(), "pedm": _Pedm(), "meanshift": _MeanShift()}
 
 
@@ -222,10 +210,10 @@ class TrainedDetector:
     Exposes per-transition scores (entry i scores the transition into
     observation i+1; NaN where undefined) and online alert steps reported as
     destination observation indices, so all detectors compare on the same
-    timeline.
+    timeline. A CUSUM kind is calibrated and alerts on those scores alone.
     """
 
-    def __init__(self, kind: str, params: dict, model=None, decision: CusumDetector | None = None):
+    def __init__(self, kind: str, params: dict, model=None, decision: cusum.CusumDetector | None = None):
         self.impl = _detector(kind)
         self.kind = kind
         self.params = dict(params)
@@ -251,7 +239,15 @@ class TrainedDetector:
     def alert_step(self, episode) -> int | None:
         if not self.calibrated():
             raise ConfigError(f"{self.kind} detector is not calibrated")
+        if self.impl.cusum:
+            return self.cusum_alert(self.transition_scores(episode))
         return self.impl.alert_step(self, episode)
+
+    def cusum_alert(self, scores) -> int | None:
+        """A calibrated CUSUM kind's alert step on an episode's transition
+        ``scores``: the destination of the first crossing, or None."""
+        step = cusum.first_alert_step(self.decision, scores)
+        return None if step is None else step + 1
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -273,7 +269,7 @@ class TrainedDetector:
             raise IncompatibleModelError(f"malformed detector document: {exc}") from None
         impl = DETECTORS[doc["kind"]]
         model = None if doc.get("model") is None else impl.load(doc["model"])
-        decision = None if doc.get("cusum") is None else CusumDetector.from_json_dict(doc["cusum"])
+        decision = None if doc.get("cusum") is None else cusum.CusumDetector.from_json_dict(doc["cusum"])
         return cls(doc["kind"], params, model=model, decision=decision)
 
 
@@ -306,7 +302,11 @@ def train_detector(kind: str, train_episodes, params: dict | None = None, seed: 
 def calibrate_detector(trained: TrainedDetector, validation_episodes, target_fpr: float,
                        seed: int = 0) -> TrainedDetector:
     """Calibrate ``trained`` in place on clean validation episodes; returns it."""
-    trained.impl.calibrate(trained, validation_episodes, target_fpr, seed)
+    if trained.impl.cusum:
+        trained.decision = cusum.calibrate_from_streams(
+            [trained.transition_scores(ep) for ep in validation_episodes], target_fpr, seed=seed)
+    else:
+        trained.impl.calibrate(trained, validation_episodes, target_fpr, seed)
     return trained
 
 
@@ -350,15 +350,7 @@ def resolve_scales(config: ScenarioConfig, policy, master_seed: int) -> Scenario
         config.base_env, policy, num_episodes=50, horizon=config.horizon,
         seed=child_seed(master_seed, "dimension_scales"),
     )
-    return ScenarioConfig(
-        scenario=config.scenario,
-        base_env=config.base_env,
-        noise_pre=config.noise_pre,
-        noise_post=config.noise_post,
-        injection_window=config.injection_window,
-        horizon=config.horizon,
-        per_dimension_scale=tuple(float(s) for s in scales),
-    )
+    return replace(config, per_dimension_scale=tuple(float(s) for s in scales))
 
 
 def generate_episodes(config: ScenarioConfig, policy, bank: str, count: int, master_seed: int,
@@ -369,10 +361,10 @@ def generate_episodes(config: ScenarioConfig, policy, bank: str, count: int, mas
     ]
 
 
-def _labeled_transitions(trained: TrainedDetector, episode, warmup: int):
-    """One episode's (scores, labels) after its first ``warmup`` transitions,
-    with undefined (NaN) scores dropped."""
-    scores = trained.transition_scores(episode)[warmup:]
+def _labeled_transitions(scores: np.ndarray, episode, warmup: int):
+    """One episode's transition (scores, labels) after its first ``warmup``
+    transitions, with undefined (NaN) scores dropped."""
+    scores = scores[warmup:]
     labels = np.asarray(episode.labels, dtype=bool)[warmup:]
     keep = ~np.isnan(scores)
     return scores[keep], labels[keep]
@@ -389,21 +381,22 @@ def pooled_scores(trained: TrainedDetector, episodes, warmup: int) -> LabeledSco
     """Per-transition scores pooled across episodes, excluding the first
     ``warmup`` transitions of each episode (undefined-window region applied
     symmetrically to every detector)."""
-    return _pool([_labeled_transitions(trained, ep, warmup) for ep in episodes])
+    return _pool([_labeled_transitions(trained.transition_scores(ep), ep, warmup) for ep in episodes])
 
 
 def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, horizon: int,
-                     warmup: int, scenario_id: str, master_seed: int, target_fpr: float,
-                     counts: EpisodeCounts, num_unusable: int = 0) -> ExperimentResult:
-    """Metric bundle for an already trained and calibrated detector: pooled
-    and per-episode AUROC on injected episodes, detection time, and the
-    clean-episode false-positive rate."""
+                     scenario_id: str, master_seed: int, target_fpr: float,
+                     counts: EpisodeCounts) -> ExperimentResult:
+    """Metric bundle for a trained and calibrated detector: pooled and
+    per-episode AUROC after the first ``trained.warmup`` transitions and
+    detection time on the usable injected episodes, and the false-positive
+    rate on the clean ones. Each injected episode is scored once; a CUSUM
+    kind alerts on the scores the AUROCs use."""
+    if not trained.calibrated():
+        raise ConfigError(f"{trained.kind} detector is not calibrated")
     usable = [ep for ep in test_episodes if ep.usable]
-    num_unusable += len(test_episodes) - len(usable)
-
-    # Each episode is scored once for both AUROCs; alert_step below repeats
-    # the scoring because it is the full online decision.
-    parts = [_labeled_transitions(trained, ep, warmup) for ep in usable]
+    streams = [trained.transition_scores(ep) for ep in usable]
+    parts = [_labeled_transitions(s, ep, trained.warmup) for s, ep in zip(streams, usable)]
     pooled = _pool(parts)
     raw = auroc_raw(pooled.scores, pooled.labels)
 
@@ -413,7 +406,8 @@ def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, ho
             r = auroc_raw(scores, labels)
             per_ep_vals.append(max(r, 1.0 - r))
 
-    alert_steps = [trained.alert_step(ep) for ep in usable]
+    alert_steps = [trained.cusum_alert(s) if trained.impl.cusum else trained.alert_step(ep)
+                   for s, ep in zip(streams, usable)]
     injections = [ep.injection_time for ep in usable]
     dt = detection_time(alert_steps, injections, horizon)
 
@@ -442,10 +436,10 @@ def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, ho
         num_pre_injection_alerts=dt.num_pre_injection_alerts,
         fpr_measured=float(fpr_measured),
         num_test_episodes=len(usable),
-        num_unusable_episodes=num_unusable,
+        num_unusable_episodes=len(test_episodes) - len(usable),
         master_seed=int(master_seed),
         target_fpr=float(target_fpr),
-        warmup_excluded_transitions=warmup,
+        warmup_excluded_transitions=trained.warmup,
         counts=counts,
         detector_params=dict(trained.params),
         per_episode=per_episode,
@@ -470,7 +464,7 @@ def run_experiment(config: ScenarioConfig, detector_kind: str, master_seed: int,
     calibrate_detector(trained, val_eps, target_fpr, seed=child_seed(master_seed, "calibration"))
 
     return measure_detector(
-        trained, test_eps, clean_test_eps, config.horizon, trained.warmup,
+        trained, test_eps, clean_test_eps, config.horizon,
         scenario_id=scenario_id or f"{config.scenario.value}/{config.noise_post.correlation_mode.value}",
         master_seed=master_seed, target_fpr=target_fpr, counts=counts,
     )

@@ -158,13 +158,15 @@ def _pack(nodes, feature_count: int, subsample_size: int):
     first node. A leaf has feature, left and right all -1; an internal node
     splits on a feature below ``feature_count`` and its children are
     positions within its tree, after it. Every node but a root has exactly
-    one parent, and every size lies in [1, subsample_size]. Anything else
-    raises :class:`IncompatibleModelError`.
+    one parent, every threshold is finite and every size lies in
+    [1, subsample_size]. Anything else raises :class:`IncompatibleModelError`.
     """
     feature, left, right, size, roots = (
         _column(nodes, name, "i").astype(np.int64)
         for name in ("feature", "left", "right", "size", "roots"))
     threshold = _column(nodes, "threshold", "if").astype(float)
+    if not np.isfinite(threshold).all():
+        raise IncompatibleModelError("isolation forest 'threshold' holds a non-finite value")
     n = len(feature)
     if any(len(column) != n for column in (threshold, left, right, size)):
         raise IncompatibleModelError("isolation forest columns differ in length")

@@ -93,7 +93,6 @@ def _build_bundle(scenario: Scenario, base_env: BaseEnv, scale: float, counts: E
                                seed=child_seed(MASTER_SEED, "calibration"))
             result = measure_detector(
                 trained, banks["test"], banks["clean_test"], config.horizon,
-                warmup=dexter_params["window_size"] - 1,
                 scenario_id=f"{scenario.value}/{mode}", master_seed=MASTER_SEED,
                 target_fpr=0.01, counts=counts,
             )

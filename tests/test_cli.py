@@ -253,6 +253,8 @@ def test_evaluate_refuses_malformed_baseline_and_cusum_documents(workspace, caps
         ("pedm", {"kind": "pedm", "model": {}}, "coefficients"),
         ("meanshift", {"kind": "meanshift", "model": {}}, "reference_mean"),
         ("cusum", {"kind": "dexter", "model": None, "cusum": {}}, "mean_score_abar"),
+        ("negative_tau", {**doc["detector"], "cusum": {**doc["detector"]["cusum"], "threshold_tau": -1.0}},
+         "threshold_tau"),
     )
     for name, bad, field in cases:
         path = tmp / f"{name}.json"
@@ -278,6 +280,40 @@ def test_train_refuses_malformed_episode_records(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "labels" in err
     assert "Traceback" not in err
+
+
+def test_malformed_dataset_manifests_fail_with_exit_code_1(workspace, capsys):
+    tmp, cfg = workspace
+    ds, model = tmp / "ds", tmp / "model.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(ds)]) == 0
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(model)]) == 0
+    manifest_path = ds / "manifest.json"
+    good = json.loads(manifest_path.read_text(encoding="utf-8"))
+    capsys.readouterr()
+
+    def without_bank(bank):
+        paths = {k: v for k, v in good["files"]["paths"].items() if k != bank}
+        return json.dumps({**good, "files": {**good["files"], "paths": paths}})
+
+    cases = [
+        ("{", "not JSON"),
+        (b"\xff\xfe", "not JSON"),
+        ("[]", "not a JSON object"),
+        (json.dumps({k: v for k, v in good.items() if k != "files"}), "'files'"),
+        (json.dumps({k: v for k, v in good.items() if k != "config"}), "'config'"),
+        (json.dumps({k: v for k, v in good.items() if k != "config_hash"}), "'config_hash'"),
+        (json.dumps({**good, "files": {}}), "'files.paths'"),
+        (json.dumps({**good, "files": ["train.jsonl"]}), "'files.paths'"),
+    ] + [(without_bank(bank), repr(bank))
+         for bank in ("train", "validation", "test_injected", "test_clean")]
+    for text, message in cases:
+        manifest_path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        for command in (["train", "--out", str(tmp / "m.json")],
+                        ["evaluate", "--model", str(model), "--out", str(tmp / "r")]):
+            assert main(command + ["--config", str(cfg), "--dataset", str(ds)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(manifest_path) in err and message in err
+            assert "Traceback" not in err
 
 
 def test_json_files_are_streamed_atomically(tmp_path):

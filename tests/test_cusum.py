@@ -188,3 +188,15 @@ def test_detector_json_rejects_missing_and_non_numeric_fields(value):
             CusumDetector.from_json_dict({k: v for k, v in doc.items() if k != field})
     with pytest.raises(IncompatibleModelError):
         CusumDetector.from_json_dict(None)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("threshold_tau", -1.0), ("threshold_tau", -1e-300),
+    ("target_fpr", 0.0), ("target_fpr", 1.0), ("target_fpr", -0.01), ("target_fpr", 1.5),
+])
+def test_detector_json_rejects_thresholds_calibration_cannot_produce(field, value):
+    doc = CusumDetector(mean_score_abar=0.451, threshold_tau=2.75, target_fpr=0.01).to_json_dict()
+    with pytest.raises(IncompatibleModelError, match=field):
+        CusumDetector.from_json_dict({**doc, field: value})
+    edge = {**doc, "threshold_tau": 0.0}  # all running maxima 0 calibrates to tau 0
+    assert CusumDetector.from_json_dict(edge).threshold_tau == 0.0

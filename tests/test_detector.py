@@ -79,6 +79,10 @@ def test_training_rejects_short_and_empty_datasets():
     good = rng.normal(size=(40, 2))
     with pytest.raises(DataError, match="indices \\[1\\]"):
         train([good, short], window_size=10, num_trees=5, subsample=4)
+    huge = good.copy()
+    huge[:10, 1] = [1e300, -1e300] * 5  # finite, but the squared values overflow
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DataError, match="dimension 1"):
+        train([good, huge], window_size=10, num_trees=5, subsample=4)
 
 
 def test_dimension_and_catalogue_compatibility(arts_model):

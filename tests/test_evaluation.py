@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -240,3 +242,73 @@ def test_malformed_detector_documents_are_rejected():
                                              "forests": []}}):
         with pytest.raises(IncompatibleModelError):
             TrainedDetector.from_json_dict(doc)
+
+
+def _truncated(episode, length):
+    return dataclasses.replace(episode, observations=episode.observations[:length],
+                               actions=episode.actions[:length - 1], labels=episode.labels[:length - 1])
+
+
+@pytest.mark.parametrize("kind", ["dexter", "pedm"])
+def test_cusum_kinds_decide_like_their_reference_functions_bit_for_bit(kind):
+    """The harness calibrates and alerts both CUSUM kinds on their transition
+    scores; ``detector.calibrate``/``detect_online`` and
+    ``baselines.pedm_cusum``/``pedm_detect_online`` are the references."""
+    from dexter import baselines, detector
+    from dexter.cusum import CusumDetector
+    from dexter.environments import builtin_policy
+    from dexter.evaluation import generate_episodes, measure_detector
+
+    cfg = arts_cfg()
+    policy = builtin_policy(cfg.base_env, "random")
+    train = generate_episodes(cfg, policy, "train", 12, 4, inject=False)
+    injected = generate_episodes(cfg, policy, "test", 6, 4, inject=True)
+    clean = generate_episodes(cfg, policy, "clean_test", 6, 4, inject=False)
+    # Shorter than the window (no defined dexter score) and one observation
+    # (no transition at all).
+    odd = [_truncated(ep, n) for ep in (injected[0], clean[0]) for n in (9, 5, 1)]
+    episodes = injected + clean + odd
+
+    params = {"num_trees": 10, "subsample_cap": 100} if kind == "dexter" else None
+    trained = train_detector(kind, train, params, seed=2)
+    if kind == "dexter":
+        def reference_calibration(eps, seed):
+            return detector.calibrate(trained.model, eps, 0.2, seed=seed)
+
+        def reference_alert(decision, ep):
+            return detector.detect_online(decision, trained.model, ep).alert_step
+    else:
+        def reference_calibration(eps, seed):
+            return baselines.pedm_cusum(trained.model, eps, 0.2, seed=seed)
+
+        def reference_alert(decision, ep):
+            return baselines.pedm_detect_online(decision, trained.model, ep)
+
+    for validation in (clean + injected, clean + odd, episodes):
+        for seed in (0, 1):
+            calibrate_detector(trained, validation, 0.2, seed=seed)
+            expected = reference_calibration(validation, seed)
+            assert trained.decision.mean_score_abar.hex() == expected.mean_score_abar.hex()
+            assert trained.decision.threshold_tau.hex() == expected.threshold_tau.hex()
+
+    calibrated = trained.decision
+    # A zero threshold alerts at the first score above the reference, which
+    # pins the shift from transition index to destination observation.
+    seen = set()
+    for decision in (calibrated, CusumDetector(calibrated.mean_score_abar, 0.0, 0.2),
+                     CusumDetector(calibrated.mean_score_abar, 10.0 * calibrated.threshold_tau, 0.2)):
+        trained.decision = decision
+        alerts = [trained.alert_step(ep) for ep in episodes]
+        assert alerts == [reference_alert(decision, ep) for ep in episodes]
+        assert alerts[:len(injected)] == [trained.cusum_alert(trained.transition_scores(ep))
+                                          for ep in injected]
+        assert all(alert is None for alert in alerts[-len(odd):][2::3])  # one observation
+        seen.update(alert is None for alert in alerts)
+    assert seen == {True, False}
+
+    trained.decision = calibrated
+    result = measure_detector(trained, injected, clean, cfg.horizon, scenario_id="arts/one_step",
+                              master_seed=4, target_fpr=0.2, counts=SMALL)
+    assert [row["alert_step"] for row in result.per_episode] == [reference_alert(calibrated, ep)
+                                                                 for ep in injected]
+    assert result.fpr_measured == sum(reference_alert(calibrated, ep) is not None for ep in clean) / len(clean)

@@ -263,6 +263,8 @@ def test_malformed_model_trees_are_rejected():
         "size zero": put("size", leaf, 0),
         "fractional index": put("left", start, 1.5),
         "nested column": put("threshold", start, [0.5]),
+        "infinite threshold": put("threshold", start, float("inf")),
+        "NaN threshold on a leaf": put("threshold", leaf, float("nan")),
         "text column": put("size", start, "16"),
         "not a list": set_roots(None),
     }
