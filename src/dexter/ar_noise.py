@@ -117,25 +117,18 @@ def _recurse(out, phi, mu, innovations, start):
 
 
 def generate_series(spec: ARProcessSpec, length: int, seed: int) -> np.ndarray:
-    """Draw ``length`` samples of the stationary AR process.
+    """Draw ``length`` samples of the stationary AR process: the
+    no-injection case of :func:`spliced_series`.
 
     Returns the burned-in series multiplied by ``spec.magnitude_scale``.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    burn = burn_in_length(spec.order_p)
-    total = burn + length
-    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    eps = rng.normal(0.0, 1.0, total) * spec.innovation_sigma
-    y = np.zeros(total)
-    _recurse(y, spec.coefficients_phi, spec.mean_mu, eps, 0)
-    return y[burn:] * spec.magnitude_scale
+    return spliced_series(spec, spec, None, length, seed)
 
 
 def spliced_series(
     pre_spec: ARProcessSpec,
     post_spec: ARProcessSpec,
-    injection_step: int,
+    injection_step: int | None,
     length: int,
     seed: int,
 ) -> np.ndarray:
@@ -146,10 +139,14 @@ def spliced_series(
     seeded from the last realized pre-injection values. The post segment's
     innovations are rescaled so its stationary standard deviation equals the
     pre segment's: only the correlation changes at the injection, never the
-    noise level. With ``pre_spec == post_spec`` the splice degenerates to an
+    noise level. With ``injection_step=None`` the whole series follows
+    ``pre_spec``; with ``pre_spec == post_spec`` the splice degenerates to an
     ordinary draw of the process.
     """
-    if not 0 < injection_step < length:
+    if injection_step is None:
+        if length < 1:
+            raise ValueError("length must be >= 1")
+    elif not 0 < injection_step < length:
         raise SpliceError(f"injection_step must lie in (0, {length}), got {injection_step}")
     if pre_spec.innovation_sigma != post_spec.innovation_sigma:
         raise SpliceError("pre and post specs must share innovation_sigma")
@@ -164,17 +161,18 @@ def spliced_series(
     eps = rng.normal(0.0, 1.0, total)
 
     y = np.zeros(total)
-    split = burn + injection_step
+    split = total if injection_step is None else burn + injection_step
     _recurse(y[:split], pre_spec.coefficients_phi, pre_spec.mean_mu,
              eps[:split] * pre_spec.innovation_sigma, 0)
 
-    # Variance-matched continuation: innovations scaled so the post process's
-    # stationary std equals the pre process's.
-    target_std = stationary_std(pre_spec)
-    post_phi = post_spec.coefficients_phi
-    phi_last = post_phi[-1] if post_phi else 0.0
-    post_inn_sigma = target_std * np.sqrt(1.0 - phi_last * phi_last)
-    _recurse(y, post_phi, post_spec.mean_mu, eps * post_inn_sigma, split)
+    if injection_step is not None:
+        # Variance-matched continuation: innovations scaled so the post
+        # process's stationary std equals the pre process's.
+        target_std = stationary_std(pre_spec)
+        post_phi = post_spec.coefficients_phi
+        phi_last = post_phi[-1] if post_phi else 0.0
+        post_inn_sigma = target_std * np.sqrt(1.0 - phi_last * phi_last)
+        _recurse(y, post_phi, post_spec.mean_mu, eps * post_inn_sigma, split)
 
     return y[burn:] * pre_spec.magnitude_scale
 
@@ -204,21 +202,19 @@ def _row_seed(seed: int, row: int) -> int:
 
 
 def generate_matrix(spec: ARProcessSpec, num_dimensions: int, max_steps: int, seed: int) -> NoiseMatrix:
-    """Matrix whose rows are independent draws of the process.
+    """Matrix whose rows are independent draws of the process: the
+    no-injection case of :func:`spliced_matrix`.
 
     Row i uses the sub-seed ``child_seed(seed, "noise_row", i)``, so changing
     ``num_dimensions`` never perturbs earlier rows.
     """
-    if num_dimensions < 1 or max_steps < 1:
-        raise ValueError("num_dimensions and max_steps must be >= 1")
-    rows = [generate_series(spec, max_steps, _row_seed(seed, d)) for d in range(num_dimensions)]
-    return NoiseMatrix(values=np.stack(rows), spec=spec, seed=int(seed))
+    return spliced_matrix(spec, spec, None, num_dimensions, max_steps, seed)
 
 
 def spliced_matrix(
     pre_spec: ARProcessSpec,
     post_spec: ARProcessSpec,
-    injection_step: int,
+    injection_step: int | None,
     num_dimensions: int,
     max_steps: int,
     seed: int,
@@ -235,10 +231,11 @@ def spliced_matrix(
         spliced_series(pre_spec, post_spec, injection_step, max_steps, _row_seed(seed, d))
         for d in range(num_dimensions)
     ]
+    spliced = injection_step is not None
     return NoiseMatrix(
         values=np.stack(rows),
         spec=pre_spec,
         seed=int(seed),
-        injection_step=int(injection_step),
-        post_spec=post_spec,
+        injection_step=int(injection_step) if spliced else None,
+        post_spec=post_spec if spliced else None,
     )

@@ -23,12 +23,9 @@ from .errors import ConfigError, DataError, DexterError, IncompatibleModelError
 from .seeding import child_seed
 from .ts_features import catalogue_hash
 
-DATASET_FILES = {
-    "train": "train.jsonl",
-    "validation": "validation.jsonl",
-    "test_injected": "test_injected.jsonl",
-    "test_clean": "test_clean.jsonl",
-}
+# Bank name -> dataset key; a bank is stored in ``<key>.jsonl``.
+DATASET_FILES = {"train": "train", "validation": "validation", "test": "test_injected",
+                 "clean_test": "test_clean"}
 MANIFEST_NAME = "manifest.json"
 
 
@@ -48,25 +45,13 @@ def _resolved_config_with_scales(config: persistence.RunConfig):
 def cmd_generate(args) -> int:
     config = persistence.load_config(args.config, seed_override=args.seed_override)
     scenario_cfg, policy, resolved = _resolved_config_with_scales(config)
-    counts = config.counts()
-    seed = config.master_seed
+    banks = evaluation.generate_banks(scenario_cfg, policy, config.counts(), config.master_seed)
 
     os.makedirs(args.out, exist_ok=True)
-    banks = [
-        ("train", counts.num_train, False),
-        ("validation", counts.num_validation, False),
-        ("test", counts.num_test, True),
-        ("clean_test", counts.num_clean_test, False),
-    ]
-    file_map = {}
-    episode_counts = {}
-    for bank, count, inject in banks:
-        episodes = evaluation.generate_episodes(scenario_cfg, policy, bank, count, seed, inject)
-        key = {"train": "train", "validation": "validation",
-               "test": "test_injected", "clean_test": "test_clean"}[bank]
-        persistence.save_episodes(os.path.join(args.out, DATASET_FILES[key]), episodes)
-        file_map[key] = DATASET_FILES[key]
-        episode_counts[key] = len(episodes)
+    file_map = {key: f"{key}.jsonl" for key in DATASET_FILES.values()}
+    for bank, key in DATASET_FILES.items():
+        persistence.save_episodes(os.path.join(args.out, file_map[key]), banks[bank])
+    episode_counts = {key: len(banks[bank]) for bank, key in DATASET_FILES.items()}
 
     persistence.save_dataset_manifest(
         os.path.join(args.out, MANIFEST_NAME), resolved,
@@ -92,28 +77,20 @@ def _load_dataset(dataset_dir: str):
     paths = manifest["files"].get("paths") if isinstance(manifest["files"], dict) else None
     if not isinstance(paths, dict):
         raise ConfigError(f"dataset manifest {manifest_path} is missing 'files.paths'")
-    for key in DATASET_FILES:
+    for key in DATASET_FILES.values():
         if not isinstance(paths.get(key), str):
             raise ConfigError(f"dataset manifest {manifest_path} is missing the {key!r} bank")
-    episodes = {key: persistence.load_episodes(os.path.join(dataset_dir, paths[key]))
-                for key in DATASET_FILES}
-    return manifest, episodes
+    banks = {bank: persistence.load_episodes(os.path.join(dataset_dir, paths[key]))
+             for bank, key in DATASET_FILES.items()}
+    return manifest, banks
 
 
 def cmd_train(args) -> int:
     config = persistence.load_config(args.config, seed_override=args.seed_override)
-    manifest, episodes = _load_dataset(args.dataset)
+    manifest, banks = _load_dataset(args.dataset)
     data_config = persistence.parse_config(manifest["config"])
-    seed = data_config.master_seed
-
-    trained = evaluation.train_detector(
-        config.detector_kind, episodes["train"], config.detector_params(),
-        seed=child_seed(seed, "detector"),
-    )
-    evaluation.calibrate_detector(
-        trained, episodes["validation"], data_config.target_fpr,
-        seed=child_seed(seed, "calibration"),
-    )
+    trained = evaluation.fit_detector(config.detector_kind, config.detector_params(), banks,
+                                      data_config.master_seed, data_config.target_fpr)
     persistence.save_model(args.out, trained, manifest["config_hash"])
     print(f"wrote {config.detector_kind} model to {args.out}")
     return 0
@@ -134,7 +111,7 @@ def cmd_evaluate(args) -> int:
     # --config is validated, but the run's settings come from the dataset
     # manifest and the detector's from the model file.
     persistence.load_config(args.config, seed_override=args.seed_override)
-    manifest, episodes = _load_dataset(args.dataset)
+    manifest, banks = _load_dataset(args.dataset)
     model_doc = persistence.load_model(args.model)
     _check_catalogue_compat(model_doc, manifest)
     trained = evaluation.TrainedDetector.from_json_dict(model_doc["detector"])
@@ -142,14 +119,9 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("model file holds an uncalibrated detector")
 
     data_config = persistence.parse_config(manifest["config"])
-    scenario_cfg = data_config.scenario_config()
-
-    result = evaluation.measure_detector(
-        trained, episodes["test_injected"], episodes["test_clean"],
-        horizon=scenario_cfg.horizon,
-        scenario_id=f"{scenario_cfg.scenario.value}/{scenario_cfg.noise_post.correlation_mode.value}",
-        master_seed=data_config.master_seed, target_fpr=data_config.target_fpr,
-        counts=data_config.counts(),
+    result, streams = evaluation.measure_detector(
+        trained, banks["test"], banks["clean_test"], data_config.scenario_config(),
+        data_config.master_seed, data_config.target_fpr, data_config.counts(),
     )
 
     os.makedirs(args.out, exist_ok=True)
@@ -167,8 +139,10 @@ def cmd_evaluate(args) -> int:
     if args.emit_scores:
         scores_dir = os.path.join(args.out, "scores")
         os.makedirs(scores_dir, exist_ok=True)
-        for idx, ep in enumerate(episodes["test_injected"]):
-            scores = trained.transition_scores(ep)
+        # measure_detector scored the usable episodes; it skips the others.
+        streams = iter(streams)
+        for idx, ep in enumerate(banks["test"]):
+            scores = next(streams) if ep.usable else trained.transition_scores(ep)
             lines = [
                 {"t": int(i + 1), "score": float(s)}
                 for i, s in enumerate(scores)
@@ -188,8 +162,7 @@ def _bench_cell(payload: dict) -> tuple:
     process pools."""
     try:
         config = persistence.parse_config(payload["config"])
-        mode = payload["correlation_mode"]
-        scenario_cfg = config.scenario_config(correlation_mode=mode)
+        scenario_cfg = config.scenario_config(correlation_mode=payload["correlation_mode"])
         params = config.detector_params() if payload["detector"] == config.detector_kind else None
         result = evaluation.run_experiment(
             scenario_cfg,
@@ -199,7 +172,6 @@ def _bench_cell(payload: dict) -> tuple:
             target_fpr=config.target_fpr,
             policy_kind=config.policy_kind(),
             detector_params=params,
-            scenario_id=f"{scenario_cfg.scenario.value}/{mode}",
         )
     except DexterError as exc:
         return None, str(exc)

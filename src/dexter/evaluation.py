@@ -11,7 +11,9 @@ episode-level false positives and excluded from the mean.
 one detector: generate clean training data, train, calibrate the decision
 rule on clean validation episodes, then measure AUROC and detection time on
 injected test episodes and the false-positive rate on a held-out clean test
-set. Everything is a deterministic function of the master seed.
+set. Everything is a deterministic function of the master seed. The stages
+are ``generate_banks``, ``fit_detector`` and ``measure_detector``; the CLI's
+``generate``/``train``/``evaluate`` commands run the same three.
 """
 
 import math
@@ -31,6 +33,12 @@ class EpisodeCounts:
     num_validation: int = 200
     num_test: int = 50
     num_clean_test: int = 200
+
+
+# The episode banks of one experiment, in generation order, and whether their
+# episodes are injected. A bank's name is also its seed path and, after
+# ``num_``, its ``EpisodeCounts`` field.
+BANKS = (("train", False), ("validation", False), ("test", True), ("clean_test", False))
 
 
 @dataclass(frozen=True)
@@ -310,6 +318,15 @@ def calibrate_detector(trained: TrainedDetector, validation_episodes, target_fpr
     return trained
 
 
+def fit_detector(kind: str, params: dict | None, banks: dict, master_seed: int,
+                 target_fpr: float) -> TrainedDetector:
+    """Train a ``kind`` detector on the ``train`` bank and calibrate it on the
+    ``validation`` bank, each from its own sub-seed of ``master_seed``."""
+    trained = train_detector(kind, banks["train"], params, seed=child_seed(master_seed, "detector"))
+    return calibrate_detector(trained, banks["validation"], target_fpr,
+                              seed=child_seed(master_seed, "calibration"))
+
+
 @dataclass
 class ExperimentResult:
     scenario_id: str
@@ -361,6 +378,12 @@ def generate_episodes(config: ScenarioConfig, policy, bank: str, count: int, mas
     ]
 
 
+def generate_banks(config: ScenarioConfig, policy, counts: EpisodeCounts, master_seed: int) -> dict:
+    """The episodes of every bank of ``BANKS``, keyed by bank name."""
+    return {bank: generate_episodes(config, policy, bank, getattr(counts, f"num_{bank}"), master_seed, inject)
+            for bank, inject in BANKS}
+
+
 def _labeled_transitions(scores: np.ndarray, episode, warmup: int):
     """One episode's transition (scores, labels) after its first ``warmup``
     transitions, with undefined (NaN) scores dropped."""
@@ -384,14 +407,16 @@ def pooled_scores(trained: TrainedDetector, episodes, warmup: int) -> LabeledSco
     return _pool([_labeled_transitions(trained.transition_scores(ep), ep, warmup) for ep in episodes])
 
 
-def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, horizon: int,
-                     scenario_id: str, master_seed: int, target_fpr: float,
-                     counts: EpisodeCounts) -> ExperimentResult:
+def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, config: ScenarioConfig,
+                     master_seed: int, target_fpr: float, counts: EpisodeCounts) -> tuple:
     """Metric bundle for a trained and calibrated detector: pooled and
     per-episode AUROC after the first ``trained.warmup`` transitions and
     detection time on the usable injected episodes, and the false-positive
     rate on the clean ones. Each injected episode is scored once; a CUSUM
-    kind alerts on the scores the AUROCs use."""
+    kind alerts on the scores the AUROCs use.
+
+    Returns ``(result, streams)``: ``streams`` holds the transition scores of
+    the usable injected episodes, in order."""
     if not trained.calibrated():
         raise ConfigError(f"{trained.kind} detector is not calibrated")
     usable = [ep for ep in test_episodes if ep.usable]
@@ -409,7 +434,7 @@ def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, ho
     alert_steps = [trained.cusum_alert(s) if trained.impl.cusum else trained.alert_step(ep)
                    for s, ep in zip(streams, usable)]
     injections = [ep.injection_time for ep in usable]
-    dt = detection_time(alert_steps, injections, horizon)
+    dt = detection_time(alert_steps, injections, config.horizon)
 
     false_alerts = sum(trained.alert_step(ep) is not None for ep in clean_episodes)
     fpr_measured = false_alerts / len(clean_episodes) if clean_episodes else 0.0
@@ -425,8 +450,8 @@ def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, ho
         for ep, alert in zip(usable, alert_steps)
     ]
 
-    return ExperimentResult(
-        scenario_id=scenario_id,
+    result = ExperimentResult(
+        scenario_id=f"{config.scenario.value}/{config.noise_post.correlation_mode.value}",
         detector_id=trained.kind,
         auroc=float(max(raw, 1.0 - raw)),
         auroc_raw=float(raw),
@@ -444,27 +469,18 @@ def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, ho
         detector_params=dict(trained.params),
         per_episode=per_episode,
     )
+    return result, streams
 
 
 def run_experiment(config: ScenarioConfig, detector_kind: str, master_seed: int,
                    counts: EpisodeCounts = EpisodeCounts(), target_fpr: float = 0.01,
-                   policy_kind=None, detector_params: dict | None = None,
-                   scenario_id: str | None = None) -> ExperimentResult:
+                   policy_kind=None, detector_params: dict | None = None) -> ExperimentResult:
     """Full train/calibrate/evaluate cycle for one scenario and detector."""
     params = detector_params_with_defaults(detector_kind, detector_params)
-    policy_kind, policy = resolve_policy(config, policy_kind)
+    _, policy = resolve_policy(config, policy_kind)
     config = resolve_scales(config, policy, master_seed)
-
-    train_eps = generate_episodes(config, policy, "train", counts.num_train, master_seed, inject=False)
-    val_eps = generate_episodes(config, policy, "validation", counts.num_validation, master_seed, inject=False)
-    test_eps = generate_episodes(config, policy, "test", counts.num_test, master_seed, inject=True)
-    clean_test_eps = generate_episodes(config, policy, "clean_test", counts.num_clean_test, master_seed, inject=False)
-
-    trained = train_detector(detector_kind, train_eps, params, seed=child_seed(master_seed, "detector"))
-    calibrate_detector(trained, val_eps, target_fpr, seed=child_seed(master_seed, "calibration"))
-
-    return measure_detector(
-        trained, test_eps, clean_test_eps, config.horizon,
-        scenario_id=scenario_id or f"{config.scenario.value}/{config.noise_post.correlation_mode.value}",
-        master_seed=master_seed, target_fpr=target_fpr, counts=counts,
-    )
+    banks = generate_banks(config, policy, counts, master_seed)
+    trained = fit_detector(detector_kind, params, banks, master_seed, target_fpr)
+    result, _ = measure_detector(trained, banks["test"], banks["clean_test"], config,
+                                 master_seed, target_fpr, counts)
+    return result

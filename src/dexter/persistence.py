@@ -13,7 +13,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__ as TOOL_VERSION
 from .ar_noise import ARProcessSpec, CorrelationMode
@@ -37,11 +37,10 @@ _SCENARIO_DEFAULTS = {
     "per_dimension_scale": None,  # null = estimated from clean rollouts
 }
 
+_COUNT_DEFAULTS = {f.name: f.default for f in fields(EpisodeCounts)}
+
 _EVALUATION_DEFAULTS = {
-    "num_train": 400,
-    "num_validation": 200,
-    "num_test": 50,
-    "num_clean_test": 200,
+    **_COUNT_DEFAULTS,
     "target_fpr": 0.01,
     "master_seed": None,          # mandatory
 }
@@ -184,13 +183,7 @@ class RunConfig:
         return float(self.evaluation_section["target_fpr"])
 
     def counts(self) -> EpisodeCounts:
-        ev = self.evaluation_section
-        return EpisodeCounts(
-            num_train=int(ev["num_train"]),
-            num_validation=int(ev["num_validation"]),
-            num_test=int(ev["num_test"]),
-            num_clean_test=int(ev["num_clean_test"]),
-        )
+        return EpisodeCounts(**{key: int(self.evaluation_section[key]) for key in _COUNT_DEFAULTS})
 
     def policy_kind(self):
         policy = self.scenario_section["policy"]
@@ -264,7 +257,7 @@ def parse_config(doc: dict, seed_override: int | None = None, require_seed: bool
         evaluation["master_seed"] = int(seed_override)
     if require_seed and evaluation["master_seed"] is None:
         raise ConfigError("evaluation.master_seed is mandatory (or pass --seed-override)")
-    for key in ("num_train", "num_validation", "num_test", "num_clean_test", "master_seed"):
+    for key in (*_COUNT_DEFAULTS, "master_seed"):
         value = evaluation[key]
         if type(value) is not int and not (key == "master_seed" and value is None):
             raise ConfigError(f"evaluation.{key} must be an integer, got {value!r}")

@@ -30,14 +30,13 @@ from dexter.errors import ConfigError
 from dexter.evaluation import (
     EpisodeCounts,
     auroc_raw,
-    calibrate_detector,
+    fit_detector,
+    generate_banks,
     generate_episodes,
     measure_detector,
     resolve_policy,
     resolve_scales,
-    train_detector,
 )
-from dexter.seeding import child_seed
 from dexter.ts_features import FEATURE_NAMES, extract_features_batch
 
 MASTER_SEED = 0
@@ -75,27 +74,15 @@ def _build_bundle(scenario: Scenario, base_env: BaseEnv, scale: float, counts: E
         )
         _, policy = resolve_policy(config)
         config = resolve_scales(config, policy, MASTER_SEED)
-
-        banks = {
-            "train": generate_episodes(config, policy, "train", counts.num_train, MASTER_SEED, False),
-            "validation": generate_episodes(config, policy, "validation", counts.num_validation, MASTER_SEED, False),
-            "test": generate_episodes(config, policy, "test", counts.num_test, MASTER_SEED, True),
-            "clean_test": generate_episodes(config, policy, "clean_test", counts.num_clean_test, MASTER_SEED, False),
-        }
+        banks = generate_banks(config, policy, counts, MASTER_SEED)
         entry = {"config": config, "policy": policy, "banks": banks,
                  "trained": {}, "results": {}, "elapsed": {}}
         for kind in detectors:
             t0 = time.time()
             params = dexter_params if kind == "dexter" else None
-            trained = train_detector(kind, banks["train"], params,
-                                     seed=child_seed(MASTER_SEED, "detector"))
-            calibrate_detector(trained, banks["validation"], 0.01,
-                               seed=child_seed(MASTER_SEED, "calibration"))
-            result = measure_detector(
-                trained, banks["test"], banks["clean_test"], config.horizon,
-                scenario_id=f"{scenario.value}/{mode}", master_seed=MASTER_SEED,
-                target_fpr=0.01, counts=counts,
-            )
+            trained = fit_detector(kind, params, banks, MASTER_SEED, 0.01)
+            result, _ = measure_detector(trained, banks["test"], banks["clean_test"], config,
+                                         MASTER_SEED, 0.01, counts)
             entry["trained"][kind] = trained
             entry["results"][kind] = result
             entry["elapsed"][kind] = time.time() - t0

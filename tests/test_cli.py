@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from dexter import persistence
@@ -457,3 +458,76 @@ def test_evaluate_refuses_meanshift_model_of_another_width(workspace, capsys):
     assert err.startswith("error: ") and "dimensions" in err
     assert "Traceback" not in err
     assert not (tmp / "r").exists()
+
+
+SCENARIOS = {
+    "arts": {"scenario": "arts", "base_env": "constant"},
+    "arno_cartpole": {"scenario": "arno", "base_env": "cartpole", "magnitude_scale": 0.5},
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("kind", ["dexter", "pedm", "meanshift"])
+def test_cli_pipeline_reports_what_run_experiment_returns(tmp_path, scenario, kind):
+    """``generate``/``train``/``evaluate`` and ``run_experiment`` (the bench
+    cell) run the same protocol: same banks, fit seeds and metrics."""
+    from dexter.evaluation import run_experiment
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "scenario": SCENARIOS[scenario],
+        "detector": {"kind": kind, **({"num_trees": 10, "subsample_cap": 150} if kind == "dexter" else {})},
+        "evaluation": {"num_train": 10, "num_validation": 8, "num_test": 4, "num_clean_test": 5,
+                       "master_seed": 13},
+    }))
+    ds, model, out = tmp_path / "ds", tmp_path / "model.json", tmp_path / "out"
+    assert main(["generate", "--config", str(cfg), "--out", str(ds)]) == 0
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(model)]) == 0
+    assert main(["evaluate", "--config", str(cfg), "--model", str(model), "--dataset", str(ds),
+                 "--out", str(out)]) == 0
+
+    config = persistence.load_config(str(cfg))
+    result = run_experiment(config.scenario_config(), kind, config.master_seed, counts=config.counts(),
+                            target_fpr=config.target_fpr, policy_kind=config.policy_kind(),
+                            detector_params=config.detector_params())
+    assert read_json(out / "report.json")["results"] == [json.loads(json.dumps(result.to_json_dict()))]
+
+
+def test_emit_scores_reuses_the_scores_of_the_evaluation(workspace, monkeypatch):
+    """``--emit-scores`` scores only the injected episodes the evaluation
+    skipped (unusable ones) and writes the others from its scores."""
+    from dexter import detector
+    from dexter.evaluation import TrainedDetector
+
+    tmp, cfg = workspace
+    ds, model = tmp / "ds", tmp / "model.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(ds)]) == 0
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(model)]) == 0
+    injected = ds / "test_injected.jsonl"
+    records = [json.loads(line) for line in injected.read_text().splitlines()]
+    records[2]["usable"] = False
+    injected.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    calls = []
+    score_stream = detector.score_stream
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return score_stream(*args, **kwargs)
+
+    monkeypatch.setattr(detector, "score_stream", counted)
+    counts = {}
+    for flag in ([], ["--emit-scores"]):
+        calls.clear()
+        assert main(["evaluate", "--config", str(cfg), "--model", str(model), "--dataset", str(ds),
+                     "--out", str(tmp / f"out{len(flag)}")] + flag) == 0
+        counts[bool(flag)] = len(calls)
+    assert counts[True] == counts[False] + 1
+
+    trained = TrainedDetector.from_json_dict(persistence.load_model(str(model))["detector"])
+    episodes = persistence.load_episodes(str(injected))
+    assert sorted(os.listdir(tmp / "out1" / "scores")) == [f"episode_{i:04d}.jsonl" for i in range(5)]
+    for idx in (1, 2):
+        scores = trained.transition_scores(episodes[idx])
+        expected = [{"t": i + 1, "score": float(s)} for i, s in enumerate(scores) if not np.isnan(s)]
+        assert persistence.read_jsonl(str(tmp / "out1" / "scores" / f"episode_{idx:04d}.jsonl")) == expected

@@ -307,8 +307,11 @@ def test_cusum_kinds_decide_like_their_reference_functions_bit_for_bit(kind):
     assert seen == {True, False}
 
     trained.decision = calibrated
-    result = measure_detector(trained, injected, clean, cfg.horizon, scenario_id="arts/one_step",
-                              master_seed=4, target_fpr=0.2, counts=SMALL)
+    result, streams = measure_detector(trained, injected, clean, cfg, master_seed=4, target_fpr=0.2,
+                                       counts=SMALL)
+    assert result.scenario_id == "arts/one_step"
+    assert all(np.array_equal(s, trained.transition_scores(ep), equal_nan=True)
+               for s, ep in zip(streams, injected, strict=True))
     assert [row["alert_step"] for row in result.per_episode] == [reference_alert(calibrated, ep)
                                                                  for ep in injected]
     assert result.fpr_measured == sum(reference_alert(calibrated, ep) is not None for ep in clean) / len(clean)

@@ -5,14 +5,17 @@ refactor that renames or moves one of those attributes breaks the benchmark
 without failing any library test, so each probe is checked here. The probes'
 record functions read attributes of the arguments and results they see
 (``model.trees``, ``trained.kind``), so a tiny experiment of each kind is
-also run under every probe."""
+also run under every probe, and every stage probe must see its calls: a
+stage that bypassed the probed attributes would read about 0 seconds."""
 
+import json
 import os
 import sys
 
 import pytest
 
 from dexter import evaluation, persistence
+from dexter.cli import main as cli_main
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
 
@@ -40,6 +43,13 @@ def test_probe_records_run_on_a_tiny_experiment(kind):
                                   detector_params=params)
     traced = tracer.layers
     metrics = layers.per_layer_metrics(traced)
+    # resolve_scales and one generate_episodes per bank; one fit; one measure.
+    assert traced["generate"].calls == 5
+    assert traced["evaluation.generate_episodes"].calls == 4
+    assert traced["train"].calls == 2
+    assert traced["evaluation.train_detector"].calls == 1
+    assert traced["evaluation.calibrate_detector"].calls == 1
+    assert traced["evaluate"].calls == 1
     assert traced["evaluation.measure_detector"].calls == 1
     # A CUSUM kind decides its injected episodes on the scores the AUROCs
     # used, so only the 4 clean ones pass through alert_step; mean-shift's
@@ -57,3 +67,25 @@ def test_probe_records_run_on_a_tiny_experiment(kind):
         assert traced["decision"].samples == []
         fit = {"pedm": "fit_dynamics_from_episodes", "meanshift": "fit_meanshift"}[kind]
         assert traced[f"baselines.{fit}"].calls == 1
+
+
+@pytest.mark.parametrize("kind", ["dexter", "pedm", "meanshift"])
+def test_stage_probes_see_every_cli_stage(tmp_path, kind):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"scenario": "arts", "base_env": "constant"},
+        "detector": {"kind": kind, **({"num_trees": 5} if kind == "dexter" else {})},
+        "evaluation": {"num_train": 4, "num_validation": 4, "num_test": 2, "num_clean_test": 3,
+                       "master_seed": 3},
+    }))
+    ds, model = str(tmp_path / "ds"), str(tmp_path / "model.json")
+    stages = [["generate", "--out", ds],
+              ["train", "--dataset", ds, "--out", model],
+              ["evaluate", "--dataset", ds, "--model", model, "--out", str(tmp_path / "out")]]
+    expected = [{"generate": 5}, {"train": 2}, {"evaluate": 1}]
+    for argv, calls in zip(stages, expected):
+        with Tracer(layers.stage_probes()) as tracer:
+            assert cli_main(argv + ["--config", str(cfg)]) == 0
+        seen = {name: stats.calls for name, stats in tracer.layers.items() if stats.calls}
+        seen.pop("decision", None)
+        assert seen == calls
