@@ -61,7 +61,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_dataset(dataset_dir: str):
+def _load_dataset(dataset_dir: str, names: tuple):
+    """The dataset's manifest and the banks ``names``, keyed by bank name.
+    The manifest must list all four banks; only the named ones are read."""
     manifest_path = os.path.join(dataset_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise ConfigError(f"dataset manifest not found: {manifest_path}")
@@ -80,14 +82,14 @@ def _load_dataset(dataset_dir: str):
     for key in DATASET_FILES.values():
         if not isinstance(paths.get(key), str):
             raise ConfigError(f"dataset manifest {manifest_path} is missing the {key!r} bank")
-    banks = {bank: persistence.load_episodes(os.path.join(dataset_dir, paths[key]))
-             for bank, key in DATASET_FILES.items()}
+    banks = {bank: persistence.load_episodes(os.path.join(dataset_dir, paths[DATASET_FILES[bank]]))
+             for bank in names}
     return manifest, banks
 
 
 def cmd_train(args) -> int:
     config = persistence.load_config(args.config, seed_override=args.seed_override)
-    manifest, banks = _load_dataset(args.dataset)
+    manifest, banks = _load_dataset(args.dataset, ("train", "validation"))
     data_config = persistence.parse_config(manifest["config"])
     trained = evaluation.fit_detector(config.detector_kind, config.detector_params(), banks,
                                       data_config.master_seed, data_config.target_fpr)
@@ -111,7 +113,7 @@ def cmd_evaluate(args) -> int:
     # --config is validated, but the run's settings come from the dataset
     # manifest and the detector's from the model file.
     persistence.load_config(args.config, seed_override=args.seed_override)
-    manifest, banks = _load_dataset(args.dataset)
+    manifest, banks = _load_dataset(args.dataset, ("test", "clean_test"))
     model_doc = persistence.load_model(args.model)
     _check_catalogue_compat(model_doc, manifest)
     trained = evaluation.TrainedDetector.from_json_dict(model_doc["detector"])

@@ -66,8 +66,17 @@ bit for bit, and a NaN feature value compares false and routes right in both.
   has reached its leaf stays there.
 - A batch of at most ``_PYTHON_WALK_PAIRS`` pairs, such as one point of a
   small forest as online monitoring scores it, is walked tree by tree in
-  plain Python on memoryviews of the same arrays, which skips the NumPy
-  walk's fixed cost of some eighty calls.
+  plain Python, which skips the NumPy walk's fixed cost of some eighty calls.
+  It walks the forest's nested-tuple form (``nested_trees``): an internal
+  node is ``(feature, threshold, left, right)`` and a leaf is its path
+  length, so a step is one tuple unpacking and one comparison, with no index
+  arithmetic. The form is built once per forest, on the first such batch, in
+  one reverse sweep over the packed arrays (children follow their parents,
+  so no recursion, however deep a tree), and is never built on load nor
+  saved. On the four 25-tree forests of a 4-D Cartpole model (7.7k-9.1k
+  nodes) a walk took 23-27 us against 69-82 us for the earlier walk over
+  memoryviews of the packed arrays, and the build 2.6-4.1 ms (2-vCPU VM,
+  BENCH_13.json).
 
 The per-tree path lengths are summed in tree order from 0.0, one tree at a
 time. NumPy's ``sum`` over the tree axis can reduce pairwise (it does for a
@@ -93,9 +102,13 @@ DEFAULT_SUBSAMPLE = 256
 # 300 x 873 (BENCH_7.json).
 _CHUNK_PAIRS = 1 << 16
 # Most (tree, point) pairs a batch may hold to be walked in plain Python. That
-# walk costs about 3 us a pair; the NumPy walk's floor of about 200 us, which
-# grows with the tree count, was lower from 25 trees x 3 points and from
-# 150 trees x 1 point on (BENCH_7.json).
+# walk costs 1-1.7 us a pair; the NumPy walk's floor, about 250 us at 25 trees
+# and 870 us at 300, drew level at 25 trees x 10 points and was lower at
+# 300 x 2 (BENCH_13.json). The bound stays well below that because the first
+# plain-Python walk of a forest also builds its nested form (2.6-4.1 ms at 25
+# trees, 38 ms at 300), which a forest scored a few points at a time, such as
+# ``score_stream`` on an episode of under 20 steps, repays only after dozens
+# of calls.
 _PYTHON_WALK_PAIRS = 64
 # Most subsample points one chunk of trees is grown with.
 _CHUNK_POINTS = 1 << 17
@@ -252,6 +265,7 @@ class IsolationForestModel:
         self.num_training_samples = num_training_samples
         self.feature_manifest_hash = feature_manifest_hash
         self._path_lengths = None
+        self._nested = None
 
     @property
     def trees(self) -> _TreeViews:
@@ -288,6 +302,29 @@ class IsolationForestModel:
             table[leaf] += np.array([average_path_length(n) for n in sizes.tolist()])[at]
             self._path_lengths = table
         return self._path_lengths
+
+    def nested_trees(self) -> tuple:
+        """The forest as nested tuples, one per tree in tree order, for the
+        plain-Python walk: an internal node is ``(feature, threshold, left,
+        right)`` and a leaf is its path length, one float object per distinct
+        value. Built on first use and kept; never serialised."""
+        if self._nested is None:
+            kids, feature, threshold, path_length = (
+                memoryview(a) for a in (self.kids, self.feature, self.threshold,
+                                        self.path_length_table()))
+            nodes = [None] * len(feature)
+            leaves = {}
+            # Children follow their parents (``_pack`` checks it), so one
+            # reverse sweep finds both children built, however deep the tree.
+            for i in range(len(nodes) - 1, -1, -1):
+                right = kids[i + i]
+                if right == i:
+                    h = path_length[i]
+                    nodes[i] = leaves.setdefault(h, h)
+                else:
+                    nodes[i] = (feature[i], threshold[i], nodes[kids[i + i + 1]], nodes[right])
+            self._nested = tuple(nodes[root] for root in self.roots.tolist())
+        return self._nested
 
     def to_json_dict(self) -> dict:
         columns = self._view_columns(0, len(self.feature))
@@ -459,26 +496,16 @@ def fit(data, num_trees: int = DEFAULT_NUM_TREES, subsample: int | None = None, 
     )
 
 
-def _path_length_sums(model: IsolationForestModel, pts: np.ndarray) -> np.ndarray:
-    """Each point's path lengths h(x) summed over the trees in tree order."""
-    if pts.shape[0] * len(model.roots) <= _PYTHON_WALK_PAIRS:
-        return np.array([_walk_one(model, point) for point in pts.tolist()])
-    return _walk_many(model, pts)
-
-
-def _walk_one(model: IsolationForestModel, point: list) -> float:
-    """One point's path-length sum, walked tree by tree in plain Python on
-    memoryviews of the packed arrays."""
-    kids, feature, threshold, path_length = (
-        memoryview(a) for a in (model.kids, model.feature, model.threshold, model.path_length_table()))
+def _walk_one(trees: tuple, point: list) -> float:
+    """One point's path-length sum over the nested trees of
+    :meth:`IsolationForestModel.nested_trees`, walked tree by tree in plain
+    Python."""
     total = 0.0
-    for node in model.roots.tolist():
-        while True:
-            at = node + node
-            if kids[at] == node:  # a leaf
-                break
-            node = kids[at + (point[feature[node]] < threshold[node])]
-        total += path_length[node]
+    for node in trees:
+        while node.__class__ is tuple:
+            feature, threshold, left, right = node
+            node = left if point[feature] < threshold else right
+        total += node
     return total
 
 
@@ -519,13 +546,19 @@ def score_batch(model: IsolationForestModel, points) -> np.ndarray:
         raise IncompatibleModelError(
             f"point dimension {pts.shape[1]} != model feature count {model.feature_count}"
         )
+    num_trees = len(model.roots)
+    denom = model.normalizer_c if model.normalizer_c > 0 else 1.0
+    if pts.shape[0] * num_trees <= _PYTHON_WALK_PAIRS:
+        trees = model.nested_trees()
+        # np.power, as for the NumPy walk's scores, not **: NumPy's SIMD
+        # power need not round like the C library's pow.
+        return np.power(2.0, [-(_walk_one(trees, point) / num_trees) / denom
+                              for point in pts.tolist()])
     # The walk holds a few arrays of trees x points; large batches go in
     # chunks so that memory stays bounded. Chunking cannot change a score,
     # because each point's sum is formed independently.
     total = np.empty(pts.shape[0])
-    step = max(1, _CHUNK_PAIRS // len(model.roots))
+    step = max(1, _CHUNK_PAIRS // num_trees)
     for start in range(0, pts.shape[0], step):
-        total[start:start + step] = _path_length_sums(model, pts[start:start + step])
-    mean_depth = total / len(model.roots)
-    denom = model.normalizer_c if model.normalizer_c > 0 else 1.0
-    return np.power(2.0, -mean_depth / denom)
+        total[start:start + step] = _walk_many(model, pts[start:start + step])
+    return np.power(2.0, -(total / num_trees) / denom)

@@ -531,3 +531,23 @@ def test_emit_scores_reuses_the_scores_of_the_evaluation(workspace, monkeypatch)
         scores = trained.transition_scores(episodes[idx])
         expected = [{"t": i + 1, "score": float(s)} for i, s in enumerate(scores) if not np.isnan(s)]
         assert persistence.read_jsonl(str(tmp / "out1" / "scores" / f"episode_{idx:04d}.jsonl")) == expected
+
+
+def test_train_and_evaluate_read_only_the_banks_they_use(workspace, monkeypatch):
+    tmp, cfg = workspace
+    ds, model = tmp / "ds", tmp / "model.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(ds)]) == 0
+    read = []
+    load_episodes = persistence.load_episodes
+
+    def counted(path):
+        read.append(os.path.basename(path))
+        return load_episodes(path)
+
+    monkeypatch.setattr(persistence, "load_episodes", counted)
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(model)]) == 0
+    assert read == ["train.jsonl", "validation.jsonl"]
+    read.clear()
+    assert main(["evaluate", "--config", str(cfg), "--model", str(model), "--dataset", str(ds),
+                 "--out", str(tmp / "r")]) == 0
+    assert read == ["test_injected.jsonl", "test_clean.jsonl"]

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -384,11 +385,90 @@ def test_numpy_walk_across_chunk_boundaries_matches_the_reference(case, chunk_pa
 def test_both_walks_score_forests_without_levels():
     rng = np.random.default_rng(12)
     queries = np.array([[0.0, 1.0], [np.nan, np.inf], [-np.inf, 3.0]])
+    # Single-leaf trees of different sizes, so their path lengths differ.
+    sizes = [1, 2, 5, 8, 2]
+    leaves = IsolationForestModel.from_json_dict({
+        "subsample_size": 8, "feature_count": 2, "normalizer_c": average_path_length(8),
+        "seed": 0, "num_training_samples": 8, "feature": [-1] * 5, "threshold": [0.0] * 5,
+        "left": [-1] * 5, "right": [-1] * 5, "size": sizes, "roots": list(range(5))})
     for model in (fit(rng.normal(size=(20, 2)), num_trees=7, subsample=1, seed=1),
-                  fit(np.ones((20, 2)), num_trees=7, subsample=8, seed=1)):
+                  fit(np.ones((20, 2)), num_trees=7, subsample=8, seed=1), leaves):
         assert model.levels == 0
         for pairs in BOTH_WALKS:
             assert np.array_equal(walk_scores(model, queries, pairs), reference_scores(model, queries))
+    assert leaves.nested_trees() == tuple(average_path_length(n) for n in sizes)
+
+
+def chain_forest(splits: int) -> IsolationForestModel:
+    """A hand-built one-tree forest far deeper than the recursion limit:
+    node 2k splits feature 0 at k, its left child 2k + 1 is a leaf and its
+    right child 2k + 2 the next split, down to the leaf 2 splits."""
+    n = 2 * splits + 1
+    internal = range(0, n - 1, 2)
+    feature, left, right = [-1] * n, [-1] * n, [-1] * n
+    threshold = [0.0] * n
+    for k, node in enumerate(internal):
+        feature[node], threshold[node] = 0, float(k)
+        left[node], right[node] = node + 1, node + 2
+    return IsolationForestModel.from_json_dict({
+        "subsample_size": n, "feature_count": 2, "normalizer_c": average_path_length(n),
+        "seed": 0, "num_training_samples": n, "feature": feature, "threshold": threshold,
+        "left": left, "right": right, "size": [1 + (node % 3) for node in range(n)],
+        "roots": [0]})
+
+
+def test_both_walks_score_a_chain_deeper_than_the_recursion_limit():
+    splits = 2500
+    assert splits > sys.getrecursionlimit()
+    model = chain_forest(splits)
+    assert len(model.feature) == 5001 and model.levels == splits
+    queries = np.array([[-1.0, 0.0], [2.5, 0.0], [1234.5, np.nan], [1e9, 0.0],
+                        [np.inf, 0.0], [np.nan, np.nan]])
+    want = reference_scores(model, queries)
+    for pairs in BOTH_WALKS:
+        assert np.array_equal(walk_scores(model, queries, pairs), want)
+    # Past every split the walk ends at the deepest leaf, as NaN does; the
+    # deeper a leaf, the lower the score.
+    assert want[3] == want[4] == want[5] < want[2] < want[1] < want[0]
+
+
+def test_an_all_nan_row_routes_right_at_every_split():
+    rng = np.random.default_rng(13)
+    model = fit(rng.normal(size=(300, 3)), num_trees=20, subsample=64, seed=5)
+    table = model.path_length_table()
+    total = 0.0
+    for root in model.roots.tolist():
+        node = root
+        while model.right[node] != node:
+            node = int(model.right[node])
+        total += table[node]
+    want = np.power(2.0, -(total / len(model.roots)) / model.normalizer_c)
+    for pairs in BOTH_WALKS:
+        assert walk_scores(model, np.full((1, 3), np.nan), pairs)[0] == want
+
+
+def test_nested_trees_are_built_once_on_first_small_walk_and_kept():
+    rng = np.random.default_rng(14)
+    model = fit(rng.normal(size=(200, 2)), num_trees=5, subsample=32, seed=6)
+    back = IsolationForestModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
+    assert back._nested is None  # not built on load
+    score_batch(back, rng.normal(size=(100, 2)))  # the NumPy walk needs none
+    assert back._nested is None
+    first = score_batch(back, [[0.1, -0.2]])
+    trees = back.nested_trees()
+    assert len(trees) == 5 and back.nested_trees() is trees
+    assert np.array_equal(score_batch(back, [[0.1, -0.2]]), first)
+    assert back.nested_trees() is trees
+    assert back.to_json_dict() == model.to_json_dict()
+    # Equal leaf path lengths are one float object.
+    leaves, stack = [], list(trees)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack += node[2:]
+        else:
+            leaves.append(node)
+    assert len({id(leaf) for leaf in leaves}) == len(set(leaves)) < len(leaves)
 
 
 @settings(max_examples=150, deadline=None)

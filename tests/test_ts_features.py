@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dexter import ts_features
@@ -297,6 +297,32 @@ def test_row_alone_equals_row_of_large_batch_bit_for_bit(x):
     bits = extract_features_batch(batch).view(np.int64)
     for i in range(x.shape[0]):
         assert np.array_equal(extract_features_batch(x[i:i + 1]).view(np.int64), bits[i:i + 1])
+
+
+@st.composite
+def summands(draw):
+    """Rows of 0 to 32 floats: normal draws scaled across up to 2 x spread
+    decades (1e300 at most, so no sum overflows), some set to +0.0 or -0.0."""
+    size = draw(st.integers(0, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0, 3, 30, 300]))
+    row = rng.normal(size=size) * 10.0 ** rng.uniform(-spread, spread, size=size)
+    for i, zero in draw(st.lists(st.tuples(st.integers(0, 31), st.sampled_from([0.0, -0.0])))):
+        if i < size:
+            row[i] = zero
+    return row.tolist()
+
+
+@settings(max_examples=500, deadline=None)
+@given(summands() | st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1e300, 1e300), max_size=32))
+@example([]).via("the empty sum")
+@example([-0.0] * 3).via("a short all -0.0 row")
+@example([-0.0] * 17).via("a blocked all -0.0 row")
+def test_add_reduce_sums_in_numpys_order(row):
+    """``_add_reduce`` replays the order in which NumPy's float ``add.reduce``
+    sums, which NumPy does not document: a release that sums in another
+    order fails here."""
+    assert ts_features._add_reduce(row).hex() == float(np.add.reduce(np.array(row, dtype=float))).hex()
 
 
 @pytest.mark.parametrize("shape, path", [
