@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cusum import (
-    CusumDetector, calibrate_from_streams, calibrate_split_half, clamped_step, finite_field,
-    first_alert_step, first_crossing,
+    CusumDetector, calibrate_from_streams, calibrate_split_half, clamped_step, first_alert_step,
+    first_crossing,
 )
-from .errors import ConfigError, DataError, IncompatibleModelError
+from .errors import ConfigError, DataError, IncompatibleModelError, read_field
 from .seeding import rng_from
 
 DEFAULT_ENSEMBLE_SIZE = 5
@@ -70,13 +70,13 @@ class DynamicsModelEnsemble:
     @classmethod
     def from_json_dict(cls, d: dict) -> "DynamicsModelEnsemble":
         owner = "pedm model"
-        arrays = {name: finite_field(d, name, owner, ndim)
+        arrays = {name: read_field(d, name, owner, ndim=ndim)
                   for name, ndim in (("coefficients", 3), ("variances", 2),
                                      ("input_mean", 1), ("input_std", 1))}
-        state_dim = finite_field(d, "state_dim", owner)
-        if not (state_dim.is_integer() and state_dim >= 1):
+        state_dim = read_field(d, "state_dim", owner, int)
+        if state_dim < 1:
             raise IncompatibleModelError(f"{owner} 'state_dim' must be a positive integer")
-        model = cls(**arrays, state_dim=int(state_dim))
+        model = cls(**arrays, state_dim=state_dim)
         inputs = model.state_dim + 1  # the action is the last input
         members = max(model.ensemble_size, 1)  # so that an empty ensemble fails below
         expected = {
@@ -233,9 +233,9 @@ class MeanShiftDetector:
     def from_json_dict(cls, d: dict) -> "MeanShiftDetector":
         owner = "meanshift model"
         model = cls(
-            reference_mean=finite_field(d, "reference_mean", owner, ndim=1),
-            reference_std=finite_field(d, "reference_std", owner, ndim=1),
-            **{name: finite_field(d, name, owner) for name in ("threshold", "kappa", "target_fpr")},
+            reference_mean=read_field(d, "reference_mean", owner, ndim=1),
+            reference_std=read_field(d, "reference_std", owner, ndim=1),
+            **{name: read_field(d, name, owner) for name in ("threshold", "kappa", "target_fpr")},
         )
         if model.reference_mean.size == 0 or model.reference_std.shape != model.reference_mean.shape:
             raise IncompatibleModelError(f"{owner} reference_mean and reference_std differ in shape")

@@ -67,12 +67,7 @@ def _load_dataset(dataset_dir: str, names: tuple):
     manifest_path = os.path.join(dataset_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise ConfigError(f"dataset manifest not found: {manifest_path}")
-    try:
-        manifest = persistence.read_json(manifest_path)
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise ConfigError(f"dataset manifest {manifest_path} is not JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"dataset manifest {manifest_path} is not a JSON object")
+    manifest = persistence.read_json_object(manifest_path, "dataset manifest")
     for key in ("files", "config", "config_hash"):
         if key not in manifest:
             raise ConfigError(f"dataset manifest {manifest_path} is missing {key!r}")
@@ -104,7 +99,7 @@ def _check_catalogue_compat(model_doc: dict, manifest: dict):
                           ("dataset", manifest.get("feature_catalogue_hash"))):
         if value is not None and value != current:
             raise IncompatibleModelError(
-                f"{origin} feature catalogue hash {value[:12]}... does not match "
+                f"{origin} feature catalogue hash {str(value)[:12]}... does not match "
                 f"this library's catalogue {current[:12]}...; refusing to evaluate"
             )
 

@@ -23,28 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleModelError
+from .errors import ConfigError, IncompatibleModelError, read_field
 from .seeding import rng_from
-
-
-def finite_field(doc, name: str, owner: str, ndim: int = 0):
-    """``doc[name]`` of a model document as a finite float (``ndim`` 0) or
-    a float array of ``ndim`` dimensions. A missing field, a non-numeric or
-    non-finite value and a wrong number of dimensions raise
-    :class:`IncompatibleModelError` naming the field."""
-    if not isinstance(doc, dict):
-        raise IncompatibleModelError(f"{owner} document is not an object")
-    if name not in doc:
-        raise IncompatibleModelError(f"{owner} is missing {name!r}")
-    try:
-        value = np.asarray(doc[name])
-    except ValueError as exc:  # ragged nested lists
-        raise IncompatibleModelError(f"{owner} {name!r} is malformed: {exc}") from exc
-    if (value.ndim != ndim or (value.size and value.dtype.kind not in "iuf")
-            or not np.isfinite(value).all()):
-        shape = "a finite number" if ndim == 0 else f"a {ndim}-D array of finite numbers"
-        raise IncompatibleModelError(f"{owner} {name!r} is not {shape}")
-    return float(value) if ndim == 0 else np.asarray(value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -68,7 +48,7 @@ class CusumDetector:
         least 0 (a percentile of running maxima of a statistic clamped at 0)
         and a target in (0, 1), so a document holding anything else is
         refused."""
-        detector = cls(**{name: finite_field(d, name, "cusum detector")
+        detector = cls(**{name: read_field(d, name, "cusum detector")
                           for name in ("mean_score_abar", "threshold_tau", "target_fpr")})
         if detector.threshold_tau < 0.0:
             raise IncompatibleModelError(f"cusum detector threshold_tau {detector.threshold_tau} < 0")

@@ -21,7 +21,7 @@ import numpy as np
 from . import isolation_forest as iforest
 from . import ts_features
 from .cusum import CusumDetector, CusumMonitor, calibrate_from_streams, first_alert_step
-from .errors import ConfigError, DataError, IncompatibleModelError
+from .errors import ConfigError, DataError, IncompatibleModelError, read_field
 from .seeding import child_seed
 
 DEFAULT_WINDOW = 10
@@ -56,14 +56,11 @@ class DexterModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DexterModel":
-        try:
-            forests, window_size = d["forests"], int(d["window_size"])
-            manifest_hash = d["feature_manifest_hash"]
-        except KeyError as exc:
-            raise IncompatibleModelError(f"dexter model is missing {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise IncompatibleModelError(f"malformed dexter model: {exc}") from exc
-        if not isinstance(forests, list) or not forests:
+        owner = "dexter model"
+        forests = read_field(d, "forests", owner, list)
+        window_size = read_field(d, "window_size", owner, int)
+        manifest_hash = read_field(d, "feature_manifest_hash", owner, str)
+        if not forests:
             raise IncompatibleModelError("dexter model has no forests")
         if window_size < ts_features.MIN_WINDOW:
             raise IncompatibleModelError(
@@ -123,7 +120,6 @@ def train(dataset, window_size: int = DEFAULT_WINDOW, num_trees: int = iforest.D
     # All dimensions use one shared sub-seed: forests over identical data are
     # identical, and results stay reproducible from the master seed.
     forest_seed = child_seed(seed, "forest")
-    manifest_hash = ts_features.catalogue_hash()
     forests = []
     for d in range(num_dims):
         features = np.concatenate(per_dim_features[d])
@@ -131,15 +127,14 @@ def train(dataset, window_size: int = DEFAULT_WINDOW, num_trees: int = iforest.D
         # squared-value features; a forest split on them is meaningless.
         if not np.isfinite(features).all():
             raise DataError(f"dimension {d}: window features overflow; observations are too large")
-        model = iforest.fit(
+        forests.append(iforest.fit(
             features,
             num_trees=num_trees,
             subsample=subsample,
             seed=forest_seed,
-        )
-        model.feature_manifest_hash = manifest_hash
-        forests.append(model)
-    return DexterModel(forests=forests, window_size=window_size, feature_manifest_hash=manifest_hash)
+        ))
+    return DexterModel(forests=forests, window_size=window_size,
+                       feature_manifest_hash=ts_features.catalogue_hash())
 
 
 def _check_compat(model: DexterModel, observations: np.ndarray):

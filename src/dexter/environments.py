@@ -26,7 +26,7 @@ from math import isfinite
 import numpy as np
 
 from .ar_noise import ARProcessSpec, NoiseMatrix, generate_matrix, spliced_matrix
-from .errors import ConfigError, DataError, SimulationDivergedError
+from .errors import ConfigError, DataError, SimulationDivergedError, read_field
 from .seeding import child_seed, rng_from
 
 DEFAULT_HORIZON = 200
@@ -311,31 +311,31 @@ class Episode:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Episode":
-        """The episode of one dataset record; a record with a missing key,
-        observations that are not a finite 2-D matrix, or actions or labels
-        not one per transition raises :class:`DataError`."""
-        try:
-            episode = cls(
-                observations=np.asarray(d["observations"], dtype=float),
-                actions=np.asarray(d["actions"], dtype=int),
-                injection_time=d["injection_time"],
-                labels=np.asarray(d["labels"], dtype=bool),
-                reward_sum=float(d["reward_sum"]),
-                seed=int(d["seed"]),
-                scenario=d["scenario"],
-                usable=bool(d.get("usable", True)),
-            )
-        except KeyError as exc:
-            raise DataError(f"episode record is missing {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"malformed episode record: {exc}") from exc
-        obs = episode.observations
-        if obs.ndim != 2 or not np.isfinite(obs).all():
-            raise DataError("episode observations must be a finite 2-D matrix")
-        transitions = (obs.shape[0] - 1,)
+        """The episode of one dataset record. A record that is not an
+        object, a missing key, a field of the wrong JSON type, observations
+        that are not a finite 2-D matrix, actions that are not integers or
+        labels that are not booleans, one of each per transition, and an
+        ``injection_time`` that is neither null nor an integer >= 1 raise
+        :class:`DataError`."""
+        def read(name, kind=float, ndim=0, nullable=False):
+            return read_field(d, name, "episode record", kind, ndim, DataError, nullable)
+
+        episode = cls(
+            observations=read("observations", ndim=2),
+            actions=read("actions", int, 1),
+            injection_time=read("injection_time", int, nullable=True),
+            labels=read("labels", bool, 1),
+            reward_sum=read("reward_sum"),
+            seed=read("seed", int),
+            scenario=read("scenario", str),
+            usable=read("usable", bool),
+        )
+        if episode.injection_time is not None and episode.injection_time < 1:
+            raise DataError(f"episode injection_time {episode.injection_time} < 1")
+        transitions = (episode.observations.shape[0] - 1,)
         if episode.actions.shape != transitions or episode.labels.shape != transitions:
             raise DataError(
-                f"episode with {obs.shape[0]} observations needs {transitions[0]} actions and "
+                f"episode with {episode.length} observations needs {transitions[0]} actions and "
                 f"labels, got {episode.actions.shape} and {episode.labels.shape}"
             )
         return episode

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader that
+checks a field of a document loaded from a file."""
+
+import reprlib
+import sys
+
+import numpy as np
 
 
 class DexterError(Exception):
@@ -39,3 +45,50 @@ class IncompatibleModelError(DexterError, ValueError):
 
 class UndefinedMetricError(DexterError, ValueError):
     """Metric is undefined for the given input (e.g. single-class AUROC)."""
+
+
+# What a scalar field of each kind must be, and an array's elements.
+_SCALARS = {float: "a finite number", int: "an integer", bool: "true or false",
+            str: "a string", list: "a list"}
+_ELEMENTS = {float: "finite numbers", int: "integers", bool: "booleans"}
+# The NumPy dtype kinds an array of each element kind may load as; an empty
+# list loads as float64 and passes as any kind.
+_ARRAY_KINDS = {float: "iuf", int: "i", bool: "b"}
+
+
+def read_field(doc, name: str, owner: str, kind: type = float, ndim: int = 0,
+               error: type = IncompatibleModelError, nullable: bool = False):
+    """``doc[name]`` of a JSON document as ``kind``; every field read from
+    a model file or an episode record goes through here. A scalar
+    (``ndim`` 0) must be of exactly that JSON type, except that ``float``
+    takes any finite number and returns a float: ``int`` refuses a bool and
+    a whole float. An array of ``ndim`` dimensions is judged in one
+    ``np.asarray`` pass by the dtype NumPy gives the whole list and returned
+    as float64, int64 or bool. No NaN or infinity passes. With ``nullable``
+    a JSON null reads as None. Anything else raises ``error`` naming
+    ``owner`` and the field."""
+    if not isinstance(doc, dict):
+        raise error(f"{owner} is not a JSON object")
+    if name not in doc:
+        raise error(f"{owner} is missing {name!r}")
+    value = doc[name]
+    if nullable and value is None:
+        return None
+    if ndim == 0:
+        if kind is float and type(value) in (int, float):
+            # False for NaN, an infinity and an integer beyond the float range.
+            if abs(value) <= sys.float_info.max:
+                return float(value)
+        elif type(value) is kind:
+            return value
+        raise error(f"malformed {owner}: {name!r} must be {_SCALARS[kind]}, "
+                    f"got {reprlib.repr(value)}")
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged list
+        array = None
+    if (array is None or array.ndim != ndim
+            or (array.size and array.dtype.kind not in _ARRAY_KINDS[kind])
+            or (kind is float and not np.isfinite(array).all())):
+        raise error(f"malformed {owner}: {name!r} must be a {ndim}-D array of {_ELEMENTS[kind]}")
+    return array.astype(kind, copy=False)

@@ -16,14 +16,13 @@ are ``generate_banks``, ``fit_detector`` and ``measure_detector``; the CLI's
 ``generate``/``train``/``evaluate`` commands run the same three.
 """
 
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import baselines, cusum, detector as dexter_detector
 from .environments import BaseEnv, PolicyKind, ScenarioConfig, builtin_policy, estimate_dimension_scales, run_episode
-from .errors import ConfigError, IncompatibleModelError, UndefinedMetricError
+from .errors import ConfigError, IncompatibleModelError, UndefinedMetricError, read_field
 from .seeding import child_seed
 
 
@@ -269,16 +268,14 @@ class TrainedDetector:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainedDetector":
-        if not isinstance(doc, dict):
-            raise IncompatibleModelError("detector document is not a JSON object")
+        kind = read_field(doc, "kind", "detector document", str)
         try:
-            params = detector_params_with_defaults(doc.get("kind"), doc.get("params", {}))
+            params = detector_params_with_defaults(kind, doc.get("params", {}))
         except ConfigError as exc:
             raise IncompatibleModelError(f"malformed detector document: {exc}") from None
-        impl = DETECTORS[doc["kind"]]
-        model = None if doc.get("model") is None else impl.load(doc["model"])
+        model = None if doc.get("model") is None else DETECTORS[kind].load(doc["model"])
         decision = None if doc.get("cusum") is None else cusum.CusumDetector.from_json_dict(doc["cusum"])
-        return cls(doc["kind"], params, model=model, decision=decision)
+        return cls(kind, params, model=model, decision=decision)
 
 
 def detector_params_with_defaults(kind: str, overrides: dict | None = None) -> dict:
@@ -290,15 +287,11 @@ def detector_params_with_defaults(kind: str, overrides: dict | None = None) -> d
     overrides = {} if overrides is None else overrides
     if not isinstance(overrides, dict):
         raise ConfigError(f"{kind} parameters must be a JSON object, got {overrides!r}")
-    for key, value in overrides.items():
+    for key in overrides:
         if key not in params:
             raise ConfigError(f"unknown {kind} parameter {key!r}; known: {sorted(params)}")
-        wanted = type(params[key])
-        finite = not isinstance(value, float) or math.isfinite(value)
-        if isinstance(value, bool) or not isinstance(value, (int, wanted)) or not finite:
-            raise ConfigError(f"{kind} parameter {key!r} must be "
-                              f"{'an integer' if wanted is int else 'a finite number'}, got {value!r}")
-        params[key] = value
+        read_field(overrides, key, f"{kind} parameters", type(params[key]), error=ConfigError)
+    params.update(overrides)
     return params
 
 

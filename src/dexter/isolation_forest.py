@@ -90,7 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleModelError
+from .errors import ConfigError, IncompatibleModelError, read_field
 from .seeding import rng_from
 
 DEFAULT_NUM_TREES = 100
@@ -147,39 +147,24 @@ class IsolationTree:
 NODE_COLUMNS = ("feature", "threshold", "left", "right", "size")
 
 
-def _column(nodes, name: str, kinds: str) -> np.ndarray:
-    """``nodes[name]`` as a flat array whose dtype kind is in ``kinds``."""
-    try:
-        array = np.asarray(nodes[name])
-    except KeyError:
-        raise IncompatibleModelError(f"isolation forest is missing {name!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise IncompatibleModelError(f"isolation forest {name!r} is not a flat list: {exc}") from exc
-    if array.ndim != 1 or (array.size and array.dtype.kind not in kinds):
-        raise IncompatibleModelError(f"isolation forest {name!r} is not a flat list of numbers")
-    return array
-
-
 def _pack(nodes, feature_count: int, subsample_size: int):
     """Check a forest given in the per-tree-view form and return its packed
     arrays (feature, threshold, kids, size, roots, levels), where ``levels``
     is the deepest leaf depth. Fitting and loading both build their forests
     through here.
 
-    ``nodes`` maps each of ``NODE_COLUMNS`` to one flat sequence over all
-    trees, tree after tree, and ``"roots"`` to the position of each tree's
-    first node. A leaf has feature, left and right all -1; an internal node
-    splits on a feature below ``feature_count`` and its children are
-    positions within its tree, after it. Every node but a root has exactly
-    one parent, every threshold is finite and every size lies in
-    [1, subsample_size]. Anything else raises :class:`IncompatibleModelError`.
+    ``nodes`` maps each of ``NODE_COLUMNS`` to one flat array over all
+    trees, tree after tree, of integers (finite floats for ``threshold``),
+    and ``"roots"`` to the position of each tree's first node. A leaf has
+    feature, left and right all -1; an internal node splits on a feature
+    below ``feature_count`` and its children are positions within its tree,
+    after it. Every node but a root has exactly one parent and every size
+    lies in [1, subsample_size]. Anything else raises
+    :class:`IncompatibleModelError`.
     """
     feature, left, right, size, roots = (
-        _column(nodes, name, "i").astype(np.int64)
-        for name in ("feature", "left", "right", "size", "roots"))
-    threshold = _column(nodes, "threshold", "if").astype(float)
-    if not np.isfinite(threshold).all():
-        raise IncompatibleModelError("isolation forest 'threshold' holds a non-finite value")
+        np.asarray(nodes[name]).astype(np.int64) for name in ("feature", "left", "right", "size", "roots"))
+    threshold = np.asarray(nodes["threshold"]).astype(float)
     n = len(feature)
     if any(len(column) != n for column in (threshold, left, right, size)):
         raise IncompatibleModelError("isolation forest columns differ in length")
@@ -254,16 +239,16 @@ class IsolationForestModel:
     :func:`_pack` checks and packs; ``model.trees`` reads it back tree by
     tree."""
 
-    def __init__(self, nodes, subsample_size: int, feature_count: int, normalizer_c: float,
-                 seed: int, num_training_samples: int, feature_manifest_hash: str | None = None):
+    def __init__(self, nodes, subsample_size: int, feature_count: int, seed: int,
+                 num_training_samples: int):
         (self.feature, self.threshold, self.kids, self.size,
          self.roots, self.levels) = _pack(nodes, feature_count, subsample_size)
         self.subsample_size = subsample_size
         self.feature_count = feature_count
-        self.normalizer_c = normalizer_c
+        # c(psi), the path length that normalises every score.
+        self.normalizer_c = average_path_length(subsample_size)
         self.seed = seed
         self.num_training_samples = num_training_samples
-        self.feature_manifest_hash = feature_manifest_hash
         self._path_lengths = None
         self._nested = None
 
@@ -331,30 +316,22 @@ class IsolationForestModel:
         return {
             "subsample_size": int(self.subsample_size),
             "feature_count": int(self.feature_count),
-            "normalizer_c": float(self.normalizer_c),
             "seed": int(self.seed),
             "num_training_samples": int(self.num_training_samples),
-            "feature_manifest_hash": self.feature_manifest_hash,
             **{name: column.tolist() for name, column in zip(NODE_COLUMNS, columns)},
             "roots": self.roots.tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "IsolationForestModel":
-        try:
-            scalars = {
-                "subsample_size": int(d["subsample_size"]),
-                "feature_count": int(d["feature_count"]),
-                "normalizer_c": float(d["normalizer_c"]),
-                "seed": int(d["seed"]),
-                "num_training_samples": int(d["num_training_samples"]),
-                "feature_manifest_hash": d.get("feature_manifest_hash"),
-            }
-        except KeyError as exc:
-            raise IncompatibleModelError(f"isolation forest is missing {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise IncompatibleModelError(f"malformed isolation forest: {exc}") from exc
-        return cls(nodes=d, **scalars)
+        """The forest of a model document. Older documents also hold
+        ``normalizer_c`` and ``feature_manifest_hash``; both are ignored."""
+        owner = "isolation forest"
+        nodes = {name: read_field(d, name, owner, int, ndim=1)
+                 for name in ("feature", "left", "right", "size", "roots")}
+        nodes["threshold"] = read_field(d, "threshold", owner, float, ndim=1)
+        return cls(nodes, **{name: read_field(d, name, owner, int) for name in
+                             ("subsample_size", "feature_count", "seed", "num_training_samples")})
 
 
 def _grow(columns: np.ndarray, rngs, subsample: int, depth_limit: int):
@@ -490,7 +467,6 @@ def fit(data, num_trees: int = DEFAULT_NUM_TREES, subsample: int | None = None, 
         nodes=nodes,
         subsample_size=int(subsample),
         feature_count=int(data.shape[1]),
-        normalizer_c=average_path_length(int(subsample)),
         seed=int(seed),
         num_training_samples=n,
     )

@@ -332,14 +332,27 @@ def save_model(path: str, trained, cfg_hash: str):
     }, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in ``path``. A file that is not UTF-8 JSON, or whose
+    root is not an object, raises :class:`ConfigError` naming ``what`` and
+    the path."""
+    try:
+        doc = read_json(path)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ConfigError(f"{what} {path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} is not a JSON object")
+    return doc
+
+
 def load_model(path: str) -> dict:
-    doc = read_json(path)
+    doc = read_json_object(path, "model file")
     for key in ("schema_version", "detector"):
         if key not in doc:
             raise ConfigError(f"model file {path} is missing '{key}'")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
-            f"model schema_version {doc['schema_version']} unsupported (expected {SCHEMA_VERSION})"
+            f"model schema_version {doc['schema_version']!r} unsupported (expected {SCHEMA_VERSION})"
         )
     return doc
 

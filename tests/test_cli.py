@@ -1,9 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dexter import persistence
 from dexter.cli import main
@@ -551,3 +558,174 @@ def test_train_and_evaluate_read_only_the_banks_they_use(workspace, monkeypatch)
     assert main(["evaluate", "--config", str(cfg), "--model", str(model), "--dataset", str(ds),
                  "--out", str(tmp / "r")]) == 0
     assert read == ["test_injected.jsonl", "test_clean.jsonl"]
+
+
+# Model files written by ``dexter train`` on a tiny ARTS dataset, shared by
+# the regression cases and the fuzz property below (hypothesis refuses
+# function-scoped fixtures).
+SMALL_COUNTS = {"num_train": 4, "num_validation": 4, "num_test": 2, "num_clean_test": 3}
+SMALL_DETECTORS = {"dexter": {"kind": "dexter", "num_trees": 3},
+                   "pedm": {"kind": "pedm"}, "meanshift": {"kind": "meanshift"}}
+
+
+@pytest.fixture(scope="module")
+def small_models(tmp_path_factory):
+    """``(config, dataset, {kind: model file text})`` for a dexter (3 trees),
+    a pedm and a meanshift model."""
+    root = tmp_path_factory.mktemp("small_models")
+    cfg, ds = root / "config.json", root / "ds"
+    doc = write_config(cfg, evaluation=SMALL_COUNTS)
+    assert main(["generate", "--config", str(cfg), "--out", str(ds)]) == 0
+    models = {}
+    for kind, detector in SMALL_DETECTORS.items():
+        kind_cfg, model = root / f"{kind}.json", root / f"{kind}_model.json"
+        kind_cfg.write_text(json.dumps({**doc, "detector": detector}))
+        assert main(["train", "--config", str(kind_cfg), "--dataset", str(ds),
+                     "--out", str(model)]) == 0
+        models[kind] = model.read_text(encoding="utf-8")
+    return cfg, ds, models
+
+
+def run_evaluate(cfg, model, ds, out) -> tuple:
+    """``dexter evaluate`` in-process: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["evaluate", "--config", str(cfg), "--model", str(model),
+                     "--dataset", str(ds), "--out", str(out)])
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err, *dirs):
+    """Exit 0 with nothing on stderr, or exit 1 with exactly one line, an
+    ``error:`` line; no traceback and no temp file left in ``dirs``."""
+    assert code in (0, 1), err
+    lines = err.splitlines()
+    assert (lines == []) if code == 0 else (len(lines) == 1 and lines[0].startswith("error: ")), err
+    for directory in dirs:
+        assert not list(directory.rglob("*.tmp"))
+
+
+def _set(*path_and_value):
+    """An edit of a JSON document setting the value at a path of keys and
+    indices (the root itself when the path is empty)."""
+    *path, value = path_and_value
+
+    def edit(doc):
+        if not path:
+            return value
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return edit
+
+
+def _integer_labels(record):
+    record["labels"] = [int(label) for label in record["labels"]]
+    return record
+
+
+@pytest.mark.parametrize("where, edit, message", [
+    ("model", _set("detector", "model", "window_size", 10.5), "window_size"),
+    ("model", _set("detector", "model", "window_size", "10"), "window_size"),
+    ("model", _set("detector", "model", "forests", 0, "feature_count", 21.9), "feature_count"),
+    ("model", _set(5), "not a JSON object"),
+    ("model", _set("schema_version", "2"), "'2' unsupported"),
+    ("model", _set("feature_catalogue_hash", 5), "catalogue"),
+    ("manifest", _set("feature_catalogue_hash", 5), "catalogue"),
+    ("record", _set("injection_time", "abc"), "injection_time"),
+    ("record", _set("injection_time", 50.5), "injection_time"),
+    ("record", _set("injection_time", -5), "injection_time"),
+    ("record", _set("usable", "no"), "usable"),
+    ("record", _set("seed", 3.7), "seed"),
+    ("record", _integer_labels, "labels"),
+], ids=["window_size_fraction", "window_size_text", "feature_count_fraction", "model_root_5",
+        "schema_version_text", "model_catalogue_hash_5", "manifest_catalogue_hash_5",
+        "injection_time_text", "injection_time_fraction", "injection_time_negative",
+        "usable_text", "seed_fraction", "labels_integers"])
+def test_evaluate_refuses_mistyped_model_and_dataset_fields(small_models, tmp_path, where, edit, message):
+    cfg, ds, models = small_models
+    ds_copy, model = tmp_path / "ds", tmp_path / "model.json"
+    shutil.copytree(ds, ds_copy)
+    model_doc = json.loads(models["dexter"])
+    if where == "model":
+        model_doc = edit(model_doc)
+    elif where == "manifest":
+        manifest = ds_copy / "manifest.json"
+        manifest.write_text(json.dumps(edit(read_json(manifest))))
+    else:
+        injected = ds_copy / "test_injected.jsonl"
+        records = persistence.read_jsonl(str(injected))
+        injected.write_text("".join(json.dumps(r) + "\n" for r in [edit(records[0])] + records[1:]))
+    model.write_text(json.dumps(model_doc))
+    code, err = run_evaluate(cfg, model, ds_copy, tmp_path / "out")
+    assert_clean_exit(code, err, tmp_path)
+    assert code == 1 and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_ignores_the_stored_normalizer_of_older_model_files(small_models, tmp_path):
+    """A forest no longer stores ``normalizer_c`` = c(subsample_size) nor its
+    own copy of the catalogue hash; a file that still holds them, even with
+    a wrong normalizer, evaluates to the same bytes."""
+    cfg, ds, models = small_models
+    doc = json.loads(models["dexter"])
+    for forest in doc["detector"]["model"]["forests"]:
+        assert "normalizer_c" not in forest and "feature_manifest_hash" not in forest
+        forest.update(normalizer_c=99.0, feature_manifest_hash=doc["feature_catalogue_hash"])
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    new.write_text(models["dexter"])
+    old.write_text(json.dumps(doc))
+    for model in (new, old):
+        assert run_evaluate(cfg, model, ds, tmp_path / model.stem) == (0, "")
+    for name in ("results.csv", "report.json"):
+        assert read_file(tmp_path / "old" / name) == read_file(tmp_path / "new" / name)
+
+
+def json_paths(doc, path=()):
+    """Every path into a JSON document, the root's included: the keys of
+    its objects and the indices of its lists."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+MUTANTS = [None, True, "x", {}, 0.5, -1, float("nan"), float("inf"), float("-inf"), [], [[1.0], [1.0, 2.0]]]
+
+
+@st.composite
+def mutated_model_files(draw, models):
+    """A model file written by ``dexter train`` with one mutation: a key or
+    list element dropped, a value replaced by another JSON type, a fraction,
+    a non-finite number, -1 or an empty or ragged list, or the text cut at a
+    byte."""
+    kind = draw(st.sampled_from(sorted(models)))
+    text = models[kind]
+    how = draw(st.sampled_from(["drop", "replace", "truncate"]))
+    if how == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    paths = list(json_paths(doc))
+    if how == "replace":
+        return json.dumps(_set(*draw(st.sampled_from(paths)), draw(st.sampled_from(MUTANTS)))(doc))
+    *path, last = draw(st.sampled_from(paths[1:]))
+    parent = doc
+    for key in path:
+        parent = parent[key]
+    del parent[last]
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_evaluate_ends_every_mutated_model_file_with_exit_0_or_1(small_models, data):
+    cfg, ds, models = small_models
+    text = data.draw(mutated_model_files(models))
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        model = scratch / "model.json"
+        model.write_text(text, encoding="utf-8")
+        code, err = run_evaluate(cfg, model, ds, scratch / "out")
+        assert_clean_exit(code, err, scratch, ds)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,30 @@ def test_model_json_roundtrip(arts_model):
     assert np.array_equal(s1[9:], s2[9:])
     assert back.window_size == model.window_size
     assert back.feature_manifest_hash == model.feature_manifest_hash
+
+
+def test_older_model_documents_load_and_score_bit_for_bit(arts_model):
+    """Forests used to store ``normalizer_c``, which is c(subsample_size),
+    and their own copy of the catalogue hash. A document in that layout
+    scores bit for bit like the current one, and a wrong ``normalizer_c``
+    is ignored."""
+    cfg, policy, _, model = arts_model
+    doc = model.to_json_dict()
+    old = json.loads(json.dumps(doc))
+    for forest in old["forests"]:
+        assert "normalizer_c" not in forest and "feature_manifest_hash" not in forest
+        forest.update(normalizer_c=iforest.average_path_length(forest["subsample_size"]),
+                      feature_manifest_hash=doc["feature_manifest_hash"])
+    wrong = json.loads(json.dumps(old))
+    for forest in wrong["forests"]:
+        forest["normalizer_c"] = 99.0
+    ep = run_episode(cfg, policy, seed=2024)
+    want = score_stream(DexterModel.from_json_dict(doc), ep).scores
+    assert np.array_equal(want, score_stream(model, ep).scores, equal_nan=True)
+    for loaded in (old, wrong):
+        back = DexterModel.from_json_dict(loaded)
+        assert back.forests[0].normalizer_c == iforest.average_path_length(600)
+        assert np.array_equal(score_stream(back, ep).scores, want, equal_nan=True)
 
 
 def test_malformed_model_documents_are_rejected(arts_model):

@@ -82,10 +82,8 @@ def test_hand_constructed_tree_score_formula():
         "size": [2, 1, 1],
         "roots": [0],
     }
-    model = IsolationForestModel(
-        nodes=nodes, subsample_size=2, feature_count=1,
-        normalizer_c=average_path_length(2), seed=0, num_training_samples=2,
-    )
+    model = IsolationForestModel(nodes=nodes, subsample_size=2, feature_count=1, seed=0,
+                                 num_training_samples=2)
     assert score_batch(model, [[0.0]])[0] == pytest.approx(2.0 ** (-1.0 / 1.0))
 
 
@@ -185,12 +183,13 @@ def test_json_roundtrip_preserves_scores():
     rng = np.random.default_rng(6)
     data = rng.normal(size=(200, 3))
     model = fit(data, num_trees=30, subsample=64, seed=9)
-    model.feature_manifest_hash = "abc123"
-    back = IsolationForestModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
+    doc = model.to_json_dict()
+    assert "normalizer_c" not in doc and "feature_manifest_hash" not in doc
+    back = IsolationForestModel.from_json_dict(json.loads(json.dumps(doc)))
     queries = rng.normal(size=(30, 3))
     assert np.array_equal(score_batch(model, queries), score_batch(back, queries))
-    assert back.feature_manifest_hash == "abc123"
     assert back.subsample_size == model.subsample_size
+    assert back.normalizer_c == model.normalizer_c == average_path_length(64)
 
 
 def test_model_columns_are_the_trees_views_concatenated():
@@ -268,6 +267,9 @@ def test_malformed_model_trees_are_rejected():
         "NaN threshold on a leaf": put("threshold", leaf, float("nan")),
         "text column": put("size", start, "16"),
         "not a list": set_roots(None),
+        "fractional scalar": lambda doc: doc.update(feature_count=2.5),
+        "whole float for an integer": lambda doc: doc.update(subsample_size=16.0),
+        "boolean for an integer": lambda doc: doc.update(seed=True),
     }
     for name, corrupt in corruptions.items():
         bad = json.loads(json.dumps(doc))
@@ -388,7 +390,7 @@ def test_both_walks_score_forests_without_levels():
     # Single-leaf trees of different sizes, so their path lengths differ.
     sizes = [1, 2, 5, 8, 2]
     leaves = IsolationForestModel.from_json_dict({
-        "subsample_size": 8, "feature_count": 2, "normalizer_c": average_path_length(8),
+        "subsample_size": 8, "feature_count": 2,
         "seed": 0, "num_training_samples": 8, "feature": [-1] * 5, "threshold": [0.0] * 5,
         "left": [-1] * 5, "right": [-1] * 5, "size": sizes, "roots": list(range(5))})
     for model in (fit(rng.normal(size=(20, 2)), num_trees=7, subsample=1, seed=1),
@@ -411,7 +413,7 @@ def chain_forest(splits: int) -> IsolationForestModel:
         feature[node], threshold[node] = 0, float(k)
         left[node], right[node] = node + 1, node + 2
     return IsolationForestModel.from_json_dict({
-        "subsample_size": n, "feature_count": 2, "normalizer_c": average_path_length(n),
+        "subsample_size": n, "feature_count": 2,
         "seed": 0, "num_training_samples": n, "feature": feature, "threshold": threshold,
         "left": left, "right": right, "size": [1 + (node % 3) for node in range(n)],
         "roots": [0]})
