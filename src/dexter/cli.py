@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from . import evaluation, persistence
-from .errors import ConfigError, DataError, DexterError, IncompatibleModelError
+from .errors import ConfigError, DataError, DexterError, IncompatibleModelError, UndefinedMetricError
 from .seeding import child_seed
 from .ts_features import catalogue_hash
 
@@ -315,7 +315,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, IncompatibleModelError, json.JSONDecodeError) as exc:
+    except (ConfigError, DataError, IncompatibleModelError, UndefinedMetricError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DexterError as exc:

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the one reader that
-checks a field of a document loaded from a file."""
+"""Exception types shared across the package, the one reader that checks a
+field of a document loaded from a file, and the encoder of the binary
+columns that reader decodes."""
 
+import base64
 import reprlib
 import sys
 
@@ -54,6 +56,28 @@ _ELEMENTS = {float: "finite numbers", int: "integers", bool: "booleans"}
 # The NumPy dtype kinds an array of each element kind may load as; an empty
 # list loads as float64 and passes as any kind.
 _ARRAY_KINDS = {float: "iuf", int: "i", bool: "b"}
+# The byte layout of a binary column of each element kind.
+_COLUMN_DTYPES = {float: np.dtype("<f8"), int: np.dtype("<i4")}
+
+
+def encode_column(values, kind: type) -> str:
+    """A 1-D array of ``kind`` as one base64 string of its little-endian
+    float64 or int32 bytes, the form :func:`read_field` decodes. Integers
+    must fit in int32."""
+    return base64.b64encode(np.asarray(values).astype(_COLUMN_DTYPES[kind]).tobytes()).decode("ascii")
+
+
+def _decode_column(text: str, kind: type):
+    """The array of a binary column as float64 or int64, or None if
+    ``text`` is not base64 or its bytes are not a whole number of items."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # a non-alphabet or non-ASCII character, or bad padding
+        return None
+    dtype = _COLUMN_DTYPES[kind]
+    if len(raw) % dtype.itemsize:
+        return None
+    return np.frombuffer(raw, dtype=dtype).astype(kind)
 
 
 def read_field(doc, name: str, owner: str, kind: type = float, ndim: int = 0,
@@ -64,9 +88,11 @@ def read_field(doc, name: str, owner: str, kind: type = float, ndim: int = 0,
     takes any finite number and returns a float: ``int`` refuses a bool and
     a whole float. An array of ``ndim`` dimensions is judged in one
     ``np.asarray`` pass by the dtype NumPy gives the whole list and returned
-    as float64, int64 or bool. No NaN or infinity passes. With ``nullable``
-    a JSON null reads as None. Anything else raises ``error`` naming
-    ``owner`` and the field."""
+    as float64, int64 or bool. A 1-D float or int array may also be a
+    string: the base64 of its little-endian float64 or int32 bytes, as
+    :func:`encode_column` writes it. No NaN or infinity passes. With
+    ``nullable`` a JSON null reads as None. Anything else raises ``error``
+    naming ``owner`` and the field."""
     if not isinstance(doc, dict):
         raise error(f"{owner} is not a JSON object")
     if name not in doc:
@@ -83,10 +109,16 @@ def read_field(doc, name: str, owner: str, kind: type = float, ndim: int = 0,
             return value
         raise error(f"malformed {owner}: {name!r} must be {_SCALARS[kind]}, "
                     f"got {reprlib.repr(value)}")
-    try:
-        array = np.asarray(value)
-    except ValueError:  # a ragged list
-        array = None
+    if isinstance(value, str) and ndim == 1 and kind in _COLUMN_DTYPES:
+        array = _decode_column(value, kind)
+        if array is None:
+            raise error(f"malformed {owner}: {name!r} is not base64 of little-endian "
+                        f"{_COLUMN_DTYPES[kind].name} values")
+    else:
+        try:
+            array = np.asarray(value)
+        except ValueError:  # a ragged list
+            array = None
     if (array is None or array.ndim != ndim
             or (array.size and array.dtype.kind not in _ARRAY_KINDS[kind])
             or (kind is float and not np.isfinite(array).all())):

@@ -50,7 +50,15 @@ of the nodes; ``left`` and ``right`` are strided views of ``kids``. The
 per-tree-view form (``model.trees[i]``, and the model file's columns over all
 trees) is rebuilt from them on demand, with -1 marking leaves and children
 numbered within their tree; a fitted or loaded forest enters the packed
-layout only through ``_pack``, which checks it.
+layout only through ``_pack``, which checks it. The model file holds each
+column of that form as one base64 string of its little-endian bytes, int32
+for ``feature``, ``left``, ``right``, ``size`` and ``roots`` and float64 for
+``threshold`` (``errors.encode_column``), so that saving and loading a
+forest handle six strings instead of one JSON number per node; the reader,
+``errors.read_field``, also takes the JSON lists that files written before
+this hold. A 300-tree forest of 103k nodes takes 3.30 MB against 2.42 MB as
+lists, but saves in 28 ms against 134 ms and loads in 32 ms against 113 ms
+(BENCH_15.json).
 
 Scoring. A point's h in one tree is the depth of the leaf its walk ends at
 plus c(leaf size), so a forest keeps one path length per leaf, derived on
@@ -79,10 +87,10 @@ bit for bit, and a NaN feature value compares false and routes right in both.
   BENCH_13.json).
 
 The per-tree path lengths are summed in tree order from 0.0, one tree at a
-time. NumPy's ``sum`` over the tree axis can reduce pairwise (it does for a
-batch of one), which rounds differently from the sequential sum, so a point
-would score differently alone than inside a batch, and streamed scores would
-stop matching ``score_stream`` bit for bit.
+time (``_sum_over_trees``). NumPy's ``sum`` over the tree axis reduces
+pairwise for a batch of one, which rounds differently from the sequential
+sum, so a point would score differently alone than inside a batch, and
+streamed scores would stop matching ``score_stream`` bit for bit.
 """
 
 from collections.abc import Sequence
@@ -90,7 +98,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleModelError, read_field
+from .errors import ConfigError, IncompatibleModelError, encode_column, read_field
 from .seeding import rng_from
 
 DEFAULT_NUM_TREES = 100
@@ -112,13 +120,29 @@ _CHUNK_PAIRS = 1 << 16
 _PYTHON_WALK_PAIRS = 64
 # Most subsample points one chunk of trees is grown with.
 _CHUNK_POINTS = 1 << 17
+# Most reciprocals c(n) materialises at a time (512 KiB of float64).
+_RECIPROCAL_BLOCK = 1 << 16
+
+
+def _reciprocal_sum(first: int, n: int) -> float:
+    """The sum of 1/k for k = first .. first + n - 1, split as NumPy's
+    pairwise float sum splits a row of n values (halves rounded down to a
+    multiple of 8), so that only blocks of at most ``_RECIPROCAL_BLOCK``
+    values are materialised and each is summed by NumPy itself."""
+    if n <= _RECIPROCAL_BLOCK:
+        return float(np.add.reduce(1.0 / np.arange(first, first + n)))
+    half = n // 2
+    half -= half % 8
+    return _reciprocal_sum(first, half) + _reciprocal_sum(first + half, n - half)
 
 
 def harmonic_number(n: int) -> float:
-    """Exact n-th harmonic number (float sum; n is small in practice)."""
+    """The n-th harmonic number, bit for bit
+    ``np.sum(1.0 / np.arange(1, n + 1))``, in memory bounded whatever n a
+    model file gives."""
     if n <= 0:
         return 0.0
-    return float(np.sum(1.0 / np.arange(1, n + 1)))
+    return _reciprocal_sum(1, n)
 
 
 def average_path_length(n: int) -> float:
@@ -145,6 +169,8 @@ class IsolationTree:
 
 
 NODE_COLUMNS = ("feature", "threshold", "left", "right", "size")
+# The element kind of each column of a forest document.
+COLUMN_KINDS = {name: float if name == "threshold" else int for name in NODE_COLUMNS + ("roots",)}
 
 
 def _pack(nodes, feature_count: int, subsample_size: int):
@@ -312,24 +338,24 @@ class IsolationForestModel:
         return self._nested
 
     def to_json_dict(self) -> dict:
-        columns = self._view_columns(0, len(self.feature))
+        columns = (*self._view_columns(0, len(self.feature)), self.roots)
         return {
             "subsample_size": int(self.subsample_size),
             "feature_count": int(self.feature_count),
             "seed": int(self.seed),
             "num_training_samples": int(self.num_training_samples),
-            **{name: column.tolist() for name, column in zip(NODE_COLUMNS, columns)},
-            "roots": self.roots.tolist(),
+            **{name: encode_column(column, kind)
+               for (name, kind), column in zip(COLUMN_KINDS.items(), columns)},
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "IsolationForestModel":
-        """The forest of a model document. Older documents also hold
-        ``normalizer_c`` and ``feature_manifest_hash``; both are ignored."""
+        """The forest of a model document. Its node columns are base64
+        strings or, in documents written before those, JSON lists. Older
+        documents also hold ``normalizer_c`` and ``feature_manifest_hash``;
+        both are ignored."""
         owner = "isolation forest"
-        nodes = {name: read_field(d, name, owner, int, ndim=1)
-                 for name in ("feature", "left", "right", "size", "roots")}
-        nodes["threshold"] = read_field(d, "threshold", owner, float, ndim=1)
+        nodes = {name: read_field(d, name, owner, kind, ndim=1) for name, kind in COLUMN_KINDS.items()}
         return cls(nodes, **{name: read_field(d, name, owner, int) for name in
                              ("subsample_size", "feature_count", "seed", "num_training_samples")})
 
@@ -508,11 +534,20 @@ def _walk_many(model: IsolationForestModel, pts: np.ndarray) -> np.ndarray:
         np.add(node, node, out=at)
         at += go_left
         np.take(model.kids, at, out=node, mode="clip")
-    path_lengths = np.take(model.path_length_table(), node, out=value, mode="clip")
-    total = np.zeros(num_points)
-    for row in path_lengths:
-        total += row
-    return total
+    return _sum_over_trees(np.take(model.path_length_table(), node, out=value, mode="clip"))
+
+
+def _sum_over_trees(path_lengths: np.ndarray) -> np.ndarray:
+    """Each column's sum of a (trees, points) array, in tree order from 0.0.
+    Reducing a C-contiguous array over its first axis adds row after row, so
+    ``np.add.reduce`` keeps that order for two or more points; over a single
+    column it would sum pairwise, so one point is summed in plain Python."""
+    if path_lengths.shape[1] >= 2:
+        return np.add.reduce(path_lengths, axis=0)
+    total = 0.0
+    for h in path_lengths.ravel().tolist():
+        total += h
+    return np.full(path_lengths.shape[1], total)
 
 
 def score_batch(model: IsolationForestModel, points) -> np.ndarray:

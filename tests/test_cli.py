@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import csv
 import io
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 from dexter import persistence
 from dexter.cli import main
+from dexter.isolation_forest import COLUMN_KINDS
 from dexter.persistence import RESULT_CSV_COLUMNS, config_hash, read_json
+from forest_columns import column_text, column_values, listed
 
 
 def write_config(path, **overrides):
@@ -683,6 +686,68 @@ def test_evaluate_ignores_the_stored_normalizer_of_older_model_files(small_model
         assert read_file(tmp_path / "old" / name) == read_file(tmp_path / "new" / name)
 
 
+def test_evaluate_exits_1_when_the_window_exceeds_every_test_episode(small_models, tmp_path):
+    """No test episode holds a whole window, so no AUROC is defined."""
+    cfg, ds, models = small_models
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_set("detector", "model", "window_size", 100000)(json.loads(models["dexter"]))))
+    code, err = run_evaluate(cfg, model, ds, tmp_path / "out")
+    assert_clean_exit(code, err, tmp_path, ds)
+    assert code == 1 and "AUROC" in err
+
+
+def test_evaluate_reads_list_columns_of_older_model_files(small_models, tmp_path):
+    """A model file whose forests hold their node columns as JSON lists, as
+    schema-2 files written before the binary columns do, evaluates to the
+    same bytes."""
+    cfg, ds, models = small_models
+    doc = json.loads(models["dexter"])
+    forests = doc["detector"]["model"]["forests"]
+    forests[:] = [listed(forest) for forest in forests]
+    assert all(isinstance(forest["threshold"], list) for forest in forests)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    new.write_text(models["dexter"])
+    old.write_text(json.dumps(doc))
+    for model in (new, old):
+        assert run_evaluate(cfg, model, ds, tmp_path / model.stem) == (0, "")
+    for name in ("results.csv", "report.json"):
+        assert read_file(tmp_path / "old" / name) == read_file(tmp_path / "new" / name)
+
+
+def _set_column_item(name, position, value):
+    def edit(text):
+        values = column_values(text, name)
+        values[position] = value
+        return column_text(values)
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("size", lambda text: text[:4] + "*" + text[4:], "'size' is not base64"),
+    ("feature", lambda text: text[:-2], "'feature' is not base64"),
+    ("roots", lambda text: column_text(base64.b64decode(text) + b"\0"),
+     "'roots' is not base64 of little-endian int32"),
+    ("threshold", lambda text: column_text(base64.b64decode(text)[:-4]),
+     "'threshold' is not base64 of little-endian float64"),
+    ("threshold", _set_column_item("threshold", 0, np.nan), "'threshold' must be"),
+    ("threshold", _set_column_item("threshold", -1, -np.inf), "'threshold' must be"),
+    ("left", _set_column_item("left", 0, 2**31 - 1), "child index"),
+    ("right", _set_column_item("right", 0, -2), "child index"),
+], ids=["non_alphabet", "padding_cut", "odd_byte_length", "half_a_float", "nan_threshold",
+        "minus_inf_threshold", "left_out_of_range", "right_negative"])
+def test_evaluate_refuses_malformed_binary_columns(small_models, tmp_path, name, edit, message):
+    cfg, ds, models = small_models
+    doc = json.loads(models["dexter"])
+    forest = doc["detector"]["model"]["forests"][0]
+    forest[name] = edit(forest[name])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code, err = run_evaluate(cfg, model, ds, tmp_path / "out")
+    assert_clean_exit(code, err, tmp_path, ds)
+    assert code == 1 and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def json_paths(doc, path=()):
     """Every path into a JSON document, the root's included: the keys of
     its objects and the indices of its lists."""
@@ -695,18 +760,46 @@ def json_paths(doc, path=()):
 MUTANTS = [None, True, "x", {}, 0.5, -1, float("nan"), float("inf"), float("-inf"), [], [[1.0], [1.0, 2.0]]]
 
 
+def mutated_column(draw, forest):
+    """One binary node column of a forest edited in its bytes or its text:
+    the bytes cut short or made an odd number, a character outside the
+    base64 alphabet put in, a threshold made NaN or infinite, or a child
+    index put out of range."""
+    how = draw(st.sampled_from(["cut", "odd", "character", "non-finite", "child"]))
+    name = {"non-finite": "threshold", "child": draw(st.sampled_from(["left", "right"]))}.get(
+        how, draw(st.sampled_from(sorted(COLUMN_KINDS))))
+    text, values = forest[name], column_values(forest[name], name)
+    raw = values.tobytes()
+    if how == "cut":
+        text = column_text(raw[:draw(st.integers(0, len(raw) - 1))])
+    elif how == "odd":
+        text = column_text(raw[:-1] if draw(st.booleans()) else raw + b"\0")
+    elif how == "character":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["*", "-", "_", " ", "\n", "\u00e9", "="])) + text[at:]
+    else:
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(
+            [np.nan, np.inf, -np.inf] if how == "non-finite" else [-2**31, -2, len(values), 2**31 - 1]))
+        text = column_text(values)
+    forest[name] = text
+
+
 @st.composite
 def mutated_model_files(draw, models):
     """A model file written by ``dexter train`` with one mutation: a key or
     list element dropped, a value replaced by another JSON type, a fraction,
-    a non-finite number, -1 or an empty or ragged list, or the text cut at a
-    byte."""
+    a non-finite number, -1 or an empty or ragged list, the text cut at a
+    byte, or a forest's node column edited by :func:`mutated_column`."""
     kind = draw(st.sampled_from(sorted(models)))
     text = models[kind]
-    how = draw(st.sampled_from(["drop", "replace", "truncate"]))
+    how = draw(st.sampled_from(["drop", "replace", "truncate"] + ["column"] * (kind == "dexter")))
     if how == "truncate":
         return text[:draw(st.integers(0, len(text) - 1))]
     doc = json.loads(text)
+    if how == "column":
+        forests = doc["detector"]["model"]["forests"]
+        mutated_column(draw, forests[draw(st.integers(0, len(forests) - 1))])
+        return json.dumps(doc)
     paths = list(json_paths(doc))
     if how == "replace":
         return json.dumps(_set(*draw(st.sampled_from(paths)), draw(st.sampled_from(MUTANTS)))(doc))

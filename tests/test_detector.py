@@ -12,6 +12,7 @@ from dexter.detector import DexterModel, DexterStream, calibrate, detect_online,
 from dexter.environments import BaseEnv, Scenario, ScenarioConfig, builtin_policy, run_episode
 from dexter.errors import ConfigError, DataError, IncompatibleModelError
 from dexter.seeding import child_seed
+from forest_columns import listed
 
 
 def arts_config(post=None):
@@ -160,13 +161,14 @@ def test_model_json_roundtrip(arts_model):
 
 
 def test_older_model_documents_load_and_score_bit_for_bit(arts_model):
-    """Forests used to store ``normalizer_c``, which is c(subsample_size),
-    and their own copy of the catalogue hash. A document in that layout
-    scores bit for bit like the current one, and a wrong ``normalizer_c``
-    is ignored."""
+    """Forests used to store their node columns as JSON lists, and before
+    that also ``normalizer_c``, which is c(subsample_size), and their own
+    copy of the catalogue hash. Documents in those layouts score bit for bit
+    like the current one, and a wrong ``normalizer_c`` is ignored."""
     cfg, policy, _, model = arts_model
     doc = model.to_json_dict()
-    old = json.loads(json.dumps(doc))
+    lists = {**doc, "forests": [listed(forest) for forest in doc["forests"]]}
+    old = json.loads(json.dumps(lists))
     for forest in old["forests"]:
         assert "normalizer_c" not in forest and "feature_manifest_hash" not in forest
         forest.update(normalizer_c=iforest.average_path_length(forest["subsample_size"]),
@@ -177,7 +179,8 @@ def test_older_model_documents_load_and_score_bit_for_bit(arts_model):
     ep = run_episode(cfg, policy, seed=2024)
     want = score_stream(DexterModel.from_json_dict(doc), ep).scores
     assert np.array_equal(want, score_stream(model, ep).scores, equal_nan=True)
-    for loaded in (old, wrong):
+    assert DexterModel.from_json_dict(json.loads(json.dumps(lists))).to_json_dict() == doc
+    for loaded in (lists, old, wrong):
         back = DexterModel.from_json_dict(loaded)
         assert back.forests[0].normalizer_c == iforest.average_path_length(600)
         assert np.array_equal(score_stream(back, ep).scores, want, equal_nan=True)

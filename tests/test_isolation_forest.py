@@ -1,9 +1,11 @@
+import base64
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dexter import isolation_forest
@@ -16,6 +18,7 @@ from dexter.isolation_forest import (
     score_batch,
 )
 from dexter.seeding import rng_from
+from forest_columns import binary, column_text, column_values, listed
 
 
 def brute_auroc(scores, labels):
@@ -30,6 +33,31 @@ def brute_auroc(scores, labels):
         p = pos[start:start + chunk, None]
         wins += np.count_nonzero(p > neg) + 0.5 * np.count_nonzero(p == neg)
     return wins / (len(pos) * len(neg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 300_000) | st.sampled_from([7, 8, 128, 129, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+                                                   (1 << 17) + 8, 3 << 16]))
+def test_harmonic_number_sums_as_numpy_does(n):
+    """The blocked sum follows NumPy's pairwise split of one long row."""
+    want = float(np.sum(1.0 / np.arange(1, n + 1))) if n > 0 else 0.0
+    assert harmonic_number(n).hex() == want.hex()
+
+
+def test_a_huge_subsample_size_loads_in_bounded_memory():
+    """c(10^7) once materialised 160 MB of reciprocals on load."""
+    doc = {"subsample_size": 10**7, "feature_count": 1, "seed": 0, "num_training_samples": 10**7,
+           "feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "size": [10**7],
+           "roots": [0]}
+    tracemalloc.start()
+    try:
+        model = IsolationForestModel.from_json_dict(doc)
+        score = score_batch(model, [[0.0]])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert score == 0.5  # the one leaf's path length is c(psi) itself
 
 
 def test_harmonic_and_path_length_constants():
@@ -195,12 +223,96 @@ def test_json_roundtrip_preserves_scores():
 def test_model_columns_are_the_trees_views_concatenated():
     rng = np.random.default_rng(10)
     model = fit(rng.normal(size=(100, 2)), num_trees=4, subsample=16, seed=2)
-    doc = model.to_json_dict()
+    doc = listed(model.to_json_dict())
     assert "trees" not in doc
     starts = doc["roots"] + [len(doc["feature"])]
     for i, tree in enumerate(model.trees):
         for name in isolation_forest.NODE_COLUMNS:
             assert doc[name][starts[i]:starts[i + 1]] == getattr(tree, name).tolist()
+
+
+def test_model_columns_are_base64_of_little_endian_int32_and_float64():
+    rng = np.random.default_rng(15)
+    model = fit(rng.normal(size=(100, 2)), num_trees=4, subsample=16, seed=2)
+    doc, columns = model.to_json_dict(), listed(model.to_json_dict())
+    for name, dtype in [("feature", "<i4"), ("threshold", "<f8"), ("left", "<i4"),
+                        ("right", "<i4"), ("size", "<i4"), ("roots", "<i4")]:
+        assert isinstance(doc[name], str)
+        raw = base64.b64decode(doc[name], validate=True)
+        assert np.frombuffer(raw, dtype=dtype).tolist() == columns[name]
+        assert raw == np.array(columns[name], dtype=dtype).tobytes()
+
+
+def test_binary_columns_round_trip_bit_for_bit():
+    """Signed zeros and subnormal thresholds survive a save and a load
+    unchanged."""
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+    thresholds = [-0.0, tiny, -tiny, 2.5e-310, -0.0, 0.0, 1e308]
+    nodes = {"feature": [0, 1, -1, 0, -1, -1, -1], "threshold": thresholds,
+             "left": [1, 3, -1, 5, -1, -1, -1], "right": [2, 4, -1, 6, -1, -1, -1],
+             "size": [4, 3, 1, 2, 1, 1, 1], "roots": [0]}
+    model = IsolationForestModel(nodes=nodes, subsample_size=4, feature_count=2, seed=-5,
+                                 num_training_samples=4)
+    doc = model.to_json_dict()
+    back = IsolationForestModel.from_json_dict(json.loads(json.dumps(doc)))
+    assert back.threshold.view(np.int64).tolist() == np.array(thresholds).view(np.int64).tolist()
+    for name in ("feature", "kids", "size", "roots"):
+        a, b = getattr(model, name), getattr(back, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert back.to_json_dict() == doc
+    assert listed(doc)["threshold"][0] == 0.0 and str(listed(doc)["threshold"][0]) == "-0.0"
+
+
+def _set_bytes(name, edit):
+    """A corruption of the binary column ``name`` that edits its bytes."""
+    def corrupt(doc):
+        raw = bytearray(base64.b64decode(doc[name]))
+        edit(raw)
+        doc[name] = column_text(raw)
+    return corrupt
+
+
+def _set_item(name, position, value):
+    def corrupt(doc):
+        values = column_values(doc[name], name)
+        values[position] = value
+        doc[name] = column_text(values)
+    return corrupt
+
+
+def _set_text(name, edit):
+    return lambda doc: doc.update({name: edit(doc[name])})
+
+
+@pytest.mark.parametrize("corrupt", [
+    _set_text("left", lambda text: text[:-1]),                  # padding cut
+    _set_text("size", lambda text: text[:8] + "*" + text[8:]),  # a non-alphabet character
+    _set_text("size", lambda text: text[:8] + " " + text[8:]),  # whitespace
+    _set_text("feature", lambda text: text[:4] + "\u00e9" + text[5:]),  # a non-ASCII character
+    _set_text("threshold", lambda text: text + "===="),
+    _set_bytes("roots", lambda raw: raw.append(0)),             # 5 bytes for int32
+    _set_bytes("threshold", lambda raw: raw.extend(b"\0" * 4)),  # a float64 and a half
+    _set_bytes("right", lambda raw: raw.pop()),                 # one byte short
+    _set_bytes("size", lambda raw: raw.clear()),                # an empty column
+    _set_item("threshold", 0, np.nan),
+    _set_item("threshold", 3, np.inf),
+    _set_item("threshold", 5, -np.inf),
+    _set_item("left", 0, 2**31 - 1),                     # child past the tree's end
+    _set_item("right", 0, -7),
+    _set_item("feature", 0, 2),
+    _set_item("size", 0, -2**31),
+    _set_item("roots", 1, 0),
+], ids=["cut_padding", "non_alphabet", "whitespace", "non_ascii", "extra_padding", "roots_odd_bytes",
+        "threshold_half_item", "right_short", "size_empty", "threshold_nan", "threshold_inf",
+        "threshold_minus_inf", "left_out_of_range", "right_negative", "feature_out_of_range",
+        "size_negative", "roots_repeated"])
+def test_malformed_binary_columns_are_rejected(corrupt):
+    rng = np.random.default_rng(16)
+    doc = fit(rng.normal(size=(100, 2)), num_trees=3, subsample=16, seed=4).to_json_dict()
+    IsolationForestModel.from_json_dict(doc)
+    corrupt(doc)
+    with pytest.raises(IncompatibleModelError):
+        IsolationForestModel.from_json_dict(doc)
 
 
 def test_tree_slices_equal_indexing_one_by_one():
@@ -213,9 +325,12 @@ def test_tree_slices_equal_indexing_one_by_one():
 
 
 def test_malformed_model_trees_are_rejected():
+    """Each corruption is refused in the list form of older files and, where
+    the binary form can hold it, written back as binary columns."""
     rng = np.random.default_rng(7)
-    doc = fit(rng.normal(size=(100, 2)), num_trees=3, subsample=16, seed=4).to_json_dict()
+    doc = listed(fit(rng.normal(size=(100, 2)), num_trees=3, subsample=16, seed=4).to_json_dict())
     IsolationForestModel.from_json_dict(doc)
+    IsolationForestModel.from_json_dict(binary(doc))
     start, stop = doc["roots"][1], doc["roots"][2]
     assert doc["feature"][start] >= 0 and doc["left"][start] > 0  # tree 1's root splits
     leaf = doc["feature"].index(-1)
@@ -271,12 +386,15 @@ def test_malformed_model_trees_are_rejected():
         "whole float for an integer": lambda doc: doc.update(subsample_size=16.0),
         "boolean for an integer": lambda doc: doc.update(seed=True),
     }
+    # A binary int32 column cannot hold a fraction, a nested list or text.
+    list_only = {"fractional index", "nested column", "text column"}
     for name, corrupt in corruptions.items():
         bad = json.loads(json.dumps(doc))
         corrupt(bad)
-        with pytest.raises(IncompatibleModelError):
-            IsolationForestModel.from_json_dict(bad)
-            pytest.fail(f"accepted: {name}")
+        for form in [bad] if name in list_only else [bad, binary(bad)]:
+            with pytest.raises(IncompatibleModelError):
+                IsolationForestModel.from_json_dict(form)
+                pytest.fail(f"accepted: {name}")
 
 
 def reference_scores(model, points):
@@ -344,7 +462,7 @@ def renumbered(model, rng):
     """The forest reloaded from a document whose trees number their nodes in
     a random order that keeps every child after its parent, so siblings are
     rarely adjacent and a right child often comes before its left sibling."""
-    doc = model.to_json_dict()
+    doc = listed(model.to_json_dict())
     starts = doc["roots"] + [len(doc["feature"])]
     columns = {name: [] for name in isolation_forest.NODE_COLUMNS}
     for start, stop in zip(starts, starts[1:]):
@@ -363,7 +481,7 @@ def renumbered(model, rng):
             for name in ("left", "right"):
                 columns[name].append(position[doc[name][start + node]])
     doc.update(columns)
-    return IsolationForestModel.from_json_dict(doc)
+    return IsolationForestModel.from_json_dict(binary(doc))
 
 
 @settings(max_examples=100, deadline=None)
@@ -492,6 +610,24 @@ def test_loading_rebuilds_the_packed_arrays_bit_for_bit(case):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert back.levels == model.levels
     assert np.array_equal(score_batch(back, queries), score_batch(model, queries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@example(300, 1, 0).via("one point of a 300-tree forest")
+@example(300, 191, 0).via("an ARTS episode of a 300-tree forest")
+def test_tree_sums_add_in_tree_order(num_trees, num_points, seed):
+    """``_sum_over_trees`` equals adding the trees' rows one after another,
+    for one point as for many: NumPy's reduction over the tree axis
+    replays that order only for two or more points."""
+    rng = np.random.default_rng(seed)
+    path_lengths = rng.integers(0, 14, size=(num_trees, num_points)) + rng.exponential(
+        10.0 ** rng.uniform(-3, 1), size=(num_trees, num_points))
+    want = np.zeros(num_points)
+    for row in path_lengths:
+        want += row
+    got = isolation_forest._sum_over_trees(path_lengths)
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_batch_split_into_chunks_scores_the_same(monkeypatch):
