@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 from .ar_noise import (
     ARProcessSpec,
     CorrelationMode,
-    NoiseMatrix,
     generate_matrix,
     generate_series,
     spliced_matrix,
@@ -71,7 +70,6 @@ __all__ = [
     "FEATURE_COUNT",
     "FEATURE_NAMES",
     "LabeledScoreSet",
-    "NoiseMatrix",
     "PolicyKind",
     "Scenario",
     "ScenarioConfig",

@@ -16,7 +16,7 @@ output is a draw from the stationary distribution. Series are deterministic
 functions of (spec, length, seed).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -177,33 +177,13 @@ def spliced_series(
     return y[burn:] * pre_spec.magnitude_scale
 
 
-@dataclass(frozen=True)
-class NoiseMatrix:
-    """Per-dimension noise series for one episode: row d is an independent
-    draw of the process, shape (num_dimensions, max_steps)."""
-
-    values: np.ndarray
-    spec: ARProcessSpec
-    seed: int
-    injection_step: int | None = None
-    post_spec: ARProcessSpec | None = field(default=None, repr=False)
-
-    @property
-    def num_dimensions(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def max_steps(self) -> int:
-        return self.values.shape[1]
-
-
 def _row_seed(seed: int, row: int) -> int:
     return child_seed(seed, "noise_row", row)
 
 
-def generate_matrix(spec: ARProcessSpec, num_dimensions: int, max_steps: int, seed: int) -> NoiseMatrix:
-    """Matrix whose rows are independent draws of the process: the
-    no-injection case of :func:`spliced_matrix`.
+def generate_matrix(spec: ARProcessSpec, num_dimensions: int, max_steps: int, seed: int) -> np.ndarray:
+    """(num_dimensions, max_steps) matrix whose rows are independent draws of
+    the process: the no-injection case of :func:`spliced_matrix`.
 
     Row i uses the sub-seed ``child_seed(seed, "noise_row", i)``, so changing
     ``num_dimensions`` never perturbs earlier rows.
@@ -218,8 +198,9 @@ def spliced_matrix(
     num_dimensions: int,
     max_steps: int,
     seed: int,
-) -> NoiseMatrix:
-    """Matrix of independent spliced series sharing one injection step.
+) -> np.ndarray:
+    """(num_dimensions, max_steps) matrix of independent spliced series
+    sharing one injection step.
 
     Uses the same per-row sub-seeds as :func:`generate_matrix`, so the
     pre-injection prefix of each row is bit-identical to the clean matrix
@@ -227,15 +208,7 @@ def spliced_matrix(
     """
     if num_dimensions < 1 or max_steps < 1:
         raise ValueError("num_dimensions and max_steps must be >= 1")
-    rows = [
+    return np.stack([
         spliced_series(pre_spec, post_spec, injection_step, max_steps, _row_seed(seed, d))
         for d in range(num_dimensions)
-    ]
-    spliced = injection_step is not None
-    return NoiseMatrix(
-        values=np.stack(rows),
-        spec=pre_spec,
-        seed=int(seed),
-        injection_step=int(injection_step) if spliced else None,
-        post_spec=post_spec if spliced else None,
-    )
+    ])

@@ -27,6 +27,8 @@ from .ts_features import catalogue_hash
 DATASET_FILES = {"train": "train", "validation": "validation", "test": "test_injected",
                  "clean_test": "test_clean"}
 MANIFEST_NAME = "manifest.json"
+_MANIFEST_SEED_HELP = ("ignored for the run, whose seed comes from the dataset manifest; "
+                       "it only lets a --config without evaluation.master_seed validate")
 
 
 def _resolved_config_with_scales(config: persistence.RunConfig):
@@ -127,9 +129,7 @@ def cmd_evaluate(args) -> int:
         os.path.join(args.out, "results.csv"), persistence.results_to_csv([row])
     )
     persistence.atomic_write_json(os.path.join(args.out, "report.json"), {
-        "schema_version": persistence.SCHEMA_VERSION,
-        "tool_version": persistence.TOOL_VERSION,
-        "config_hash": manifest["config_hash"],
+        **persistence.file_header(manifest["config_hash"]),
         "results": [row],
     })
 
@@ -235,9 +235,7 @@ def cmd_bench(args) -> int:
     persistence.atomic_write_text(os.path.join(args.out, "results.csv"),
                                   persistence.results_to_csv(table))
     persistence.atomic_write_json(os.path.join(args.out, "report.json"), {
-        "schema_version": persistence.SCHEMA_VERSION,
-        "tool_version": persistence.TOOL_VERSION,
-        "config_hash": persistence.config_hash(resolved),
+        **persistence.file_header(persistence.config_hash(resolved)),
         "num_cells": len(cells),
         "num_failed": sum(1 for c, _ in cells if results.get(c) is None),
         "results": rows,
@@ -289,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--dataset", required=True)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--seed-override", type=int, default=None)
+    p_train.add_argument("--seed-override", type=int, default=None, help=_MANIFEST_SEED_HELP)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a saved model against a dataset")
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--seed-override", type=int, default=None)
+    p_eval.add_argument("--seed-override", type=int, default=None, help=_MANIFEST_SEED_HELP)
     p_eval.add_argument("--emit-scores", action="store_true")
     p_eval.set_defaults(func=cmd_evaluate)
 

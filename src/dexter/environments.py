@@ -3,13 +3,17 @@ scenarios built on them.
 
 Three base environments (classic Cartpole with Euler integration, classic
 Acrobot with RK4, and a trivial constant-state environment) are wrapped by
-three scenario families:
+three scenario families. Each environment is a plain class:
+``reset(rng)`` returns the initial state as a list of Python floats, and
+``step(state, action)`` returns ``(next_state, reward, terminal)`` with the
+next state a new list of floats; a state that is or becomes non-finite
+raises :class:`SimulationDivergedError`.
 
 * ARTS -- the observation *is* a 1-D noise series; the state is constant.
 * ARNO -- sensory anomaly: dynamics run on the true state, and the
   per-dimension-scaled noise column is added to the observation only.
-* ARNS -- semantic anomaly: the noise perturbs the state fed into the
-  transition function, so it changes the dynamics themselves; the recorded
+* ARNS -- semantic anomaly: the noise perturbs the state passed to
+  ``step``, so it changes the dynamics themselves; the recorded
   observation is the true next state.
 
 Episodes label every transition by whether its destination observation index
@@ -19,13 +23,13 @@ anomalous transitions.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
 
 import numpy as np
 
-from .ar_noise import ARProcessSpec, NoiseMatrix, generate_matrix, spliced_matrix
+from .ar_noise import ARProcessSpec, generate_matrix, spliced_matrix
 from .errors import ConfigError, DataError, SimulationDivergedError, read_field
 from .seeding import child_seed, rng_from
 
@@ -54,17 +58,7 @@ def _diverged(env_name: str, state) -> SimulationDivergedError:
     return SimulationDivergedError(f"{env_name} state became non-finite: {state}")
 
 
-class _FloatStepEnv:
-    """Base of the environments. Each one advances its state as a list of
-    Python floats in :meth:`step`, which both the episode loop and the
-    array-level :meth:`transition` call, so the dynamics exist once."""
-
-    def transition(self, vector, action: int) -> np.ndarray:
-        """The next state vector after ``action`` from state ``vector``."""
-        return np.array(self.step(np.asarray(vector, dtype=float).tolist(), action)[0])
-
-
-class CartpoleEnv(_FloatStepEnv):
+class CartpoleEnv:
     """Classic cart-pole balancing with the standard constants and explicit
     Euler integration; binary force direction actions (0 = left, 1 = right)."""
 
@@ -111,7 +105,7 @@ class CartpoleEnv(_FloatStepEnv):
         return nxt, 1.0, abs(x) > self.X_LIMIT or abs(theta) > self.THETA_LIMIT
 
 
-class AcrobotEnv(_FloatStepEnv):
+class AcrobotEnv:
     """Classic two-link acrobot with RK4 integration.
 
     Observations are [cos th1, sin th1, cos th2, sin th2, w1, w2]; actions
@@ -194,7 +188,7 @@ class AcrobotEnv(_FloatStepEnv):
         return nxt, 0.0 if goal else -1.0, goal
 
 
-class ConstantEnv(_FloatStepEnv):
+class ConstantEnv:
     """1-D environment whose state never changes; the ARTS base."""
 
     dim = 1
@@ -287,7 +281,6 @@ class Episode:
     seed: int
     scenario: str
     usable: bool = True
-    hidden_states: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def length(self) -> int:
@@ -392,8 +385,7 @@ def _observe(scenario, state: list, columns, t: int) -> np.ndarray:
     return np.array(state)
 
 
-def _rollout(env, state: list, policy, policy_rng, horizon: int, scenario=None, columns=(),
-             record_states: bool = False):
+def _rollout(env, state: list, policy, policy_rng, horizon: int, scenario=None, columns=()):
     """The simulation loop: step ``env`` from ``state`` until it terminates
     or ``horizon`` observations exist.
 
@@ -401,11 +393,9 @@ def _rollout(env, state: list, policy, policy_rng, horizon: int, scenario=None, 
     observation; under ARNO it is added to the observed state; under ARNS it
     is added to the state that the transition into t starts from. With
     ``scenario=None`` the clean state is observed. Returns the observations
-    (the arrays the policy was given), the states as float lists (None
-    unless ``record_states``), the actions and the reward sum.
+    (the arrays the policy was given), the actions and the reward sum.
     """
     observations = [_observe(scenario, state, columns, 0)]
-    states = [state] if record_states else None
     actions = []
     reward_sum = 0.0
     for t in range(1, horizon):
@@ -414,35 +404,28 @@ def _rollout(env, state: list, policy, policy_rng, horizon: int, scenario=None, 
             state = [v + n for v, n in zip(state, columns[t])]
         state, reward, terminal = env.step(state, action)
         observations.append(_observe(scenario, state, columns, t))
-        if record_states:
-            states.append(state)
         actions.append(action)
         reward_sum += reward
         if terminal:
             break
-    return observations, states, actions, reward_sum
+    return observations, actions, reward_sum
 
 
-def _simulate(config: ScenarioConfig, policy, noise: NoiseMatrix, env_rng, policy_rng,
-              record_hidden: bool):
+def _simulate(config: ScenarioConfig, policy, noise: np.ndarray, env_rng, policy_rng):
+    """(observations, actions, reward sum) of one roll-out of ``config``'s
+    scenario on ``noise``, the (num_dimensions, horizon) noise matrix."""
     env = make_env(config.base_env)
     scales = config.scales()
     # ARTS observes its noise unscaled.
-    values = noise.values if config.scenario is Scenario.ARTS else noise.values * scales[:, None]
-    observations, states, actions, reward_sum = _rollout(
+    values = noise if config.scenario is Scenario.ARTS else noise * scales[:, None]
+    observations, actions, reward_sum = _rollout(
         env, env.reset(env_rng), policy, policy_rng, config.horizon,
-        config.scenario, values.T.tolist(), record_hidden,
+        config.scenario, values.T.tolist(),
     )
-    return (
-        np.array(observations),
-        np.array(actions, dtype=int),
-        reward_sum,
-        np.array(states) if record_hidden else None,
-    )
+    return np.array(observations), np.array(actions, dtype=int), reward_sum
 
 
-def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True,
-                record_hidden: bool = False) -> Episode:
+def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True) -> Episode:
     """Roll out one episode, deterministic in (config, policy, seed).
 
     Injected episodes draw t_a uniformly from the injection window and use
@@ -456,6 +439,8 @@ def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True,
     for attempt in range(EPISODE_RETRY_CAP + 1):
         attempt_seed = child_seed(seed, "attempt", attempt)
         noise_seed = child_seed(attempt_seed, "noise")
+        # Not one spliced_matrix call: a clean episode draws noise_pre alone,
+        # so only injected episodes raise SpliceError on mismatched specs.
         if inject:
             t_a = int(rng_from(attempt_seed, "t_a").integers(low, high + 1))
             noise = spliced_matrix(
@@ -468,10 +453,8 @@ def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True,
                 config.noise_pre, config.num_dimensions, config.horizon, noise_seed
             )
 
-        observations, actions, reward_sum, hidden = _simulate(
-            config, policy, noise,
-            rng_from(attempt_seed, "env"), rng_from(attempt_seed, "policy"),
-            record_hidden,
+        observations, actions, reward_sum = _simulate(
+            config, policy, noise, rng_from(attempt_seed, "env"), rng_from(attempt_seed, "policy"),
         )
         length = observations.shape[0]
         if inject:
@@ -488,7 +471,6 @@ def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True,
             seed=int(seed),
             scenario=config.scenario.value,
             usable=True,
-            hidden_states=hidden,
         )
         if not inject or length >= t_a + 1:
             return episode
@@ -506,7 +488,7 @@ def estimate_dimension_scales(base_env: BaseEnv, policy, num_episodes: int = 50,
     env = make_env(base_env)
     pooled = []
     for i in range(num_episodes):
-        observations, _, _, _ = _rollout(
+        observations, _, _ = _rollout(
             env, env.reset(rng_from(seed, "scale_env", i)), policy,
             rng_from(seed, "scale_policy", i), horizon,
         )

@@ -7,6 +7,7 @@ schema version, the producing tool version, and the hash of the resolved
 run configuration.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -62,26 +63,22 @@ def config_hash(obj) -> str:
 
 
 def atomic_write_text(path: str, text: str):
+    """Write ``text`` to ``path`` through ``<path>.tmp`` and a rename. A
+    failed write removes the temp file and leaves ``path`` as it was."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
 def atomic_write_json(path: str, obj):
-    """Encode ``obj`` straight into the temp file, so a large model is never
-    held as one string; the bytes equal ``json.dumps(obj, sort_keys=True,
-    indent=1)`` plus a newline. A failed encoding leaves no file behind."""
-    tmp = f"{path}.tmp"
-    handle = open(tmp, "w", encoding="utf-8")
-    try:
-        with handle:
-            json.dump(obj, handle, sort_keys=True, indent=1)
-            handle.write("\n")
-    except BaseException:
-        os.remove(tmp)
-        raise
-    os.replace(tmp, path)
+    """``json.dumps(obj, sort_keys=True, indent=1)`` plus a newline, written atomically."""
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def read_json(path: str):
@@ -236,7 +233,7 @@ class RunConfig:
         return config_hash(self.resolved_dict())
 
 
-def parse_config(doc: dict, seed_override: int | None = None, require_seed: bool = True) -> RunConfig:
+def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = set(doc) - _TOP_LEVEL_KEYS
@@ -255,7 +252,7 @@ def parse_config(doc: dict, seed_override: int | None = None, require_seed: bool
 
     if seed_override is not None:
         evaluation["master_seed"] = int(seed_override)
-    if require_seed and evaluation["master_seed"] is None:
+    if evaluation["master_seed"] is None:
         raise ConfigError("evaluation.master_seed is mandatory (or pass --seed-override)")
     for key in (*_COUNT_DEFAULTS, "master_seed"):
         value = evaluation[key]
@@ -295,7 +292,8 @@ def load_config(path: str, seed_override: int | None = None) -> RunConfig:
     return parse_config(doc, seed_override=seed_override)
 
 
-def _file_header(cfg_hash: str) -> dict:
+def file_header(cfg_hash: str) -> dict:
+    """The keys that head every dataset manifest, model file and report."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,
@@ -306,7 +304,7 @@ def _file_header(cfg_hash: str) -> dict:
 def save_dataset_manifest(path: str, resolved_config: dict, files: dict):
     cfg_hash = config_hash(resolved_config)
     atomic_write_json(path, {
-        **_file_header(cfg_hash),
+        **file_header(cfg_hash),
         "feature_catalogue_hash": catalogue_hash(),
         "config": resolved_config,
         "files": files,
@@ -326,7 +324,7 @@ def save_model(path: str, trained, cfg_hash: str):
     in one ``json.dumps`` call, which runs the C encoder; ``indent`` would
     run the pure-Python one, several times slower on a large forest."""
     atomic_write_text(path, json.dumps({
-        **_file_header(cfg_hash),
+        **file_header(cfg_hash),
         "feature_catalogue_hash": catalogue_hash(),
         "detector": trained.to_json_dict(),
     }, sort_keys=True, separators=(",", ":")) + "\n")

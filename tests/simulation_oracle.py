@@ -21,7 +21,7 @@ from unittest import mock
 import numpy as np
 
 from dexter import ar_noise
-from dexter.ar_noise import NoiseMatrix, generate_matrix, spliced_matrix
+from dexter.ar_noise import generate_matrix, spliced_matrix
 from dexter.baselines import DEFAULT_KAPPA, MeanShiftDetector
 from dexter.cusum import percentile_threshold, split_halves
 from dexter.environments import (
@@ -248,38 +248,38 @@ def make_env(base_env: BaseEnv, horizon: int = DEFAULT_HORIZON):
     return _ENV_CLASSES[BaseEnv(base_env)](horizon=horizon)
 
 
-def arts_step(t: int, noise: NoiseMatrix) -> float:
-    if noise.num_dimensions != 1:
+def arts_step(t: int, noise: np.ndarray) -> float:
+    if noise.shape[0] != 1:
         raise ConfigError("ARTS noise matrix must have exactly 1 row")
-    if not 0 <= t < noise.max_steps:
-        raise IndexError(f"step {t} outside noise horizon {noise.max_steps}")
-    return float(noise.values[0, t])
+    if not 0 <= t < noise.shape[1]:
+        raise IndexError(f"step {t} outside noise horizon {noise.shape[1]}")
+    return float(noise[0, t])
 
 
-def _noise_column(noise: NoiseMatrix, per_dim_scale: np.ndarray, t: int, dim: int) -> np.ndarray:
-    if noise.num_dimensions != dim:
+def _noise_column(noise: np.ndarray, per_dim_scale: np.ndarray, t: int, dim: int) -> np.ndarray:
+    if noise.shape[0] != dim:
         raise ConfigError(
-            f"noise matrix has {noise.num_dimensions} rows, environment needs {dim}"
+            f"noise matrix has {noise.shape[0]} rows, environment needs {dim}"
         )
-    return noise.values[:, t] * per_dim_scale
+    return noise[:, t] * per_dim_scale
 
 
-def arno_step(env, state: EnvState, action: int, noise: NoiseMatrix, per_dim_scale, t: int):
+def arno_step(env, state: EnvState, action: int, noise: np.ndarray, per_dim_scale, t: int):
     next_state, reward, terminated = env.step(state, action)
     column = _noise_column(noise, np.asarray(per_dim_scale, dtype=float), t + 1, env.dim)
     observation = next_state.vector + column
     return next_state, observation, reward, terminated
 
 
-def arns_step(env, state: EnvState, action: int, noise: NoiseMatrix, per_dim_scale, t: int):
+def arns_step(env, state: EnvState, action: int, noise: np.ndarray, per_dim_scale, t: int):
     column = _noise_column(noise, np.asarray(per_dim_scale, dtype=float), t + 1, env.dim)
     perturbed = EnvState(vector=state.vector + column, step_index=state.step_index)
     _require_finite(perturbed.vector, "arns-perturbed")
     return env.step(perturbed, action)
 
 
-def simulate(config: ScenarioConfig, policy, noise: NoiseMatrix, env_rng, policy_rng,
-             record_hidden: bool):
+def simulate(config: ScenarioConfig, policy, noise: np.ndarray, env_rng, policy_rng):
+    """(observations, actions, reward sum, hidden states) of one roll-out."""
     env = make_env(config.base_env, config.horizon)
     scales = config.scales()
     state = env.reset(env_rng)
@@ -292,7 +292,7 @@ def simulate(config: ScenarioConfig, policy, noise: NoiseMatrix, env_rng, policy
         first_obs = state.vector.copy()
 
     observations = [first_obs]
-    hidden = [state.vector.copy()] if record_hidden else None
+    hidden = [state.vector.copy()]
     actions = []
     reward_sum = 0.0
     terminated = False
@@ -310,22 +310,21 @@ def simulate(config: ScenarioConfig, policy, noise: NoiseMatrix, env_rng, policy
         observations.append(obs)
         actions.append(action)
         reward_sum += reward
-        if record_hidden:
-            hidden.append(state.vector.copy())
+        hidden.append(state.vector.copy())
         t += 1
 
     return (
         np.asarray(observations),
         np.asarray(actions, dtype=int),
         reward_sum,
-        None if hidden is None else np.asarray(hidden),
+        np.asarray(hidden),
     )
 
 
-def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True,
-                record_hidden: bool = False) -> Episode:
-    """The episode roll-out as first written; its noise comes from the
-    library's matrix code with :func:`recurse` in place of the recursion."""
+def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True):
+    """The episode roll-out as first written, and its hidden states; its
+    noise comes from the library's matrix code with :func:`recurse` in place
+    of the recursion."""
     low, high = config.injection_window
     last = None
     for attempt in range(EPISODE_RETRY_CAP + 1):
@@ -347,7 +346,6 @@ def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True,
         observations, actions, reward_sum, hidden = simulate(
             config, policy, noise,
             rng_from(attempt_seed, "env"), rng_from(attempt_seed, "policy"),
-            record_hidden,
         )
         length = observations.shape[0]
         if inject:
@@ -364,12 +362,11 @@ def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True,
             seed=int(seed),
             scenario=config.scenario.value,
             usable=True,
-            hidden_states=hidden,
         )
         if not inject or length >= t_a + 1:
-            return episode
-        last = episode
-    last.usable = False
+            return episode, hidden
+        last = episode, hidden
+    last[0].usable = False
     return last
 
 

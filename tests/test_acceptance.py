@@ -38,6 +38,7 @@ from dexter.evaluation import (
     resolve_scales,
 )
 from dexter.ts_features import FEATURE_NAMES, extract_features_batch
+from recorded_states import recorded_episode
 
 MASTER_SEED = 0
 MODES = ("one_step", "two_step")
@@ -264,23 +265,23 @@ def test_criterion_8_invariant_suites(tmp_path):
         per_dimension_scale=(0.23, 0.17, 0.008, 0.2),
     )
     policy = builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC)
-    ep = run_episode(cfg, policy, seed=11, record_hidden=True)
     env = CartpoleEnv()
 
-    def replay(episode):
-        states = [episode.hidden_states[0].tolist()]
+    def replay(episode, hidden):
+        states = [hidden[0].tolist()]
         for action in episode.actions:
             states.append(env.step(states[-1], int(action))[0])
         return np.array(states)
 
-    arno_ok = np.array_equal(replay(ep), ep.hidden_states)
+    ep, hidden = recorded_episode(cfg, policy, seed=11)
+    arno_ok = np.array_equal(replay(ep, hidden), hidden)
 
     # ARNS with zero noise is bit-equal to the clean environment
     from dataclasses import replace
 
     blank = replace(cfg, scenario=Scenario.ARNS, per_dimension_scale=(0.0, 0.0, 0.0, 0.0))
-    arns_ep = run_episode(blank, policy, seed=11, record_hidden=True)
-    arns_ok = arns_ep.length > 30 and np.array_equal(replay(arns_ep), arns_ep.hidden_states)
+    arns_ep, arns_hidden = recorded_episode(blank, policy, seed=11)
+    arns_ok = arns_ep.length > 30 and np.array_equal(replay(arns_ep, arns_hidden), arns_hidden)
 
     # CUSUM non-negativity and the closed-form alert step
     det = CusumDetector(mean_score_abar=0.4, threshold_tau=1.0, target_fpr=0.01)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dexter
 import simulation_oracle as oracle
+from dexter import ar_noise
 from dexter.ar_noise import (
     ARProcessSpec,
     CorrelationMode,
@@ -115,13 +117,19 @@ def test_matrix_shape_and_determinism():
     spec = ARProcessSpec.one_step(0.8)
     m1 = generate_matrix(spec, 4, 200, seed=7)
     m2 = generate_matrix(spec, 4, 200, seed=7)
-    assert m1.values.shape == (4, 200)
-    assert m1.values.tobytes() == m2.values.tobytes()
+    assert isinstance(m1, np.ndarray) and m1.dtype == np.float64 and m1.shape == (4, 200)
+    assert m1.tobytes() == m2.tobytes()
+
+
+def test_package_exports_resolve_and_noise_matrices_are_arrays():
+    assert all(hasattr(dexter, name) for name in dexter.__all__)
+    assert "NoiseMatrix" not in dexter.__all__
+    assert not hasattr(dexter, "NoiseMatrix") and not hasattr(ar_noise, "NoiseMatrix")
 
 
 def test_matrix_rows_independent():
     m = generate_matrix(ARProcessSpec.no_correlation(), 2, LONG, seed=21)
-    r0, r1 = m.values
+    r0, r1 = m
     corr = np.corrcoef(r0, r1)[0, 1]
     assert abs(corr) < 0.02
 
@@ -130,7 +138,7 @@ def test_matrix_row_stability_under_dimension_growth():
     spec = ARProcessSpec.one_step(0.8)
     small = generate_matrix(spec, 2, 300, seed=9)
     large = generate_matrix(spec, 5, 300, seed=9)
-    assert np.array_equal(small.values, large.values[:2])
+    assert np.array_equal(small, large[:2])
 
 
 def test_splice_prefix_bit_identical_to_clean_series():
@@ -217,9 +225,8 @@ def test_spliced_matrix_rows_match_spliced_series_seeding():
     post = ARProcessSpec.two_step(0.8)
     mat = spliced_matrix(pre, post, 60, 3, 150, seed=17)
     clean = generate_matrix(pre, 3, 150, seed=17)
-    assert mat.values.shape == (3, 150)
-    assert np.array_equal(mat.values[:, :60], clean.values[:, :60])
-    assert mat.injection_step == 60
+    assert mat.shape == (3, 150)
+    assert np.array_equal(mat[:, :60], clean[:, :60])
 
 
 @settings(max_examples=200, deadline=None)

@@ -104,6 +104,30 @@ def test_seed_override_changes_dataset(workspace):
     assert read_json(ds2 / "manifest.json")["config"]["evaluation"]["master_seed"] == 99
 
 
+def test_seed_override_changes_no_train_or_evaluate_output(workspace):
+    # train and evaluate take the seed from the dataset manifest; the flag
+    # only lets a config without master_seed validate.
+    tmp, cfg = workspace
+    ds = tmp / "ds"
+    assert main(["generate", "--config", str(cfg), "--out", str(ds)]) == 0
+    unseeded = tmp / "unseeded.json"
+    doc = read_json(cfg)
+    del doc["evaluation"]["master_seed"]
+    unseeded.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(unseeded), "--dataset", str(ds),
+                 "--out", str(tmp / "refused.json")]) == 1
+
+    outputs = []
+    for i, (config, flags) in enumerate(((cfg, []), (cfg, ["--seed-override", "99"]),
+                                         (unseeded, ["--seed-override", "99"]))):
+        model, out = tmp / f"model{i}.json", tmp / f"eval{i}"
+        common = ["--config", str(config), "--dataset", str(ds), *flags]
+        assert main(["train", *common, "--out", str(model)]) == 0
+        assert main(["evaluate", *common, "--model", str(model), "--out", str(out)]) == 0
+        outputs.append([read_file(p) for p in (model, out / "report.json", out / "results.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_invalid_config_fails_with_exit_code_1(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     write_config(cfg, scenario={"injection_window": [2, 400]})
@@ -337,6 +361,15 @@ def test_json_files_are_streamed_atomically(tmp_path):
     with pytest.raises(TypeError):
         atomic_write_json(str(bad), {"rows": [list(range(5000)), object()]})
     assert not bad.exists() and not (tmp_path / "bad.json.tmp").exists()
+
+
+def test_failed_text_write_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text("old")
+    with pytest.raises(UnicodeEncodeError):
+        persistence.atomic_write_text(str(path), "ok\ud800")
+    assert path.read_text() == "old"
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_evaluate_refuses_catalogue_mismatch(workspace, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simulation_oracle as oracle
-from dexter.ar_noise import ARProcessSpec, CorrelationMode, NoiseMatrix
+from dexter.ar_noise import ARProcessSpec, CorrelationMode
 from dexter.environments import (
     AcrobotEnv,
     BaseEnv,
@@ -24,8 +24,9 @@ from dexter.environments import (
     make_env,
     run_episode,
 )
-from dexter.errors import ConfigError, DataError, SimulationDivergedError
+from dexter.errors import ConfigError, DataError, SimulationDivergedError, SpliceError
 from dexter.seeding import rng_from
+from recorded_states import recorded_episode, recording
 
 
 def cartpole_oracle(vector, action):
@@ -78,12 +79,6 @@ def acrobot_oracle_rk4(angles, torque, dt=0.2):
     return angles + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def zero_noise(dims, steps):
-    return NoiseMatrix(
-        values=np.zeros((dims, steps)), spec=ARProcessSpec.no_correlation(), seed=0
-    )
-
-
 def alternating_policy():
     """Actions 0, 1, 0, 1, ... whatever the observation."""
     calls = itertools.count()
@@ -102,12 +97,18 @@ def noise_config(scenario, base_env=BaseEnv.CARTPOLE, horizon=60, scales=None):
     )
 
 
+def simulate_recorded(config, policy, noise, env_rng, policy_rng):
+    """``_simulate``'s (observations, actions, reward sum) and the hidden
+    states of the roll-out."""
+    with recording() as runs:
+        return (*_simulate(config, policy, noise, env_rng, policy_rng), np.array(runs[-1]))
+
+
 def simulate(config, noise, policy=None, seed=0):
     """(observations, actions, reward sum, hidden states) of one roll-out on
     the given noise matrix."""
-    return _simulate(
-        config, policy or alternating_policy(), noise,
-        rng_from(seed, "env"), rng_from(seed, "policy"), True,
+    return simulate_recorded(
+        config, policy or alternating_policy(), noise, rng_from(seed, "env"), rng_from(seed, "policy"),
     )
 
 
@@ -131,9 +132,8 @@ def test_cartpole_step_matches_oracle():
     for _ in range(200):
         vec = rng.uniform(-0.2, 0.2, size=4)
         action = int(rng.integers(2))
-        got = env.transition(vec, action)
+        got = np.array(env.step(vec.tolist(), action)[0])
         assert np.max(np.abs(got - cartpole_oracle(vec, action))) < 1e-12
-        assert np.array_equal(got, env.step(vec.tolist(), action)[0])
 
 
 def test_cartpole_alternating_forces_stay_upright():
@@ -147,7 +147,7 @@ def test_cartpole_alternating_forces_stay_upright():
 
 def test_cartpole_horizon_cap():
     cfg = noise_config(Scenario.ARNO, horizon=20, scales=(0.0, 0.0, 0.0, 0.0))
-    obs, actions, reward_sum, hidden = simulate(cfg, zero_noise(4, 20))
+    obs, actions, reward_sum, hidden = simulate(cfg, np.zeros((4, 20)))
     assert obs.shape == hidden.shape == (20, 4)
     assert len(actions) == 19 and reward_sum == 19.0
 
@@ -159,7 +159,7 @@ def test_cartpole_bounds_and_divergence():
     with pytest.raises(SimulationDivergedError):
         env.step([np.inf, 0.0, 0.0, 0.0], 0)
     with pytest.raises(SimulationDivergedError):
-        env.transition(np.array([0.0, 0.0, 0.0, np.nan]), 0)
+        env.step([0.0, 0.0, 0.0, np.nan], 0)
     with pytest.raises(SimulationDivergedError):  # the squared velocity overflows
         env.step([0.0, 0.0, 0.1, 1e200], 0)
 
@@ -183,7 +183,7 @@ def test_acrobot_cos_sin_invariant():
             math.cos(angles[1]), math.sin(angles[1]),
             vels[0], vels[1],
         ])
-        nxt = env.transition(vec, int(rng.integers(3)))
+        nxt = env.step(vec.tolist(), int(rng.integers(3)))[0]
         assert abs(nxt[0] ** 2 + nxt[1] ** 2 - 1.0) < 1e-9
         assert abs(nxt[2] ** 2 + nxt[3] ** 2 - 1.0) < 1e-9
 
@@ -214,7 +214,7 @@ def test_acrobot_step_matches_oracle_on_random_states():
             math.cos(angles[1]), math.sin(angles[1]),
             angles[2], angles[3],
         ])
-        got = env.transition(vec, action)
+        got = env.step(vec.tolist(), action)[0]
         expected = acrobot_oracle_rk4(angles, env.TORQUES[action])
         assert abs(got[4] - np.clip(expected[2], -env.MAX_VEL_1, env.MAX_VEL_1)) < 1e-9
         assert abs(got[5] - np.clip(expected[3], -env.MAX_VEL_2, env.MAX_VEL_2)) < 1e-9
@@ -225,9 +225,8 @@ def test_acrobot_step_matches_oracle_on_random_states():
 def test_arts_step_direct_lookup():
     # The ARTS observation at step t is the noise row's entry t, unscaled.
     values = np.random.default_rng(3).normal(size=(1, 30))
-    noise = NoiseMatrix(values=values, spec=ARProcessSpec.no_correlation(), seed=0)
     cfg = noise_config(Scenario.ARTS, BaseEnv.CONSTANT, horizon=30, scales=(4.0,))
-    obs, actions, reward_sum, hidden = simulate(cfg, noise, policy=lambda o, rng: 0)
+    obs, actions, reward_sum, hidden = simulate(cfg, values, policy=lambda o, rng: 0)
     assert np.array_equal(obs, values.T)
     assert np.array_equal(hidden, np.zeros((30, 1)))
     assert reward_sum == 0.0 and np.array_equal(actions, np.zeros(29, dtype=int))
@@ -253,18 +252,18 @@ def test_arts_episode_observations_carry_the_configured_correlation():
 
 def test_arno_zero_noise_is_identity():
     cfg = noise_config(Scenario.ARNO, horizon=20)
-    obs, actions, _, hidden = simulate(cfg, zero_noise(4, 20))
+    obs, actions, _, hidden = simulate(cfg, np.zeros((4, 20)))
     assert np.array_equal(obs, hidden)
     assert np.array_equal(hidden, replay(CartpoleEnv(), hidden[0], actions))
 
 
 def test_arno_observation_is_state_plus_scaled_noise_column():
     rng = np.random.default_rng(4)
-    noise = NoiseMatrix(values=rng.normal(size=(4, 50)), spec=ARProcessSpec.no_correlation(), seed=1)
+    noise = rng.normal(size=(4, 50))
     scales = np.array([1.0, 2.0, 0.5, 3.0])
     cfg = noise_config(Scenario.ARNO, horizon=50, scales=tuple(scales))
     obs, _, _, hidden = simulate(cfg, noise)
-    columns = noise.values[:, : len(obs)].T
+    columns = noise[:, : len(obs)].T
     assert np.array_equal(obs, hidden + columns * scales)
     assert np.allclose(obs - hidden, columns * scales, atol=1e-12)
 
@@ -278,9 +277,9 @@ def test_arno_hidden_dynamics_equal_clean_run_bit_exact():
         per_dimension_scale=(0.2, 0.2, 0.01, 0.2),
     )
     policy = builtin_policy(cfg.base_env, PolicyKind.HEURISTIC)
-    ep = run_episode(cfg, policy, seed=11, record_hidden=True)
-    replayed = replay(CartpoleEnv(), ep.hidden_states[0], ep.actions)
-    assert np.array_equal(replayed, ep.hidden_states)
+    ep, hidden = recorded_episode(cfg, policy, seed=11)
+    replayed = replay(CartpoleEnv(), hidden[0], ep.actions)
+    assert np.array_equal(replayed, hidden)
 
 
 def test_arno_noise_std_scales_with_dimension_std():
@@ -294,8 +293,8 @@ def test_arno_noise_std_scales_with_dimension_std():
     policy = builtin_policy(cfg.base_env, PolicyKind.HEURISTIC)
     added = []
     for i in range(50):
-        ep = run_episode(cfg, policy, seed=1000 + i, inject=False, record_hidden=True)
-        added.append(ep.observations - ep.hidden_states)
+        ep, hidden = recorded_episode(cfg, policy, seed=1000 + i, inject=False)
+        added.append(ep.observations - hidden)
     added = np.concatenate(added, axis=0)
     assert added.shape[0] >= 9000
     for d, scale_d in enumerate(cfg.per_dimension_scale):
@@ -304,16 +303,16 @@ def test_arno_noise_std_scales_with_dimension_std():
 
 def test_arns_zero_noise_bit_equal_to_clean_env():
     cfg = noise_config(Scenario.ARNS)
-    obs, actions, _, hidden = simulate(cfg, zero_noise(4, 60))
+    obs, actions, _, hidden = simulate(cfg, np.zeros((4, 60)))
     assert np.array_equal(obs, hidden)
     assert np.array_equal(hidden, replay(CartpoleEnv(), hidden[0], actions))
 
 
 def test_arns_noise_at_single_step_preserves_prefix():
     cfg = noise_config(Scenario.ARNS)
-    blank = zero_noise(4, 60)
-    bump = zero_noise(4, 60)
-    bump.values[2, 25] = 0.2  # angle noise consumed by the transition into obs 25
+    blank = np.zeros((4, 60))
+    bump = np.zeros((4, 60))
+    bump[2, 25] = 0.2  # angle noise consumed by the transition into obs 25
     _, _, _, a = simulate(cfg, blank)
     _, _, _, b = simulate(cfg, bump)
     assert len(a) > 25 and len(b) > 25
@@ -360,6 +359,19 @@ def test_run_episode_clean_mode_labels():
     assert ep.injection_time is None
     assert not ep.labels.any()
     assert len(ep.labels) == ep.length - 1
+
+
+def test_only_injected_episodes_refuse_a_magnitude_change_at_the_splice():
+    cfg = ScenarioConfig(
+        scenario=Scenario.ARTS,
+        base_env=BaseEnv.CONSTANT,
+        noise_pre=ARProcessSpec.no_correlation(scale=1.0),
+        noise_post=ARProcessSpec.one_step(0.95, scale=2.0),
+    )
+    policy = builtin_policy(cfg.base_env, PolicyKind.RANDOM)
+    assert run_episode(cfg, policy, seed=0, inject=False).injection_time is None
+    with pytest.raises(SpliceError, match="magnitude"):
+        run_episode(cfg, policy, seed=0)
 
 
 def test_run_episode_label_arithmetic():
@@ -599,7 +611,7 @@ def bits(array):
     return np.asarray(array, dtype=float).view(np.int64)
 
 
-def assert_same_episode(got, want):
+def assert_same_episode(got, want, got_hidden, want_hidden):
     assert np.array_equal(bits(got.observations), bits(want.observations))
     assert got.observations.shape == want.observations.shape
     assert got.actions.dtype == want.actions.dtype
@@ -608,10 +620,8 @@ def assert_same_episode(got, want):
     assert bits(got.reward_sum) == bits(want.reward_sum)
     assert got.injection_time == want.injection_time
     assert got.usable == want.usable
-    if want.hidden_states is None:
-        assert got.hidden_states is None
-    else:
-        assert np.array_equal(bits(got.hidden_states), bits(want.hidden_states))
+    assert got_hidden.shape == want_hidden.shape
+    assert np.array_equal(bits(got_hidden), bits(want_hidden))
 
 
 @settings(max_examples=80, deadline=None)
@@ -619,15 +629,14 @@ def assert_same_episode(got, want):
     config=episode_configs(),
     kind=st.sampled_from(PolicyKind),
     inject=st.booleans(),
-    record_hidden=st.booleans(),
     seed=st.integers(0, 2**63 - 1),
 )
-def test_run_episode_equals_oracle_bit_for_bit(config, kind, inject, record_hidden, seed):
+def test_run_episode_equals_oracle_bit_for_bit(config, kind, inject, seed):
     policy, seen = watched(builtin_policy(config.base_env, kind))
-    got = run_episode(config, policy, seed, inject=inject, record_hidden=record_hidden)
+    got, got_hidden = recorded_episode(config, policy, seed, inject=inject)
     oracle_policy, oracle_seen = watched(builtin_policy(config.base_env, kind))
-    want = oracle.run_episode(config, oracle_policy, seed, inject=inject, record_hidden=record_hidden)
-    assert_same_episode(got, want)
+    want, want_hidden = oracle.run_episode(config, oracle_policy, seed, inject=inject)
+    assert_same_episode(got, want, got_hidden, want_hidden)
     assert len(seen) == len(oracle_seen)
     assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(seen, oracle_seen))
 
@@ -642,20 +651,19 @@ def test_divergence_raises_at_the_oracle_step(scenario, dim, bad, step, seed):
     # ARNO only into the observation.
     values = np.random.default_rng(seed).normal(size=(4, 60)) * 0.01
     values[dim, step] = bad
-    noise = NoiseMatrix(values=values, spec=ARProcessSpec.no_correlation(), seed=0)
     cfg = noise_config(scenario)
 
     def outcome(simulate_fn):
         policy, seen = watched(builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC))
         try:
             with np.errstate(all="ignore"):
-                result = simulate_fn(cfg, policy, noise, rng_from(seed, "env"),
-                                     rng_from(seed, "policy"), True)
+                result = simulate_fn(cfg, policy, values, rng_from(seed, "env"),
+                                     rng_from(seed, "policy"))
         except SimulationDivergedError:
             return "diverged", len(seen), None
         return "finished", len(seen), result
 
-    got, want = outcome(_simulate), outcome(oracle.simulate)
+    got, want = outcome(simulate_recorded), outcome(oracle.simulate)
     assert got[:2] == want[:2]
     if want[2] is not None:
         for a, b in zip(got[2], want[2]):
