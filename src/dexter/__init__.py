@@ -2,7 +2,7 @@
 
 The package provides:
 
-* AR(p) correlated-noise generation with splice-at-injection semantics
+* noise that turns from white to temporally correlated at the injection
   (:mod:`dexter.ar_noise`)
 * natively implemented Cartpole/Acrobot dynamics and the ARTS/ARNO/ARNS
   noise-injection scenarios (:mod:`dexter.environments`)
@@ -20,8 +20,6 @@ __version__ = "0.1.0"
 from .ar_noise import (
     ARProcessSpec,
     CorrelationMode,
-    generate_matrix,
-    generate_series,
     spliced_matrix,
     spliced_series,
 )
@@ -81,8 +79,6 @@ __all__ = [
     "calibrate",
     "detect_online",
     "detection_time",
-    "generate_matrix",
-    "generate_series",
     "run_episode",
     "run_experiment",
     "score_stream",

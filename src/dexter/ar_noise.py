@@ -1,19 +1,21 @@
-"""Temporally correlated noise from an AR(p) model.
+"""The noise of a scenario: white noise that turns temporally correlated at
+the injection.
 
-Generates series following
+A series is white noise of standard deviation ``innovation_sigma`` before
+the injection step. From the injection step on it follows the correlation
+mode's recursion
 
-    Y_t = mu + phi_1 Y_{t-1} + ... + phi_p Y_{t-p} + eps_t
+* ``no_correlation`` -- Y_t = eps_t (the noise stays white)
+* ``one_step``       -- Y_t = phi Y_{t-1} + eps_t
+* ``two_step``       -- Y_t = phi Y_{t-2} + eps_t
 
-with standard-Gaussian innovations scaled by ``innovation_sigma``. Three
-correlation structures are supported:
-
-* ``no_correlation`` -- white noise, Y_t = mu + eps_t
-* ``one_step``       -- Y_t = mu + phi_1 Y_{t-1} + eps_t
-* ``two_step``       -- Y_t = mu + phi_2 Y_{t-2} + eps_t
-
-The first ``max(50, 10 p)`` samples of every series are burned in so the
-output is a draw from the stationary distribution. Series are deterministic
-functions of (spec, length, seed).
+seeded from the last white values, with Gaussian innovations eps_t of
+standard deviation ``innovation_sigma * sqrt(1 - phi^2)``: the process keeps
+the white noise's stationary standard deviation, so only the correlation
+changes at the injection, never the noise level. The whole series is then
+multiplied by ``magnitude_scale``. The first ``BURN_IN`` samples of every
+draw are discarded. Series are deterministic functions of (spec, injection
+step, length, seed).
 """
 
 from dataclasses import dataclass
@@ -21,8 +23,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SpliceError, StationarityError
+from .errors import ConfigError
 from .seeding import child_seed
+
+BURN_IN = 50
 
 
 class CorrelationMode(str, Enum):
@@ -31,184 +35,110 @@ class CorrelationMode(str, Enum):
     TWO_STEP = "two_step"
 
 
+# The lag of each mode's recursion; 0 is white noise.
+_LAGS = {CorrelationMode.NO_CORRELATION: 0, CorrelationMode.ONE_STEP: 1, CorrelationMode.TWO_STEP: 2}
+
+
 @dataclass(frozen=True)
 class ARProcessSpec:
-    """Parameters of the AR(p) disturbance process.
+    """The noise of a scenario: white before the injection, the mode's AR
+    process with coefficient ``phi`` after it, at the same level throughout.
 
-    ``magnitude_scale`` multiplies the generated series after the recursion;
-    it is the knob used to express noise levels as a fraction of each state
-    dimension's clean standard deviation.
+    ``magnitude_scale`` multiplies the generated series; it is the knob used
+    to express noise levels as a fraction of each state dimension's clean
+    standard deviation. ``phi`` means nothing without correlation and is
+    stored as 0.0 under ``no_correlation``.
     """
 
     correlation_mode: CorrelationMode
-    coefficients_phi: tuple = ()
-    mean_mu: float = 0.0
+    phi: float = 0.0
     innovation_sigma: float = 1.0
     magnitude_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "correlation_mode", CorrelationMode(self.correlation_mode))
-        object.__setattr__(self, "coefficients_phi", tuple(float(c) for c in self.coefficients_phi))
-        mode, phi = self.correlation_mode, self.coefficients_phi
-        if mode is CorrelationMode.NO_CORRELATION and len(phi) != 0:
-            raise StationarityError("no_correlation mode requires order p = 0")
-        if mode is CorrelationMode.ONE_STEP and len(phi) != 1:
-            raise StationarityError("one_step mode requires exactly one coefficient [phi1]")
-        if mode is CorrelationMode.TWO_STEP and (len(phi) != 2 or phi[0] != 0.0):
-            raise StationarityError("two_step mode requires coefficients [0, phi2]")
-        if any(abs(c) >= 1.0 for c in phi):
-            raise StationarityError(f"non-stationary coefficients {phi}: every |phi| must be < 1")
-        if not self.innovation_sigma > 0:
-            raise StationarityError("innovation_sigma must be positive")
-        if not self.magnitude_scale > 0:
-            raise StationarityError("magnitude_scale must be positive")
-
-    @property
-    def order_p(self) -> int:
-        return len(self.coefficients_phi)
+        mode = CorrelationMode(self.correlation_mode)
+        phi, sigma, scale = float(self.phi), float(self.innovation_sigma), float(self.magnitude_scale)
+        if not abs(phi) < 1.0:
+            raise ConfigError(f"non-stationary coefficient phi={phi}: |phi| must be < 1")
+        if not sigma > 0:
+            raise ConfigError("innovation_sigma must be positive")
+        if not scale > 0:
+            raise ConfigError("magnitude_scale must be positive")
+        for name, value in (("correlation_mode", mode), ("phi", phi if _LAGS[mode] else 0.0),
+                            ("innovation_sigma", sigma), ("magnitude_scale", scale)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def no_correlation(cls, sigma=1.0, mu=0.0, scale=1.0):
-        return cls(CorrelationMode.NO_CORRELATION, (), mu, sigma, scale)
+    def no_correlation(cls, sigma=1.0, scale=1.0):
+        return cls(CorrelationMode.NO_CORRELATION, 0.0, sigma, scale)
 
     @classmethod
-    def one_step(cls, phi1, sigma=1.0, mu=0.0, scale=1.0):
-        return cls(CorrelationMode.ONE_STEP, (phi1,), mu, sigma, scale)
+    def one_step(cls, phi1, sigma=1.0, scale=1.0):
+        return cls(CorrelationMode.ONE_STEP, phi1, sigma, scale)
 
     @classmethod
-    def two_step(cls, phi2, sigma=1.0, mu=0.0, scale=1.0):
-        return cls(CorrelationMode.TWO_STEP, (0.0, phi2), mu, sigma, scale)
+    def two_step(cls, phi2, sigma=1.0, scale=1.0):
+        return cls(CorrelationMode.TWO_STEP, phi2, sigma, scale)
 
 
-
-def stationary_std(spec: ARProcessSpec) -> float:
-    """Stationary standard deviation of the unscaled process.
-
-    ``two_step`` decouples into two independent AR(1) subseries, so both
-    restricted modes reduce to sigma / sqrt(1 - phi^2).
-    """
-    if spec.correlation_mode is CorrelationMode.NO_CORRELATION:
-        return spec.innovation_sigma
-    phi = spec.coefficients_phi[-1]
-    return spec.innovation_sigma / np.sqrt(1.0 - phi * phi)
-
-
-def burn_in_length(order_p: int) -> int:
-    return max(50, 10 * order_p)
-
-
-def _recurse(out, phi, mu, innovations, start):
-    """In-place AR recursion out[t] = mu + sum phi_i out[t-i] + innovations[t]
-    for t >= start; indices before the series start count as zero lags."""
-    if not phi:
-        out[start:] = mu + innovations[start:]
+def _recurse(out, lag, phi, innovations, start):
+    """In-place recursion out[t] = phi out[t-lag] + innovations[t] for
+    t >= start; indices before the series start count as zero lags, and lag
+    0 or phi 0 is white noise."""
+    # 0.0 + maps a -0.0 innovation to +0.0, which fixes the sign of zero in
+    # every series.
+    if lag == 0 or phi == 0.0:
+        out[start:] = 0.0 + innovations[start:]
         return
-    # On Python floats. The additions run in lag order and skip zero
-    # coefficients, which fixes the bits of every series.
-    lags = [(i, c) for i, c in enumerate(phi, 1) if c != 0.0]
+    # On Python floats, which fixes the bits of every series.
     ys = out[:start].tolist()
     for t, innovation in enumerate(innovations[start:len(out)].tolist(), start):
-        acc = mu + innovation
-        for i, c in lags:
-            if t >= i:
-                acc += c * ys[t - i]
+        acc = 0.0 + innovation
+        if t >= lag:
+            acc += phi * ys[t - lag]
         ys.append(acc)
     out[start:] = ys[start:]
 
 
-def generate_series(spec: ARProcessSpec, length: int, seed: int) -> np.ndarray:
-    """Draw ``length`` samples of the stationary AR process: the
-    no-injection case of :func:`spliced_series`.
-
-    Returns the burned-in series multiplied by ``spec.magnitude_scale``.
-    """
-    return spliced_series(spec, spec, None, length, seed)
-
-
-def spliced_series(
-    pre_spec: ARProcessSpec,
-    post_spec: ARProcessSpec,
-    injection_step: int | None,
-    length: int,
-    seed: int,
-) -> np.ndarray:
-    """Series whose correlation structure changes at ``injection_step``.
-
-    Steps ``t < injection_step`` follow ``pre_spec``; steps
-    ``t >= injection_step`` follow ``post_spec``'s correlation structure,
-    seeded from the last realized pre-injection values. The post segment's
-    innovations are rescaled so its stationary standard deviation equals the
-    pre segment's: only the correlation changes at the injection, never the
-    noise level. With ``injection_step=None`` the whole series follows
-    ``pre_spec``; with ``pre_spec == post_spec`` the splice degenerates to an
-    ordinary draw of the process.
-    """
-    if injection_step is None:
-        if length < 1:
-            raise ValueError("length must be >= 1")
-    elif not 0 < injection_step < length:
-        raise SpliceError(f"injection_step must lie in (0, {length}), got {injection_step}")
-    if pre_spec.innovation_sigma != post_spec.innovation_sigma:
-        raise SpliceError("pre and post specs must share innovation_sigma")
-    if pre_spec.magnitude_scale != post_spec.magnitude_scale:
-        raise SpliceError("noise magnitude must not change at the injection")
-    if pre_spec.mean_mu != post_spec.mean_mu:
-        raise SpliceError("process mean must not change at the injection")
-
-    burn = burn_in_length(pre_spec.order_p)
-    total = burn + length
+def spliced_series(spec: ARProcessSpec, injection_step: int | None, length: int,
+                   seed: int) -> np.ndarray:
+    """``length`` samples of ``spec``'s noise: white before
+    ``injection_step`` and the mode's AR process from it on, multiplied by
+    ``spec.magnitude_scale``. ``injection_step=None`` gives the clean,
+    all-white draw, which equals the prefix of every injected draw from the
+    same seed."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    if injection_step is not None and not 0 < injection_step < length:
+        raise ValueError(f"injection_step must lie in (0, {length}), got {injection_step}")
+    total = BURN_IN + length
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     eps = rng.normal(0.0, 1.0, total)
 
     y = np.zeros(total)
-    split = total if injection_step is None else burn + injection_step
-    _recurse(y[:split], pre_spec.coefficients_phi, pre_spec.mean_mu,
-             eps[:split] * pre_spec.innovation_sigma, 0)
-
+    sigma = spec.innovation_sigma
+    _recurse(y, 0, 0.0, eps * sigma, 0)
     if injection_step is not None:
-        # Variance-matched continuation: innovations scaled so the post
-        # process's stationary std equals the pre process's.
-        target_std = stationary_std(pre_spec)
-        post_phi = post_spec.coefficients_phi
-        phi_last = post_phi[-1] if post_phi else 0.0
-        post_inn_sigma = target_std * np.sqrt(1.0 - phi_last * phi_last)
-        _recurse(y, post_phi, post_spec.mean_mu, eps * post_inn_sigma, split)
-
-    return y[burn:] * pre_spec.magnitude_scale
+        # Innovations scaled so the process's stationary std stays sigma.
+        post_sigma = sigma * np.sqrt(1.0 - spec.phi * spec.phi)
+        _recurse(y, _LAGS[spec.correlation_mode], spec.phi, eps * post_sigma,
+                 BURN_IN + injection_step)
+    return y[BURN_IN:] * spec.magnitude_scale
 
 
-def _row_seed(seed: int, row: int) -> int:
-    return child_seed(seed, "noise_row", row)
-
-
-def generate_matrix(spec: ARProcessSpec, num_dimensions: int, max_steps: int, seed: int) -> np.ndarray:
-    """(num_dimensions, max_steps) matrix whose rows are independent draws of
-    the process: the no-injection case of :func:`spliced_matrix`.
-
-    Row i uses the sub-seed ``child_seed(seed, "noise_row", i)``, so changing
-    ``num_dimensions`` never perturbs earlier rows.
-    """
-    return spliced_matrix(spec, spec, None, num_dimensions, max_steps, seed)
-
-
-def spliced_matrix(
-    pre_spec: ARProcessSpec,
-    post_spec: ARProcessSpec,
-    injection_step: int | None,
-    num_dimensions: int,
-    max_steps: int,
-    seed: int,
-) -> np.ndarray:
-    """(num_dimensions, max_steps) matrix of independent spliced series
+def spliced_matrix(spec: ARProcessSpec, injection_step: int | None, num_dimensions: int,
+                   max_steps: int, seed: int) -> np.ndarray:
+    """(num_dimensions, max_steps) matrix of independent :func:`spliced_series`
     sharing one injection step.
 
-    Uses the same per-row sub-seeds as :func:`generate_matrix`, so the
-    pre-injection prefix of each row is bit-identical to the clean matrix
-    drawn from the same seed.
+    Row i uses the sub-seed ``child_seed(seed, "noise_row", i)``, so changing
+    ``num_dimensions`` never perturbs earlier rows, and the pre-injection
+    prefix of each row is bit-identical to the clean matrix drawn from the
+    same seed.
     """
     if num_dimensions < 1 or max_steps < 1:
         raise ValueError("num_dimensions and max_steps must be >= 1")
     return np.stack([
-        spliced_series(pre_spec, post_spec, injection_step, max_steps, _row_seed(seed, d))
+        spliced_series(spec, injection_step, max_steps, child_seed(seed, "noise_row", d))
         for d in range(num_dimensions)
     ])

@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from dataclasses import fields
 
 from . import evaluation, persistence
 from .errors import ConfigError, DataError, DexterError, IncompatibleModelError, UndefinedMetricError
@@ -175,15 +176,24 @@ def _bench_cell(payload: dict) -> tuple:
     return result.to_json_dict(), None
 
 
-def _cached_result(cache_path: str) -> dict | None:
-    """The result a bench cell cache holds; None when the file is missing,
-    unreadable, not a JSON object, or holds no result (a failed cell)."""
+_RESULT_FIELDS = {f.name for f in fields(evaluation.ExperimentResult)}
+
+
+def _cached_result(cache_path: str, cell_hash: str, detector: str) -> dict | None:
+    """The result a bench cell cache holds for the cell ``cell_hash`` of
+    ``detector``; None when the file is missing, unreadable, not a JSON
+    object, of another schema version or cell, or holds no result (a failed
+    cell), a result of another detector or one that lacks a field of
+    :class:`ExperimentResult`."""
     try:
         doc = persistence.read_json(cache_path)
     except (OSError, ValueError):
         return None
     result = doc.get("result") if isinstance(doc, dict) else None
-    return result if isinstance(result, dict) else None
+    hit = (isinstance(result, dict) and doc.get("schema_version") == persistence.SCHEMA_VERSION
+           and doc.get("cell_hash") == cell_hash and result.get("detector_id") == detector
+           and _RESULT_FIELDS <= result.keys())
+    return result if hit else None
 
 
 def cmd_bench(args) -> int:
@@ -206,7 +216,7 @@ def cmd_bench(args) -> int:
     results, pending = {}, []
     for cell_hash, payload in cells:
         cache_path = os.path.join(args.out, "cells", f"{cell_hash}.json")
-        cached = _cached_result(cache_path) if args.resume else None
+        cached = _cached_result(cache_path, cell_hash, payload["detector"]) if args.resume else None
         if cached is not None:
             results[cell_hash] = cached
             print(f"cell {payload['detector']}/{payload['correlation_mode']}: cached")

@@ -29,7 +29,7 @@ from math import isfinite
 
 import numpy as np
 
-from .ar_noise import ARProcessSpec, generate_matrix, spliced_matrix
+from .ar_noise import ARProcessSpec, spliced_matrix
 from .errors import ConfigError, DataError, SimulationDivergedError, read_field
 from .seeding import child_seed, rng_from
 
@@ -214,12 +214,17 @@ def make_env(base_env: BaseEnv):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one benchmark scenario."""
+    """Full description of one benchmark scenario.
+
+    ``noise`` is white until the injection time t_a and then follows its
+    correlation mode at the same level; t_a is drawn from
+    ``injection_window``, whose bounds ``(low, high)`` must satisfy
+    5 < low <= high <= horizon - 7.
+    """
 
     scenario: Scenario
     base_env: BaseEnv
-    noise_pre: ARProcessSpec
-    noise_post: ARProcessSpec
+    noise: ARProcessSpec
     injection_window: tuple = (6, DEFAULT_HORIZON - 7)
     horizon: int = DEFAULT_HORIZON
     per_dimension_scale: tuple | None = None
@@ -235,7 +240,7 @@ class ScenarioConfig:
         if self.horizon < 20:
             raise ConfigError("horizon must be at least 20")
         low, high = self.injection_window
-        if not (5 < low <= high < self.horizon - 6 + 1):
+        if not (5 < low <= high <= self.horizon - 7):
             raise ConfigError(
                 "injection_window must lie strictly inside (t0+5, t_H-5): "
                 f"require 5 < low <= high <= {self.horizon - 7}, got ({low}, {high})"
@@ -307,8 +312,9 @@ class Episode:
         """The episode of one dataset record. A record that is not an
         object, a missing key, a field of the wrong JSON type, observations
         that are not a finite 2-D matrix, actions that are not integers or
-        labels that are not booleans, one of each per transition, and an
-        ``injection_time`` that is neither null nor an integer >= 1 raise
+        labels that are not booleans, one of each per transition, an
+        ``injection_time`` that is neither null nor an integer >= 1, and
+        labels other than :func:`transition_labels` of the episode raise
         :class:`DataError`."""
         def read(name, kind=float, ndim=0, nullable=False):
             return read_field(d, name, "episode record", kind, ndim, DataError, nullable)
@@ -331,7 +337,18 @@ class Episode:
                 f"episode with {episode.length} observations needs {transitions[0]} actions and "
                 f"labels, got {episode.actions.shape} and {episode.labels.shape}"
             )
+        if not np.array_equal(episode.labels, transition_labels(episode.length, episode.injection_time)):
+            raise DataError(f"episode labels disagree with its injection_time {episode.injection_time}")
         return episode
+
+
+def transition_labels(length: int, injection_time: int | None) -> np.ndarray:
+    """The labels of an episode of ``length`` observations: transition i is
+    anomalous when its destination i+1 has reached ``injection_time``; a
+    clean episode (None) has none."""
+    if injection_time is None:
+        return np.zeros(length - 1, dtype=bool)
+    return np.arange(1, length) >= injection_time
 
 
 def random_policy(num_actions: int):
@@ -428,45 +445,28 @@ def _simulate(config: ScenarioConfig, policy, noise: np.ndarray, env_rng, policy
 def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True) -> Episode:
     """Roll out one episode, deterministic in (config, policy, seed).
 
-    Injected episodes draw t_a uniformly from the injection window and use
-    noise spliced from the pre to the post correlation structure at t_a.
-    Episodes that terminate before producing any anomalous transition are
-    re-rolled with a fresh sub-seed up to a retry cap, then returned with
-    ``usable=False``.
+    Injected episodes draw t_a uniformly from the injection window, and
+    their noise turns from white to ``config.noise``'s correlation mode at
+    t_a; clean episodes have no t_a and all-white noise. Episodes that
+    terminate before producing any anomalous transition are re-rolled with a
+    fresh sub-seed up to a retry cap, then returned with ``usable=False``.
     """
     low, high = config.injection_window
     last = None
     for attempt in range(EPISODE_RETRY_CAP + 1):
         attempt_seed = child_seed(seed, "attempt", attempt)
-        noise_seed = child_seed(attempt_seed, "noise")
-        # Not one spliced_matrix call: a clean episode draws noise_pre alone,
-        # so only injected episodes raise SpliceError on mismatched specs.
-        if inject:
-            t_a = int(rng_from(attempt_seed, "t_a").integers(low, high + 1))
-            noise = spliced_matrix(
-                config.noise_pre, config.noise_post, t_a,
-                config.num_dimensions, config.horizon, noise_seed,
-            )
-        else:
-            t_a = None
-            noise = generate_matrix(
-                config.noise_pre, config.num_dimensions, config.horizon, noise_seed
-            )
-
+        t_a = int(rng_from(attempt_seed, "t_a").integers(low, high + 1)) if inject else None
+        noise = spliced_matrix(config.noise, t_a, config.num_dimensions, config.horizon,
+                               child_seed(attempt_seed, "noise"))
         observations, actions, reward_sum = _simulate(
             config, policy, noise, rng_from(attempt_seed, "env"), rng_from(attempt_seed, "policy"),
         )
         length = observations.shape[0]
-        if inject:
-            labels = np.arange(1, length) >= t_a
-        else:
-            labels = np.zeros(max(length - 1, 0), dtype=bool)
-
         episode = Episode(
             observations=observations,
             actions=actions,
             injection_time=t_a,
-            labels=labels,
+            labels=transition_labels(length, t_a),
             reward_sum=reward_sum,
             seed=int(seed),
             scenario=config.scenario.value,

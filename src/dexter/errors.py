@@ -13,14 +13,6 @@ class DexterError(Exception):
     """Base class for all package errors."""
 
 
-class StationarityError(DexterError, ValueError):
-    """AR coefficients violate the |phi| < 1 stationarity requirement."""
-
-
-class SpliceError(DexterError, ValueError):
-    """Pre- and post-injection noise processes are incompatible."""
-
-
 class ConfigError(DexterError, ValueError):
     """Invalid configuration value or structure."""
 

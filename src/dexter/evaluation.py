@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, cusum, detector as dexter_detector
 from .environments import BaseEnv, PolicyKind, ScenarioConfig, builtin_policy, estimate_dimension_scales, run_episode
-from .errors import ConfigError, IncompatibleModelError, UndefinedMetricError, read_field
+from .errors import ConfigError, DataError, IncompatibleModelError, UndefinedMetricError, read_field
 from .seeding import child_seed
 
 
@@ -406,13 +406,17 @@ def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, co
     per-episode AUROC after the first ``trained.warmup`` transitions and
     detection time on the usable injected episodes, and the false-positive
     rate on the clean ones. Each injected episode is scored once; a CUSUM
-    kind alerts on the scores the AUROCs use.
+    kind alerts on the scores the AUROCs use. A usable test episode without
+    an injection time raises :class:`DataError`.
 
     Returns ``(result, streams)``: ``streams`` holds the transition scores of
     the usable injected episodes, in order."""
     if not trained.calibrated():
         raise ConfigError(f"{trained.kind} detector is not calibrated")
     usable = [ep for ep in test_episodes if ep.usable]
+    clean = [ep.seed for ep in usable if ep.injection_time is None]
+    if clean:
+        raise DataError(f"usable test episode with seed {clean[0]} has no injection time")
     streams = [trained.transition_scores(ep) for ep in usable]
     parts = [_labeled_transitions(s, ep, trained.warmup) for s, ep in zip(streams, usable)]
     pooled = _pool(parts)
@@ -444,7 +448,7 @@ def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, co
     ]
 
     result = ExperimentResult(
-        scenario_id=f"{config.scenario.value}/{config.noise_post.correlation_mode.value}",
+        scenario_id=f"{config.scenario.value}/{config.noise.correlation_mode.value}",
         detector_id=trained.kind,
         auroc=float(max(raw, 1.0 - raw)),
         auroc_raw=float(raw),

@@ -189,30 +189,15 @@ class RunConfig:
     def detector_params(self) -> dict:
         return {k: v for k, v in self.detector_section.items() if k != "kind"}
 
-    def noise_specs(self, correlation_mode: str | None = None):
-        sc = self.scenario_section
-        mode = CorrelationMode(correlation_mode or sc["correlation_mode"])
-        sigma = float(sc["innovation_sigma"])
-        scale = float(sc["magnitude_scale"])
-        pre = ARProcessSpec.no_correlation(sigma=sigma, scale=scale)
-        if mode is CorrelationMode.NO_CORRELATION:
-            post = pre
-        elif mode is CorrelationMode.ONE_STEP:
-            post = ARProcessSpec.one_step(float(sc["phi"]), sigma=sigma, scale=scale)
-        else:
-            post = ARProcessSpec.two_step(float(sc["phi"]), sigma=sigma, scale=scale)
-        return pre, post
-
     def scenario_config(self, correlation_mode: str | None = None) -> ScenarioConfig:
         sc = self.scenario_section
         horizon = int(sc["horizon"])
         window = sc["injection_window"] or (6, horizon - 7)
-        pre, post = self.noise_specs(correlation_mode)
         return ScenarioConfig(
             scenario=Scenario(sc["scenario"]),
             base_env=BaseEnv(sc["base_env"]),
-            noise_pre=pre,
-            noise_post=post,
+            noise=ARProcessSpec(correlation_mode or sc["correlation_mode"], sc["phi"],
+                                sc["innovation_sigma"], sc["magnitude_scale"]),
             injection_window=tuple(window),
             horizon=horizon,
             per_dimension_scale=(

@@ -16,12 +16,10 @@ the split-half protocol; the library walks Python floats through the shared
 
 import math
 from dataclasses import dataclass
-from unittest import mock
 
 import numpy as np
 
-from dexter import ar_noise
-from dexter.ar_noise import generate_matrix, spliced_matrix
+from dexter.ar_noise import CorrelationMode
 from dexter.baselines import DEFAULT_KAPPA, MeanShiftDetector
 from dexter.cusum import percentile_threshold, split_halves
 from dexter.environments import (
@@ -51,20 +49,38 @@ def recurse(out, phi, mu, innovations, start):
         out[t] = acc
 
 
-def spliced_series(pre_spec, post_spec, injection_step, length, seed):
-    """``ar_noise.spliced_series`` as first written: the pre-injection
-    recursion runs to the end of the series, then the post-injection one
-    overwrites everything from the injection step on."""
-    burn = ar_noise.burn_in_length(pre_spec.order_p)
+def coefficients(mode, phi):
+    """The AR coefficients (phi_1, ..., phi_p) of a correlation mode."""
+    return {CorrelationMode.NO_CORRELATION: (), CorrelationMode.ONE_STEP: (phi,),
+            CorrelationMode.TWO_STEP: (0.0, phi)}[CorrelationMode(mode)]
+
+
+def spliced_series(spec, injection_step, length, seed):
+    """``ar_noise.spliced_series`` as first written, with a white AR(0)
+    process of mean 0 before the injection: the white recursion runs to the
+    end of the series, then the correlated one overwrites everything from
+    the injection step on. The burn-in was max(50, 10 p) of the white
+    process, 50."""
+    burn = 50
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     eps = rng.normal(0.0, 1.0, burn + length)
     y = np.zeros(burn + length)
-    recurse(y, pre_spec.coefficients_phi, pre_spec.mean_mu, eps * pre_spec.innovation_sigma, 0)
-    post_phi = post_spec.coefficients_phi
-    phi_last = post_phi[-1] if post_phi else 0.0
-    post_inn_sigma = ar_noise.stationary_std(pre_spec) * np.sqrt(1.0 - phi_last * phi_last)
-    recurse(y, post_phi, post_spec.mean_mu, eps * post_inn_sigma, burn + injection_step)
-    return y[burn:] * pre_spec.magnitude_scale
+    recurse(y, (), 0.0, eps * spec.innovation_sigma, 0)
+    if injection_step is not None:
+        phi = coefficients(spec.correlation_mode, spec.phi)
+        phi_last = phi[-1] if phi else 0.0
+        post_inn_sigma = spec.innovation_sigma * np.sqrt(1.0 - phi_last * phi_last)
+        recurse(y, phi, 0.0, eps * post_inn_sigma, burn + injection_step)
+    return y[burn:] * spec.magnitude_scale
+
+
+def spliced_matrix(spec, injection_step, num_dimensions, max_steps, seed):
+    """One :func:`spliced_series` per row, row i on the sub-seed
+    ``child_seed(seed, "noise_row", i)``."""
+    return np.stack([
+        spliced_series(spec, injection_step, max_steps, child_seed(seed, "noise_row", d))
+        for d in range(num_dimensions)
+    ])
 
 
 @dataclass(frozen=True)
@@ -323,25 +339,14 @@ def simulate(config: ScenarioConfig, policy, noise: np.ndarray, env_rng, policy_
 
 def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True):
     """The episode roll-out as first written, and its hidden states; its
-    noise comes from the library's matrix code with :func:`recurse` in place
-    of the recursion."""
+    noise comes from :func:`spliced_matrix`."""
     low, high = config.injection_window
     last = None
     for attempt in range(EPISODE_RETRY_CAP + 1):
         attempt_seed = child_seed(seed, "attempt", attempt)
         noise_seed = child_seed(attempt_seed, "noise")
-        with mock.patch.object(ar_noise, "_recurse", recurse):
-            if inject:
-                t_a = int(rng_from(attempt_seed, "t_a").integers(low, high + 1))
-                noise = spliced_matrix(
-                    config.noise_pre, config.noise_post, t_a,
-                    config.num_dimensions, config.horizon, noise_seed,
-                )
-            else:
-                t_a = None
-                noise = generate_matrix(
-                    config.noise_pre, config.num_dimensions, config.horizon, noise_seed
-                )
+        t_a = int(rng_from(attempt_seed, "t_a").integers(low, high + 1)) if inject else None
+        noise = spliced_matrix(config.noise, t_a, config.num_dimensions, config.horizon, noise_seed)
 
         observations, actions, reward_sum, hidden = simulate(
             config, policy, noise,

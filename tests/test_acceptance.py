@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dexter import isolation_forest as iforest
-from dexter.ar_noise import ARProcessSpec, generate_series
+from dexter.ar_noise import ARProcessSpec, spliced_series
 from dexter.cli import main as cli_main
 from dexter.cusum import CusumDetector, CusumMonitor, first_alert_step
 from dexter.environments import (
@@ -55,7 +55,7 @@ def check(criterion: str, ok: bool, detail: str):
     assert ok, f"{criterion}: {detail}"
 
 
-def _post_spec(mode: str, scale: float = 1.0) -> ARProcessSpec:
+def _noise_spec(mode: str, scale: float = 1.0) -> ARProcessSpec:
     if mode == "one_step":
         return ARProcessSpec.one_step(0.95, scale=scale)
     return ARProcessSpec.two_step(0.95, scale=scale)
@@ -70,8 +70,7 @@ def _build_bundle(scenario: Scenario, base_env: BaseEnv, scale: float, counts: E
         config = ScenarioConfig(
             scenario=scenario,
             base_env=base_env,
-            noise_pre=ARProcessSpec.no_correlation(scale=scale),
-            noise_post=_post_spec(mode, scale),
+            noise=_noise_spec(mode, scale),
         )
         _, policy = resolve_policy(config)
         config = resolve_scales(config, policy, MASTER_SEED)
@@ -234,12 +233,14 @@ def test_criterion_7_ar_generator_statistics():
         xc = x - x.mean()
         return float(np.sum(xc[lag:] * xc[:-lag]) / np.sum(xc * xc))
 
-    one = generate_series(ARProcessSpec.one_step(0.95), 100_000, seed=42)
-    two = generate_series(ARProcessSpec.two_step(0.95), 100_000, seed=43)
+    # Correlated from an injection at step 1 on, at the white noise's
+    # variance sigma^2 = 1.
+    one = spliced_series(ARProcessSpec.one_step(0.95), 1, 100_000, seed=42)
+    two = spliced_series(ARProcessSpec.two_step(0.95), 1, 100_000, seed=43)
     lag1_one = acf(one, 1)
     lag2_two = acf(two, 2)
     lag1_two = acf(two, 1)
-    var_theory = 1.0 / (1.0 - 0.95**2)
+    var_theory = 1.0
     var_rel = abs(one.var() - var_theory) / var_theory
     ok = (
         abs(lag1_one - 0.95) < 0.02
@@ -260,8 +261,7 @@ def test_criterion_8_invariant_suites(tmp_path):
     cfg = ScenarioConfig(
         scenario=Scenario.ARNO,
         base_env=BaseEnv.CARTPOLE,
-        noise_pre=ARProcessSpec.no_correlation(scale=0.5),
-        noise_post=ARProcessSpec.one_step(0.95, scale=0.5),
+        noise=ARProcessSpec.one_step(0.95, scale=0.5),
         per_dimension_scale=(0.23, 0.17, 0.008, 0.2),
     )
     policy = builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC)
@@ -334,8 +334,7 @@ def test_criterion_9_substitutions_are_explicit():
         ScenarioConfig(
             scenario=Scenario.ARNS,
             base_env=BaseEnv.ACROBOT,
-            noise_pre=ARProcessSpec.no_correlation(),
-            noise_post=ARProcessSpec.one_step(0.95),
+            noise=ARProcessSpec.one_step(0.95),
         )
     magnitude_is_plain_scale = ARProcessSpec.no_correlation(scale=0.3).magnitude_scale == 0.3
     ok = envs_ok and magnitude_is_plain_scale

@@ -90,8 +90,7 @@ def test_clean_cartpole_one_step_error_is_small():
     cfg = ScenarioConfig(
         scenario=Scenario.ARNO,
         base_env=BaseEnv.CARTPOLE,
-        noise_pre=ARProcessSpec.no_correlation(scale=1e-6),
-        noise_post=ARProcessSpec.one_step(0.9, scale=1e-6),
+        noise=ARProcessSpec.one_step(0.9, scale=1e-6),
         per_dimension_scale=(0.0, 0.0, 0.0, 0.0),
     )
     policy = builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC)
@@ -135,8 +134,7 @@ def test_pedm_scores_rise_when_strong_observation_noise_appears():
     cfg_clean = ScenarioConfig(
         scenario=Scenario.ARNO,
         base_env=BaseEnv.CARTPOLE,
-        noise_pre=ARProcessSpec.no_correlation(scale=1e-9),
-        noise_post=ARProcessSpec.one_step(0.9, scale=1e-9),
+        noise=ARProcessSpec.one_step(0.9, scale=1e-9),
         per_dimension_scale=(0.0, 0.0, 0.0, 0.0),
     )
     policy = builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC)
@@ -163,8 +161,7 @@ def test_pedm_distribution_shifts_under_constant_magnitude_correlation_switch():
     cfg = ScenarioConfig(
         scenario=Scenario.ARNO,
         base_env=BaseEnv.CARTPOLE,
-        noise_pre=ARProcessSpec.no_correlation(scale=0.5),
-        noise_post=ARProcessSpec.one_step(0.95, scale=0.5),
+        noise=ARProcessSpec.one_step(0.95, scale=0.5),
         per_dimension_scale=(0.23, 0.17, 0.008, 0.2),
     )
     policy = builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC)
@@ -201,8 +198,7 @@ def test_pedm_cusum_calibration_and_fpr():
     cfg = ScenarioConfig(
         scenario=Scenario.ARTS,
         base_env=BaseEnv.CONSTANT,
-        noise_pre=ARProcessSpec.no_correlation(),
-        noise_post=ARProcessSpec.one_step(0.95),
+        noise=ARProcessSpec.one_step(0.95),
     )
     policy = builtin_policy(BaseEnv.CONSTANT, PolicyKind.RANDOM)
     train = [run_episode(cfg, policy, seed=i, inject=False) for i in range(100)]
@@ -296,8 +292,7 @@ def test_meanshift_blind_to_pure_correlation_change():
     # Variance-matched white -> AR(0.95) splice: the marginal distribution of
     # each observation is unchanged, so per-transition standardized
     # deviations carry no signal and AUROC sits near chance.
-    pre = ARProcessSpec.no_correlation()
-    post = ARProcessSpec.one_step(0.95)
+    spec = ARProcessSpec.one_step(0.95)
     rng = np.random.default_rng(11)
     clean = [FakeEpisode(rng.normal(size=(200, 1))) for _ in range(60)]
     det = fit_meanshift(clean, target_fpr=0.01, seed=0)
@@ -305,7 +300,7 @@ def test_meanshift_blind_to_pure_correlation_change():
     scores, labels = [], []
     for seed in range(60):
         t_a = int(np.random.default_rng(seed).integers(50, 150))
-        series = spliced_series(pre, post, t_a, 200, seed=seed)
+        series = spliced_series(spec, t_a, 200, seed=seed)
         ep = FakeEpisode(series[:, None], labels=np.arange(1, 200) >= t_a, injection_time=t_a)
         scores.append(meanshift_episode_scores(det, ep))
         labels.append(ep.labels)

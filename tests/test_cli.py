@@ -454,6 +454,28 @@ def test_bench_parallel_jobs_match_serial(workspace):
     assert read_file(out1 / "results.csv") == read_file(out2 / "results.csv")
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: {**doc, "result": {}},
+    lambda doc: {**doc, "result": {k: v for k, v in doc["result"].items()
+                                   if k != "mean_detection_time"}},
+    lambda doc: {**doc, "schema_version": doc["schema_version"] + 1},
+    lambda doc: {**doc, "result": {**doc["result"], "detector_id": "dexter"}},
+    lambda doc: {**doc, "cell_hash": "0" * 64},
+], ids=["empty_result", "missing_field", "other_schema", "other_detector", "other_cell"])
+def test_bench_resume_recomputes_a_malformed_cell(tmp_path, corrupt):
+    cfg, out = tmp_path / "config.json", tmp_path / "bench"
+    write_config(cfg, evaluation={"num_train": 4, "num_validation": 4, "num_test": 2,
+                                  "num_clean_test": 3},
+                 bench={"detectors": ["meanshift"], "correlation_modes": ["one_step"]})
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    (cell,) = (out / "cells").iterdir()
+    want_cell, want_table = read_file(cell), read_file(out / "results.csv")
+    cell.write_text(json.dumps(corrupt(read_json(cell))))
+    assert main(["bench", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+    assert read_file(cell) == want_cell
+    assert read_file(out / "results.csv") == want_table
+
+
 def test_missing_config_file_is_validation_error(tmp_path):
     assert main(["generate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "ds")]) == 1
@@ -662,6 +684,14 @@ def _integer_labels(record):
     return record
 
 
+def _clean_record(record):
+    """The record with no injection time and the all-False labels of a
+    clean episode."""
+    record["injection_time"] = None
+    record["labels"] = [False] * len(record["labels"])
+    return record
+
+
 @pytest.mark.parametrize("where, edit, message", [
     ("model", _set("detector", "model", "window_size", 10.5), "window_size"),
     ("model", _set("detector", "model", "window_size", "10"), "window_size"),
@@ -676,10 +706,13 @@ def _integer_labels(record):
     ("record", _set("usable", "no"), "usable"),
     ("record", _set("seed", 3.7), "seed"),
     ("record", _integer_labels, "labels"),
+    ("record", _set("injection_time", None), "labels disagree"),
+    ("record", _clean_record, "no injection time"),
 ], ids=["window_size_fraction", "window_size_text", "feature_count_fraction", "model_root_5",
         "schema_version_text", "model_catalogue_hash_5", "manifest_catalogue_hash_5",
         "injection_time_text", "injection_time_fraction", "injection_time_negative",
-        "usable_text", "seed_fraction", "labels_integers"])
+        "usable_text", "seed_fraction", "labels_integers", "injection_time_null",
+        "clean_test_episode"])
 def test_evaluate_refuses_mistyped_model_and_dataset_fields(small_models, tmp_path, where, edit, message):
     cfg, ds, models = small_models
     ds_copy, model = tmp_path / "ds", tmp_path / "model.json"

@@ -15,12 +15,11 @@ from dexter.seeding import child_seed
 from forest_columns import listed
 
 
-def arts_config(post=None):
+def arts_config():
     return ScenarioConfig(
         scenario=Scenario.ARTS,
         base_env=BaseEnv.CONSTANT,
-        noise_pre=ARProcessSpec.no_correlation(),
-        noise_post=post or ARProcessSpec.one_step(0.95),
+        noise=ARProcessSpec.one_step(0.95),
     )
 
 

@@ -24,7 +24,7 @@ from dexter.environments import (
     make_env,
     run_episode,
 )
-from dexter.errors import ConfigError, DataError, SimulationDivergedError, SpliceError
+from dexter.errors import ConfigError, DataError, SimulationDivergedError
 from dexter.seeding import rng_from
 from recorded_states import recorded_episode, recording
 
@@ -89,8 +89,7 @@ def noise_config(scenario, base_env=BaseEnv.CARTPOLE, horizon=60, scales=None):
     return ScenarioConfig(
         scenario=scenario,
         base_env=base_env,
-        noise_pre=ARProcessSpec.no_correlation(),
-        noise_post=ARProcessSpec.no_correlation(),
+        noise=ARProcessSpec.no_correlation(),
         injection_window=(6, horizon - 7),
         horizon=horizon,
         per_dimension_scale=scales,
@@ -236,17 +235,17 @@ def test_arts_episode_observations_carry_the_configured_correlation():
     cfg = ScenarioConfig(
         scenario=Scenario.ARTS,
         base_env=BaseEnv.CONSTANT,
-        noise_pre=ARProcessSpec.one_step(0.95),
-        noise_post=ARProcessSpec.one_step(0.95),
+        noise=ARProcessSpec.one_step(0.95),
+        injection_window=(6, 6),
     )
     policy = builtin_policy(cfg.base_env, PolicyKind.RANDOM)
-    ep = run_episode(cfg, policy, seed=3, inject=False)
-    x = ep.observations[:, 0]
+    ep = run_episode(cfg, policy, seed=3)
+    x = ep.observations[6:, 0]
     xc = x - x.mean()
     acf1 = np.sum(xc[1:] * xc[:-1]) / np.sum(xc * xc)
     assert abs(acf1 - 0.95) < 0.08
 
-    ep2 = run_episode(cfg, policy, seed=3, inject=False)
+    ep2 = run_episode(cfg, policy, seed=3)
     assert np.array_equal(ep.observations, ep2.observations)
 
 
@@ -272,8 +271,7 @@ def test_arno_hidden_dynamics_equal_clean_run_bit_exact():
     cfg = ScenarioConfig(
         scenario=Scenario.ARNO,
         base_env=BaseEnv.CARTPOLE,
-        noise_pre=ARProcessSpec.no_correlation(scale=0.5),
-        noise_post=ARProcessSpec.one_step(0.95, scale=0.5),
+        noise=ARProcessSpec.one_step(0.95, scale=0.5),
         per_dimension_scale=(0.2, 0.2, 0.01, 0.2),
     )
     policy = builtin_policy(cfg.base_env, PolicyKind.HEURISTIC)
@@ -286,8 +284,7 @@ def test_arno_noise_std_scales_with_dimension_std():
     cfg = ScenarioConfig(
         scenario=Scenario.ARNO,
         base_env=BaseEnv.CARTPOLE,
-        noise_pre=ARProcessSpec.no_correlation(scale=0.5),
-        noise_post=ARProcessSpec.one_step(0.95, scale=0.5),
+        noise=ARProcessSpec.one_step(0.95, scale=0.5),
         per_dimension_scale=(0.23, 0.17, 0.008, 0.2),
     )
     policy = builtin_policy(cfg.base_env, PolicyKind.HEURISTIC)
@@ -327,8 +324,7 @@ def test_arns_strong_angle_noise_shortens_episodes():
         per_dimension_scale=(0.0, 0.0, 0.05, 0.0),
     )
     noisy_cfg = ScenarioConfig(
-        noise_pre=ARProcessSpec.no_correlation(),
-        noise_post=ARProcessSpec.one_step(0.9),
+        noise=ARProcessSpec.one_step(0.9),
         **base,
     )
     policy = builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC)
@@ -351,8 +347,7 @@ def test_run_episode_clean_mode_labels():
     cfg = ScenarioConfig(
         scenario=Scenario.ARTS,
         base_env=BaseEnv.CONSTANT,
-        noise_pre=ARProcessSpec.no_correlation(),
-        noise_post=ARProcessSpec.one_step(0.95),
+        noise=ARProcessSpec.one_step(0.95),
     )
     policy = builtin_policy(cfg.base_env, PolicyKind.RANDOM)
     ep = run_episode(cfg, policy, seed=0, inject=False)
@@ -361,25 +356,11 @@ def test_run_episode_clean_mode_labels():
     assert len(ep.labels) == ep.length - 1
 
 
-def test_only_injected_episodes_refuse_a_magnitude_change_at_the_splice():
-    cfg = ScenarioConfig(
-        scenario=Scenario.ARTS,
-        base_env=BaseEnv.CONSTANT,
-        noise_pre=ARProcessSpec.no_correlation(scale=1.0),
-        noise_post=ARProcessSpec.one_step(0.95, scale=2.0),
-    )
-    policy = builtin_policy(cfg.base_env, PolicyKind.RANDOM)
-    assert run_episode(cfg, policy, seed=0, inject=False).injection_time is None
-    with pytest.raises(SpliceError, match="magnitude"):
-        run_episode(cfg, policy, seed=0)
-
-
 def test_run_episode_label_arithmetic():
     cfg = ScenarioConfig(
         scenario=Scenario.ARTS,
         base_env=BaseEnv.CONSTANT,
-        noise_pre=ARProcessSpec.no_correlation(),
-        noise_post=ARProcessSpec.one_step(0.95),
+        noise=ARProcessSpec.one_step(0.95),
         injection_window=(100, 100),
     )
     policy = builtin_policy(cfg.base_env, PolicyKind.RANDOM)
@@ -394,8 +375,7 @@ def test_run_episode_balanced_labels_in_expectation():
     cfg = ScenarioConfig(
         scenario=Scenario.ARTS,
         base_env=BaseEnv.CONSTANT,
-        noise_pre=ARProcessSpec.no_correlation(),
-        noise_post=ARProcessSpec.two_step(0.95),
+        noise=ARProcessSpec.two_step(0.95),
     )
     policy = builtin_policy(cfg.base_env, PolicyKind.RANDOM)
     fractions = [
@@ -408,8 +388,7 @@ def test_run_episode_determinism_and_horizon():
     cfg = ScenarioConfig(
         scenario=Scenario.ARNO,
         base_env=BaseEnv.CARTPOLE,
-        noise_pre=ARProcessSpec.no_correlation(scale=0.3),
-        noise_post=ARProcessSpec.one_step(0.95, scale=0.3),
+        noise=ARProcessSpec.one_step(0.95, scale=0.3),
         per_dimension_scale=(0.2, 0.2, 0.01, 0.2),
     )
     policy = builtin_policy(cfg.base_env, PolicyKind.HEURISTIC)
@@ -427,8 +406,7 @@ def test_run_episode_unusable_after_retry_cap():
     cfg = ScenarioConfig(
         scenario=Scenario.ARNS,
         base_env=BaseEnv.CARTPOLE,
-        noise_pre=ARProcessSpec.no_correlation(scale=0.1),
-        noise_post=ARProcessSpec.one_step(0.9, scale=0.1),
+        noise=ARProcessSpec.one_step(0.9, scale=0.1),
         injection_window=(180, 190),
         per_dimension_scale=(0.1, 0.1, 0.01, 0.1),
     )
@@ -439,18 +417,26 @@ def test_run_episode_unusable_after_retry_cap():
 
 
 def test_scenario_config_validation():
-    pre = ARProcessSpec.no_correlation()
-    post = ARProcessSpec.one_step(0.9)
+    noise = ARProcessSpec.one_step(0.9)
     with pytest.raises(ConfigError):
-        ScenarioConfig(Scenario.ARTS, BaseEnv.CARTPOLE, pre, post)
+        ScenarioConfig(Scenario.ARTS, BaseEnv.CARTPOLE, noise)
     with pytest.raises(ConfigError):
-        ScenarioConfig(Scenario.ARNO, BaseEnv.CONSTANT, pre, post)
+        ScenarioConfig(Scenario.ARNO, BaseEnv.CONSTANT, noise)
     with pytest.raises(ConfigError):
-        ScenarioConfig(Scenario.ARNS, BaseEnv.ACROBOT, pre, post)
+        ScenarioConfig(Scenario.ARNS, BaseEnv.ACROBOT, noise)
     with pytest.raises(ConfigError, match="injection_window"):
-        ScenarioConfig(Scenario.ARTS, BaseEnv.CONSTANT, pre, post, injection_window=(3, 100))
+        ScenarioConfig(Scenario.ARTS, BaseEnv.CONSTANT, noise, injection_window=(3, 100))
     with pytest.raises(ConfigError, match="injection_window"):
-        ScenarioConfig(Scenario.ARTS, BaseEnv.CONSTANT, pre, post, injection_window=(6, 195))
+        ScenarioConfig(Scenario.ARTS, BaseEnv.CONSTANT, noise, injection_window=(6, 195))
+
+
+@pytest.mark.parametrize("horizon", [20, 60, 200])
+def test_injection_window_ends_at_horizon_minus_7(horizon):
+    noise = ARProcessSpec.one_step(0.9)
+    cfg = ScenarioConfig(Scenario.ARTS, BaseEnv.CONSTANT, noise, (6, horizon - 7), horizon)
+    assert cfg.injection_window == (6, horizon - 7)
+    with pytest.raises(ConfigError, match=f"high <= {horizon - 7}"):
+        ScenarioConfig(Scenario.ARTS, BaseEnv.CONSTANT, noise, (6, horizon - 6), horizon)
 
 
 def test_builtin_policies():
@@ -503,8 +489,7 @@ def test_episode_json_roundtrip():
     cfg = ScenarioConfig(
         scenario=Scenario.ARTS,
         base_env=BaseEnv.CONSTANT,
-        noise_pre=ARProcessSpec.no_correlation(),
-        noise_post=ARProcessSpec.one_step(0.95),
+        noise=ARProcessSpec.one_step(0.95),
     )
     policy = builtin_policy(cfg.base_env, PolicyKind.RANDOM)
     ep = run_episode(cfg, policy, seed=12)
@@ -538,6 +523,9 @@ def test_episode_json_text_equals_the_per_value_conversion():
     (lambda d: d.update(actions=d["actions"][:-1]), "actions"),
     (lambda d: d.update(labels=d["labels"] + [True]), "labels"),
     (lambda d: d.update(reward_sum="lots"), "malformed"),
+    (lambda d: d.update(injection_time=None), "disagree"),
+    (lambda d: d.update(injection_time=d["injection_time"] + 1), "disagree"),
+    (lambda d: d.update(labels=[False] * len(d["labels"])), "disagree"),
 ])
 def test_episode_json_rejects_malformed_records(edit, field):
     cfg = noise_config(Scenario.ARTS, BaseEnv.CONSTANT, horizon=20, scales=(1.0,))
@@ -580,16 +568,13 @@ def ar_spec(mode, phi, magnitude):
 def episode_configs(draw):
     scenario, base_env = draw(st.sampled_from(SCENARIO_BASES))
     magnitude = 10.0 ** draw(st.floats(-3.0, 1.0))
-    pre, post = (
-        ar_spec(draw(st.sampled_from(CorrelationMode)), draw(st.floats(-0.99, 0.99)), magnitude)
-        for _ in range(2)
-    )
+    noise = ar_spec(draw(st.sampled_from(CorrelationMode)), draw(st.floats(-0.99, 0.99)), magnitude)
     horizon = draw(st.integers(20, 120))
     low = draw(st.integers(6, horizon - 7))
     dim = {BaseEnv.CONSTANT: 1, BaseEnv.CARTPOLE: 4, BaseEnv.ACROBOT: 6}[base_env]
     scales = draw(st.none() | st.tuples(*[st.floats(0.0, 2.0)] * dim))
     return ScenarioConfig(
-        scenario=scenario, base_env=base_env, noise_pre=pre, noise_post=post,
+        scenario=scenario, base_env=base_env, noise=noise,
         injection_window=(low, draw(st.integers(low, horizon - 7))), horizon=horizon,
         per_dimension_scale=scales,
     )

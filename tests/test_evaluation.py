@@ -5,7 +5,7 @@ import pytest
 
 from dexter.ar_noise import ARProcessSpec
 from dexter.environments import BaseEnv, Scenario, ScenarioConfig
-from dexter.errors import ConfigError, IncompatibleModelError, UndefinedMetricError
+from dexter.errors import ConfigError, DataError, IncompatibleModelError, UndefinedMetricError
 from dexter.evaluation import (
     EpisodeCounts,
     LabeledScoreSet,
@@ -137,12 +137,11 @@ def test_default_target_fpr_is_one_percent():
     assert inspect.signature(run_experiment).parameters["target_fpr"].default == 0.01
 
 
-def arts_cfg(post=None):
+def arts_cfg():
     return ScenarioConfig(
         scenario=Scenario.ARTS,
         base_env=BaseEnv.CONSTANT,
-        noise_pre=ARProcessSpec.no_correlation(),
-        noise_post=post or ARProcessSpec.one_step(0.95),
+        noise=ARProcessSpec.one_step(0.95),
     )
 
 
@@ -315,3 +314,22 @@ def test_cusum_kinds_decide_like_their_reference_functions_bit_for_bit(kind):
     assert [row["alert_step"] for row in result.per_episode] == [reference_alert(calibrated, ep)
                                                                  for ep in injected]
     assert result.fpr_measured == sum(reference_alert(calibrated, ep) is not None for ep in clean) / len(clean)
+
+
+def test_measure_detector_refuses_a_usable_test_episode_without_injection_time():
+    from dexter.environments import builtin_policy
+    from dexter.evaluation import generate_episodes, measure_detector
+
+    cfg = arts_cfg()
+    policy = builtin_policy(cfg.base_env, "random")
+    clean = generate_episodes(cfg, policy, "clean_test", 3, 4, inject=False)
+    injected = generate_episodes(cfg, policy, "test", 2, 4, inject=True)
+    trained = train_detector("meanshift", clean, seed=0)
+    calibrate_detector(trained, clean, 0.2, seed=0)
+    with pytest.raises(DataError, match=f"seed {clean[1].seed} has no injection time"):
+        measure_detector(trained, injected + clean[1:], clean, cfg, master_seed=4,
+                         target_fpr=0.2, counts=SMALL)
+    clean[1].usable = clean[2].usable = False  # unusable episodes are skipped
+    result, _ = measure_detector(trained, injected + clean[1:], clean, cfg, master_seed=4,
+                                 target_fpr=0.2, counts=SMALL)
+    assert result.num_test_episodes == 2 and result.num_unusable_episodes == 2
