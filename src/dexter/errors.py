@@ -55,12 +55,14 @@ _COLUMN_DTYPES = {float: np.dtype("<f8"), int: np.dtype("<i4")}
 def encode_column(values, kind: type) -> str:
     """A 1-D array of ``kind`` as one base64 string of its little-endian
     float64 or int32 bytes, the form :func:`read_field` decodes. Integers
-    must fit in int32."""
-    return base64.b64encode(np.asarray(values).astype(_COLUMN_DTYPES[kind]).tobytes()).decode("ascii")
+    must fit in int32. A contiguous array already in that dtype is encoded
+    from its own buffer, without a copy."""
+    return base64.b64encode(np.ascontiguousarray(values, dtype=_COLUMN_DTYPES[kind])).decode("ascii")
 
 
 def _decode_column(text: str, kind: type):
-    """The array of a binary column as float64 or int64, or None if
+    """The values of a binary column in its file dtype, little-endian
+    float64 or int32, as a read-only view of the decoded bytes; or None if
     ``text`` is not base64 or its bytes are not a whole number of items."""
     try:
         raw = base64.b64decode(text, validate=True)
@@ -69,7 +71,7 @@ def _decode_column(text: str, kind: type):
     dtype = _COLUMN_DTYPES[kind]
     if len(raw) % dtype.itemsize:
         return None
-    return np.frombuffer(raw, dtype=dtype).astype(kind)
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def read_field(doc, name: str, owner: str, kind: type = float, ndim: int = 0,
@@ -82,7 +84,9 @@ def read_field(doc, name: str, owner: str, kind: type = float, ndim: int = 0,
     ``np.asarray`` pass by the dtype NumPy gives the whole list and returned
     as float64, int64 or bool. A 1-D float or int array may also be a
     string: the base64 of its little-endian float64 or int32 bytes, as
-    :func:`encode_column` writes it. No NaN or infinity passes. With
+    :func:`encode_column` writes it. Such a binary column keeps its file
+    dtype: it is returned as a read-only float64 or int32 view of the
+    decoded bytes, never widened. No NaN or infinity passes. With
     ``nullable`` a JSON null reads as None. Anything else raises ``error``
     naming ``owner`` and the field."""
     if not isinstance(doc, dict):
@@ -101,7 +105,8 @@ def read_field(doc, name: str, owner: str, kind: type = float, ndim: int = 0,
             return value
         raise error(f"malformed {owner}: {name!r} must be {_SCALARS[kind]}, "
                     f"got {reprlib.repr(value)}")
-    if isinstance(value, str) and ndim == 1 and kind in _COLUMN_DTYPES:
+    binary = isinstance(value, str) and ndim == 1 and kind in _COLUMN_DTYPES
+    if binary:
         array = _decode_column(value, kind)
         if array is None:
             raise error(f"malformed {owner}: {name!r} is not base64 of little-endian "
@@ -115,4 +120,4 @@ def read_field(doc, name: str, owner: str, kind: type = float, ndim: int = 0,
             or (array.size and array.dtype.kind not in _ARRAY_KINDS[kind])
             or (kind is float and not np.isfinite(array).all())):
         raise error(f"malformed {owner}: {name!r} must be a {ndim}-D array of {_ELEMENTS[kind]}")
-    return array.astype(kind, copy=False)
+    return array if binary else array.astype(kind, copy=False)

@@ -60,6 +60,23 @@ this hold. A 300-tree forest of 103k nodes takes 3.30 MB against 2.42 MB as
 lists, but saves in 28 ms against 134 ms and loads in 32 ms against 113 ms
 (BENCH_15.json).
 
+Memory. The node columns stay int32 (float64 for ``threshold``) from build
+to file and back, and no stage holds more than one column's temporaries
+beyond its result. ``_grow`` keeps a level's working arrays in
+``_split_level`` and the int32 point indices of the open nodes, and returns
+its per-depth records, which ``_assemble`` scatters into the tree-by-tree
+columns, dropping each depth as it goes. ``fit`` joins the chunks column by
+column, releasing each chunk's copy, and ``_pack`` checks the columns in the
+dtype they arrive in and packs them without copies, only ``feature`` and
+``kids`` being new. A model file's binary columns load as read-only int32 and
+float64 views of their decoded bytes, and ``to_json_dict`` encodes one
+column at a time. On a forest like the ``arts_cli`` benchmark's (300 trees,
+subsample 1000, 21 features, 94k nodes, 2.25 MB packed) the tracemalloc
+peaks fell from 16.1 to 7.3 MB for ``fit``, from 12.1 to 4.8 MB for
+``from_json_dict`` of the parsed document and from 9.0 to 5.0 MB for
+``persistence.save_model`` (a 3.0 MB file); at subsample 8000 (347k nodes)
+from 60.0 to 18.8, 44.8 to 17.4 and 33.3 to 18.5 MB (BENCH_19.json).
+
 Scoring. A point's h in one tree is the depth of the leaf its walk ends at
 plus c(leaf size), so a forest keeps one path length per leaf, derived on
 first use. Two walks give each point's sum of h over the trees; they make
@@ -95,6 +112,7 @@ streamed scores would stop matching ``score_stream`` bit for bit.
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -103,6 +121,11 @@ from .seeding import rng_from
 
 DEFAULT_NUM_TREES = 100
 DEFAULT_SUBSAMPLE = 256
+# Largest subsample ``fit`` takes and a model file may give. c(n) costs time
+# linear in n (c(10^7) took 0.03 s on a 2-vCPU VM) and is evaluated on load
+# for the subsample size and on first score for every distinct leaf size, so
+# this bounds what one such size can cost; the acceptance configs use 8000.
+MAX_SUBSAMPLE_SIZE = 10**7
 # Most (tree, point) pairs one NumPy scoring walk advances together; its
 # buffers take 33 bytes a pair. On 300 x 191, 300 x 873 and 25 x 4000
 # batches 2^16 scored within 6% of the best power of two from 2^13 to 2^18,
@@ -184,47 +207,79 @@ def _pack(nodes, feature_count: int, subsample_size: int):
     and ``"roots"`` to the position of each tree's first node. A leaf has
     feature, left and right all -1; an internal node splits on a feature
     below ``feature_count`` and its children are positions within its tree,
-    after it. Every node but a root has exactly one parent and every size
-    lies in [1, subsample_size]. Anything else raises
-    :class:`IncompatibleModelError`.
+    after it. Every node but a root has exactly one parent, every size lies
+    in [1, subsample_size], a root holds subsample_size points and an
+    internal node as many as its two children together, as in every fitted
+    tree; subsample_size is at most ``MAX_SUBSAMPLE_SIZE``. Anything else
+    raises :class:`IncompatibleModelError`.
+
+    The columns are checked in the dtype they arrive in, int32 and float64
+    from ``fit`` and from a model file's binary columns, and a column that
+    is already int32 (float64 for ``threshold``) is packed without a copy:
+    only ``feature`` and ``kids`` are new arrays.
     """
     feature, left, right, size, roots = (
-        np.asarray(nodes[name]).astype(np.int64) for name in ("feature", "left", "right", "size", "roots"))
-    threshold = np.asarray(nodes["threshold"]).astype(float)
+        np.asarray(nodes[name]) for name in ("feature", "left", "right", "size", "roots"))
+    threshold = np.asarray(nodes["threshold"], dtype=float)
     n = len(feature)
+    if subsample_size > MAX_SUBSAMPLE_SIZE:
+        raise IncompatibleModelError(f"isolation forest subsample size {subsample_size} "
+                                     f"above the maximum {MAX_SUBSAMPLE_SIZE}")
     if any(len(column) != n for column in (threshold, left, right, size)):
         raise IncompatibleModelError("isolation forest columns differ in length")
-    if len(roots) == 0 or roots[0] != 0 or np.any(np.diff(roots) <= 0) or roots[-1] >= n:
+    # Compared, not subtracted: a difference of int32 values can wrap.
+    if len(roots) == 0 or roots[0] != 0 or np.any(roots[1:] <= roots[:-1]) or roots[-1] >= n:
         raise IncompatibleModelError("isolation forest roots must start at 0 and increase, "
                                      "one per non-empty tree")
     if np.any(feature < -1) or np.any(feature >= feature_count):
         raise IncompatibleModelError(f"isolation tree splits on a feature outside [0, {feature_count})")
     if np.any(size < 1) or np.any(size > subsample_size):
         raise IncompatibleModelError(f"isolation tree node size outside [1, {subsample_size}]")
+    if np.any(size[roots] != subsample_size):
+        raise IncompatibleModelError(f"isolation tree root size other than {subsample_size}")
 
-    counts = np.diff(np.append(roots, n))
-    node = np.arange(n)
-    tree_start = np.repeat(roots, counts)
-    tree_end = tree_start + np.repeat(counts, counts)
     leaf = feature == -1
     if np.any(leaf & ((left != -1) | (right != -1))):
         raise IncompatibleModelError("isolation tree leaf with a child")
-    left, right = left + tree_start, right + tree_start
-    for child in (left, right):
-        if not np.all(leaf | ((child > node) & (child < tree_end))):
-            raise IncompatibleModelError("isolation tree child index outside its subtree")
-    parents = np.bincount(np.concatenate([left[~leaf], right[~leaf]]), minlength=n)
-    parents[roots] += 1  # a root has none
-    if np.any(parents != 1):
+    kids = _kids(left, right, leaf, roots)
+    # A child lies after its parent within its tree, so it is no root: every
+    # other node has exactly one parent when the internal nodes' child slots
+    # are as many as those nodes and reach each of them.
+    internal = ~leaf
+    right_kids, left_kids = kids[0::2][internal], kids[1::2][internal]
+    has_parent = np.zeros(n, dtype=bool)
+    has_parent[right_kids] = has_parent[left_kids] = True
+    if not 2 * len(left_kids) == np.count_nonzero(has_parent) == n - len(roots):
         raise IncompatibleModelError("isolation tree node without exactly one parent")
+    if np.any(size[left_kids] + size[right_kids] != size[internal]):
+        raise IncompatibleModelError("isolation tree node size other than its children's sum")
 
-    left[leaf] = right[leaf] = node[leaf]
-    feature[leaf] = 0
-    kids = np.empty(2 * n, dtype=np.int32)
-    kids[0::2], kids[1::2] = right, left
-    feature, size, roots = (a.astype(np.int32) for a in (feature, size, roots))
+    feature = np.where(leaf, 0, feature).astype(np.int32, copy=False)
+    size, roots = (a.astype(np.int32, copy=False) for a in (size, roots))
     levels = int(_node_depths(kids, roots).max())
     return feature, threshold, kids, size, roots, levels
+
+
+def _kids(left, right, leaf, roots) -> np.ndarray:
+    """The interleaved ``kids`` of a forest in the per-tree-view form, as
+    global int32 positions with a leaf's children the leaf itself. A child
+    of an internal node that is not after it within its tree raises
+    :class:`IncompatibleModelError`; it is checked against its node's
+    position within the tree before any addition, which could wrap."""
+    n = len(leaf)
+    counts = np.diff(roots, append=n).astype(np.int32)
+    tree_start = np.repeat(roots.astype(np.int32, copy=False), counts)
+    local = np.arange(n, dtype=np.int32) - tree_start
+    tree_nodes = np.repeat(counts, counts)
+    for child in (left, right):
+        if not np.all(leaf | ((child > local) & (child < tree_nodes))):
+            raise IncompatibleModelError("isolation tree child index outside its subtree")
+    kids = np.empty(2 * n, dtype=np.int32)
+    leaves = np.flatnonzero(leaf)
+    for half, child in ((kids[0::2], right), (kids[1::2], left)):
+        np.add(child, tree_start, out=half)
+        half[leaves] = leaves
+    return kids
 
 
 def _node_depths(kids: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -256,7 +311,8 @@ class _TreeViews(Sequence):
         m = self._model
         i = range(len(m.roots))[i]
         stop = int(m.roots[i + 1]) if i + 1 < len(m.roots) else len(m.feature)
-        return IsolationTree(*m._view_columns(int(m.roots[i]), stop))
+        feature, threshold, left, right, size = m._view_columns(int(m.roots[i]), stop)
+        return IsolationTree(feature, threshold.copy(), left, right, size.copy())
 
 
 class IsolationForestModel:
@@ -291,15 +347,19 @@ class IsolationForestModel:
         return self.kids[0::2]
 
     def _view_columns(self, start: int, stop: int):
-        """``NODE_COLUMNS`` of nodes start..stop-1 in the per-tree-view form:
-        -1 for a leaf's feature and children, children local to their tree."""
+        """Yields the ``NODE_COLUMNS`` of nodes start..stop-1, whole trees,
+        in the per-tree-view form, one int32 or float64 array at a time: -1
+        for a leaf's feature and children, children local to their tree.
+        ``threshold`` and ``size`` are views of the packed arrays."""
         nodes = slice(start, stop)
-        node = np.arange(start, stop)
-        tree_start = self.roots[np.searchsorted(self.roots, node, side="right") - 1]
-        leaf = self.left[nodes] == node
-        return (np.where(leaf, -1, self.feature[nodes]), self.threshold[nodes].copy(),
-                np.where(leaf, -1, self.left[nodes] - tree_start),
-                np.where(leaf, -1, self.right[nodes] - tree_start), self.size[nodes].copy())
+        leaf = self.left[nodes] == np.arange(start, stop, dtype=np.int32)
+        roots = self.roots[(self.roots >= start) & (self.roots < stop)]
+        tree_start = np.repeat(roots, np.diff(roots, append=stop))
+        yield np.where(leaf, -1, self.feature[nodes])
+        yield self.threshold[nodes]
+        for child in (self.left, self.right):
+            yield np.where(leaf, -1, child[nodes] - tree_start)
+        yield self.size[nodes]
 
     def path_length_table(self) -> np.ndarray:
         """The path length h of a point whose walk ends at each node: a
@@ -338,7 +398,10 @@ class IsolationForestModel:
         return self._nested
 
     def to_json_dict(self) -> dict:
-        columns = (*self._view_columns(0, len(self.feature)), self.roots)
+        """The forest document, each node column encoded from the packed
+        arrays as it is rebuilt, so that one column's temporaries are held
+        at a time."""
+        columns = chain(self._view_columns(0, len(self.feature)), [self.roots])
         return {
             "subsample_size": int(self.subsample_size),
             "feature_count": int(self.feature_count),
@@ -360,110 +423,147 @@ class IsolationForestModel:
                              ("subsample_size", "feature_count", "seed", "num_training_samples")})
 
 
-def _grow(columns: np.ndarray, rngs, subsample: int, depth_limit: int):
+def _grow(columns: np.ndarray, rngs, subsample: int, depth_limit: int) -> list:
     """Grow one tree per generator in ``rngs`` on the feature-major data
     ``columns`` (features x rows), all of them together one depth level at a
-    time, following the draw protocol in the module docstring. Returns what
-    :func:`_assemble` does."""
-    num_features, n = columns.shape
-    flat = columns.ravel()
+    time, following the draw protocol in the module docstring. Returns, per
+    depth, the (tree, size, feature, threshold) of its nodes, int32 but for
+    the float64 thresholds: what :func:`_assemble` takes. A level's working
+    arrays live in :func:`_split_level`, so none outlives its level."""
+    n = columns.shape[1]
     num_trees = len(rngs)
     # Row indices of the points of the open nodes (size >= 2, above the depth
     # limit) at the current level, each node's points contiguous, nodes tree
-    # by tree and left to right.
-    points = np.concatenate([rng.choice(n, size=subsample, replace=False) for rng in rngs])
-    tree = np.arange(num_trees)
-    size = np.full(num_trees, subsample)
-    levels = []  # per depth: (tree, size, feature, threshold) of each node
+    # by tree and left to right; int32 unless the rows outnumber its range.
+    points = np.empty(num_trees * subsample, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.intp)
+    for t, rng in enumerate(rngs):
+        points[t * subsample:(t + 1) * subsample] = rng.choice(n, size=subsample, replace=False)
+    tree = np.arange(num_trees, dtype=np.int32)
+    size = np.full(num_trees, subsample, dtype=np.int32)
+    levels = []
     for depth in range(depth_limit + 1):
-        feature = np.full(len(tree), -1)
+        feature = np.full(len(tree), -1, dtype=np.int32)
         threshold = np.zeros(len(tree))
         levels.append((tree, size, feature, threshold))
-        is_open = size >= 2
-        if depth == depth_limit or not is_open.any():
+        if depth == depth_limit or not (size >= 2).any():
             break
-        nodes = np.flatnonzero(is_open)
-        counts = size[nodes]
-        per_tree = np.bincount(tree[nodes], minlength=num_trees)
-        draws = np.concatenate([rngs[t].random((k, num_features + 1))
-                                for t, k in enumerate(per_tree) if k])
-        keys, uniform = draws[:, :num_features], draws[:, num_features]
-        chosen = keys.argmin(axis=1)
-        lo, hi = np.empty(len(nodes)), np.empty(len(nodes))
-        values = np.empty(len(points))
-        splits = np.zeros(len(nodes), dtype=bool)
-        # Reduce the node's first feature in its random order; where that
-        # column is constant, try the next one, for those nodes only.
-        pending, at, pending_counts = np.arange(len(nodes)), np.arange(len(points)), counts
-        for _ in range(num_features):
-            column = chosen[pending]
-            pending_values = flat[np.repeat(column * n, pending_counts) + points[at]]
-            values[at] = pending_values
-            starts = np.cumsum(pending_counts) - pending_counts
-            lo[pending] = np.minimum.reduceat(pending_values, starts)
-            hi[pending] = np.maximum.reduceat(pending_values, starts)
-            constant = ~(hi[pending] > lo[pending])
-            splits[pending[~constant]] = True
-            if not constant.any():
-                break
-            at = at[np.repeat(constant, pending_counts)]
-            pending, pending_counts = pending[constant], pending_counts[constant]
-            keys[pending, column[constant]] = np.inf
-            chosen[pending] = keys[pending].argmin(axis=1)
-
-        # Nodes whose features are all constant stay leaves; the rest split.
-        keep = np.repeat(splits, counts)
-        points, values = points[keep], values[keep]
-        nodes, counts, chosen = nodes[splits], counts[splits], chosen[splits]
-        lo, hi = lo[splits], hi[splits]
-        cut = lo + (hi - lo) * uniform[splits]
-        low = cut <= lo
-        cut[low] = np.nextafter(lo[low], hi[low])
-        feature[nodes] = chosen
-        threshold[nodes] = cut
-
-        # Stable partition of each node's points: left child's, then right's.
-        goes_left = values < np.repeat(cut, counts)
-        child = 2 * np.repeat(np.arange(len(nodes)), counts) + ~goes_left
-        partitioned = points[np.argsort(child, kind="stable")]
-        left_counts = np.add.reduceat(goes_left, np.cumsum(counts) - counts, dtype=np.intp)
-
-        tree = np.repeat(tree[nodes], 2)
-        size = np.column_stack([left_counts, counts - left_counts]).ravel()
-        points = partitioned[np.repeat(size >= 2, size)]
-
-    return _assemble(levels, num_trees)
+        tree, size, points = _split_level(columns, rngs, tree, size, points, feature, threshold)
+    return levels
 
 
-def _assemble(levels, num_trees: int):
-    """The ``NODE_COLUMNS`` of the grown trees in the per-tree-view form,
-    tree after tree with local breadth-first numbering, and each tree's node
-    count, from the per-depth node records of :func:`_grow`. The children of
-    the k-th internal node of a depth are nodes 2k and 2k + 1 of the next."""
-    tree, size, feature, threshold = (np.concatenate(c) for c in zip(*levels))
-    level_start = np.cumsum([0] + [len(level[0]) for level in levels])
-    first_child = np.full(len(tree), -1)
-    for depth, (_, _, level_feature, _) in enumerate(levels[:-1]):
-        internal = np.flatnonzero(level_feature >= 0)
-        first_child[level_start[depth] + internal] = level_start[depth + 1] + 2 * np.arange(len(internal))
-    # Stable by tree: each tree's nodes depth by depth, left to right.
-    order = np.argsort(tree, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    tree_nodes = np.bincount(tree, minlength=num_trees)
+def _split_level(columns: np.ndarray, rngs, tree, size, points, feature, threshold):
+    """Split the open nodes of one level, writing each split's feature and
+    threshold into ``feature`` and ``threshold``; returns the next level's
+    (tree, size, points)."""
+    nodes = np.flatnonzero(size >= 2)
+    counts = size[nodes]
+    # Each tree's key rows, drawn straight into one array in tree order.
+    draws = np.empty((len(nodes), columns.shape[0] + 1))
+    start = 0
+    for t, k in enumerate(np.bincount(tree[nodes], minlength=len(rngs)).tolist()):
+        if k:
+            rngs[t].random(out=draws[start:start + k])
+            start += k
+    splits, chosen, lo, hi, values = _split_features(columns, draws[:, :-1], counts, points)
+
+    # Nodes whose features are all constant stay leaves; the rest split.
+    keep = np.repeat(splits, counts)
+    points, values = points[keep], values[keep]
+    nodes, counts, chosen = nodes[splits], counts[splits], chosen[splits]
+    lo, hi = lo[splits], hi[splits]
+    cut = lo + (hi - lo) * draws[splits, -1]
+    low = cut <= lo
+    cut[low] = np.nextafter(lo[low], hi[low])
+    feature[nodes] = chosen
+    threshold[nodes] = cut
+
+    # Stable partition of each node's points: left child's, then right's.
+    goes_left = values < np.repeat(cut, counts)
+    child = np.repeat(np.arange(0, 2 * len(nodes), 2, dtype=np.int32), counts)
+    child += ~goes_left
+    partitioned = points[np.argsort(child, kind="stable")]
+    left_counts = np.add.reduceat(goes_left, np.cumsum(counts) - counts, dtype=np.int32)
+    size = np.column_stack([left_counts, counts - left_counts]).ravel()
+    return np.repeat(tree[nodes], 2), size, partitioned[np.repeat(size >= 2, size)]
+
+
+def _split_features(columns: np.ndarray, keys, counts, points):
+    """The split feature of each open node, the first in the order of its
+    row of ``keys`` whose range within the node is nonzero: (splits,
+    chosen, lo, hi, values), with ``splits`` false for a node whose
+    features are all constant, ``lo`` and ``hi`` the chosen feature's range
+    and ``values`` each point's value of its node's chosen feature."""
+    n = columns.shape[1]
+    flat = columns.ravel()
+    chosen = keys.argmin(axis=1)
+    lo, hi = np.empty(len(counts)), np.empty(len(counts))
+    values = np.empty(len(points))
+    splits = np.zeros(len(counts), dtype=bool)
+    # Reduce the node's first feature in its random order; where that
+    # column is constant, try the next one, for those nodes only.
+    # ``at`` picks the pending nodes' points: on the first pass all of them,
+    # through ``...``, which indexes without a copy.
+    pending, at, pending_counts = np.arange(len(counts)), ..., counts
+    for _ in range(columns.shape[0]):
+        column = chosen[pending]
+        offsets = np.repeat(column * n, pending_counts)
+        offsets += points[at]
+        pending_values = values[at] = flat[offsets]
+        starts = np.cumsum(pending_counts) - pending_counts
+        lo[pending] = np.minimum.reduceat(pending_values, starts)
+        hi[pending] = np.maximum.reduceat(pending_values, starts)
+        constant = ~(hi[pending] > lo[pending])
+        splits[pending[~constant]] = True
+        if not constant.any():
+            break
+        retry = np.repeat(constant, pending_counts)
+        at = np.flatnonzero(retry) if at is ... else at[retry]
+        pending, pending_counts = pending[constant], pending_counts[constant]
+        keys[pending, column[constant]] = np.inf
+        chosen[pending] = keys[pending].argmin(axis=1)
+    return splits, chosen, lo, hi, values
+
+
+def _assemble(levels: list, num_trees: int):
+    """The ``NODE_COLUMNS`` of the grown trees in the per-tree-view form, as
+    a list of int32 arrays but for the float64 thresholds, tree after tree
+    with local breadth-first numbering, and each tree's node count, from the
+    per-depth node records of :func:`_grow`, which it empties as it goes.
+    The children of the k-th internal node of a depth are nodes 2k and
+    2k + 1 of the next."""
+    # Each tree's node count per depth, and a row of zeros for the empty
+    # depth below the deepest, where the last level's children would go.
+    per_depth = np.array([np.bincount(tree, minlength=num_trees) for tree, *_ in levels]
+                         + [np.zeros(num_trees, dtype=np.intp)])
+    tree_nodes = per_depth.sum(axis=0)
+    # A node at position j of its depth belongs to a tree t; within t it
+    # follows the tree's nodes of the shallower depths and those of its own
+    # depth before it, so its position in the tree is j + shift[depth, t].
+    shift = (np.cumsum(per_depth, axis=0) - per_depth) - (np.cumsum(per_depth, axis=1) - per_depth)
     tree_start = np.cumsum(tree_nodes) - tree_nodes
-    internal = first_child >= 0
-    left = np.full(len(tree), -1)
-    left[internal] = position[first_child[internal]] - tree_start[tree[internal]]
-    right = np.where(internal, left + 1, -1)
-    return tuple(c[order] for c in (feature, threshold, left, right, size)), tree_nodes
+    total = int(tree_nodes.sum())
+    columns = [np.empty(total, dtype=np.int32), np.empty(total),
+               np.full(total, -1, dtype=np.int32), np.full(total, -1, dtype=np.int32),
+               np.empty(total, dtype=np.int32)]
+    feature_out, threshold_out, left_out, right_out, size_out = columns
+    for depth in reversed(range(len(levels))):
+        tree, size, feature, threshold = levels.pop()
+        at = (tree_start + shift[depth])[tree]
+        at += np.arange(len(tree))
+        feature_out[at], threshold_out[at], size_out[at] = feature, threshold, size
+        internal = np.flatnonzero(feature >= 0)
+        left = 2 * np.arange(len(internal)) + shift[depth + 1][tree[internal]]
+        left_out[at[internal]] = left
+        right_out[at[internal]] = left + 1
+    return columns, tree_nodes
 
 
 def fit(data, num_trees: int = DEFAULT_NUM_TREES, subsample: int | None = None, seed: int = 0) -> IsolationForestModel:
     """Train an isolation forest on a (num_samples, num_features) array.
 
-    ``subsample`` defaults to min(256, num_samples); each tree draws its own
-    subsample without replacement and is grown to depth ceil(log2(subsample)).
+    ``subsample`` defaults to min(256, num_samples) and may be at most
+    ``MAX_SUBSAMPLE_SIZE``; each tree draws its own subsample without
+    replacement and is grown to depth ceil(log2(subsample)).
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -471,8 +571,8 @@ def fit(data, num_trees: int = DEFAULT_NUM_TREES, subsample: int | None = None, 
     n = data.shape[0]
     if subsample is None:
         subsample = min(DEFAULT_SUBSAMPLE, n)
-    if not 1 <= subsample <= n:
-        raise ConfigError(f"subsample {subsample} must be in [1, {n}]")
+    if not 1 <= subsample <= min(n, MAX_SUBSAMPLE_SIZE):
+        raise ConfigError(f"subsample {subsample} must be in [1, {min(n, MAX_SUBSAMPLE_SIZE)}]")
     if num_trees < 1:
         raise ConfigError("num_trees must be >= 1")
 
@@ -483,11 +583,13 @@ def fit(data, num_trees: int = DEFAULT_NUM_TREES, subsample: int | None = None, 
     chunks = []
     for first in range(0, num_trees, step):
         rngs = [rng_from(seed, "tree", i) for i in range(first, min(first + step, num_trees))]
-        chunks.append(_grow(columns, rngs, subsample, depth_limit))
-    chunk_columns, chunk_tree_nodes = zip(*chunks)
-    nodes = {name: np.concatenate(c) for name, c in zip(NODE_COLUMNS, zip(*chunk_columns))}
-    tree_nodes = np.concatenate(chunk_tree_nodes)
-    nodes["roots"] = np.cumsum(tree_nodes) - tree_nodes
+        chunks.append(_assemble(_grow(columns, rngs, subsample, depth_limit), len(rngs)))
+    tree_nodes = np.concatenate([counts for _, counts in chunks])
+    nodes = {"roots": (np.cumsum(tree_nodes) - tree_nodes).astype(np.int32)}
+    for i, name in enumerate(NODE_COLUMNS):
+        nodes[name] = np.concatenate([pieces[i] for pieces, _ in chunks])
+        for pieces, _ in chunks:
+            pieces[i] = None  # each chunk's copy of the column goes once it is joined
 
     return IsolationForestModel(
         nodes=nodes,

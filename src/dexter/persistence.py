@@ -62,18 +62,26 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def atomic_write_text(path: str, text: str):
-    """Write ``text`` to ``path`` through ``<path>.tmp`` and a rename. A
-    failed write removes the temp file and leaves ``path`` as it was."""
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text handle on ``<path>.tmp`` that replaces ``path`` when the block
+    ends. A block that raises removes the temp file and leaves ``path`` as
+    it was."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
     os.replace(tmp, path)
+
+
+def atomic_write_text(path: str, text: str):
+    """Write ``text`` to ``path`` through ``<path>.tmp`` and a rename."""
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def atomic_write_json(path: str, obj):
@@ -305,14 +313,19 @@ def load_episodes(path: str):
 
 
 def save_model(path: str, trained, cfg_hash: str):
-    """The model as one line of compact JSON with sorted keys. It is encoded
-    in one ``json.dumps`` call, which runs the C encoder; ``indent`` would
-    run the pure-Python one, several times slower on a large forest."""
-    atomic_write_text(path, json.dumps({
+    """The model as one line of compact JSON with sorted keys, the bytes
+    ``json.dumps`` gives plus a newline. ``json.dump`` streams it into the
+    temp file piece by piece, so the multi-MB text is never held whole; a
+    forest's node columns are a few base64 strings, so the document holds
+    few values and its pure-Python encoder costs little."""
+    doc = {
         **file_header(cfg_hash),
         "feature_catalogue_hash": catalogue_hash(),
         "detector": trained.to_json_dict(),
-    }, sort_keys=True, separators=(",", ":")) + "\n")
+    }
+    with _atomic_open(path) as handle:
+        json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
+        handle.write("\n")
 
 
 def read_json_object(path: str, what: str) -> dict:

@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,29 @@ def test_json_files_are_streamed_atomically(tmp_path):
     with pytest.raises(TypeError):
         atomic_write_json(str(bad), {"rows": [list(range(5000)), object()]})
     assert not bad.exists() and not (tmp_path / "bad.json.tmp").exists()
+
+
+def test_a_model_save_failing_mid_stream_keeps_the_old_file(tmp_path):
+    """``save_model`` streams the document into ``<path>.tmp``: a document
+    that fails to encode after part of it was written leaves the previous
+    model file as it was and no temp file."""
+    class Trained:
+        def __init__(self, doc):
+            self.doc = doc
+
+        def to_json_dict(self):
+            return self.doc
+
+    path = tmp_path / "model.json"
+    good = {"a": "x" * 100_000, "b": [1, 2.5, None]}
+    persistence.save_model(str(path), Trained(good), "hash")
+    old = read_file(path)
+    doc = read_json(path)
+    assert old == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    with pytest.raises(TypeError):
+        persistence.save_model(str(path), Trained({"a": "y" * 100_000, "z": object()}), "hash")
+    assert read_file(path) == old
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_failed_text_write_leaves_no_temp_file(tmp_path):
@@ -812,6 +836,26 @@ def test_evaluate_refuses_malformed_binary_columns(small_models, tmp_path, name,
     assert_clean_exit(code, err, tmp_path, ds)
     assert code == 1 and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_refuses_a_forged_huge_subsample_within_a_second(small_models, tmp_path):
+    """A 416-byte forest of eight one-leaf trees of distinct sizes near
+    10^9 once took 11 s to load and 80 s to score one point, c(n) costing
+    time linear in n: its subsample is above the maximum and its roots do
+    not hold it, so it is refused before any c(n)."""
+    cfg, ds, models = small_models
+    doc = json.loads(models["dexter"])
+    forest = doc["detector"]["model"]["forests"][0]
+    forest.update({"subsample_size": 10**9, "num_training_samples": 10**9,
+                   "feature": [-1] * 8, "threshold": [0.0] * 8, "left": [-1] * 8, "right": [-1] * 8,
+                   "size": [10**9 - k for k in range(8)], "roots": list(range(8))})
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, err = run_evaluate(cfg, model, ds, tmp_path / "out")
+    assert time.perf_counter() - start < 1.0
+    assert_clean_exit(code, err, tmp_path, ds)
+    assert code == 1 and "subsample size 1000000000 above the maximum" in err
 
 
 def json_paths(doc, path=()):
