@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import is_number, member, require
 from .seeding import child_seed
 
 BURN_IN = 50
@@ -47,7 +47,8 @@ class ARProcessSpec:
     ``magnitude_scale`` multiplies the generated series; it is the knob used
     to express noise levels as a fraction of each state dimension's clean
     standard deviation. ``phi`` means nothing without correlation and is
-    stored as 0.0 under ``no_correlation``.
+    stored as 0.0 under ``no_correlation``. An unknown mode, or a value that
+    is no finite number in its range, raises :class:`ConfigError`.
     """
 
     correlation_mode: CorrelationMode
@@ -56,16 +57,14 @@ class ARProcessSpec:
     magnitude_scale: float = 1.0
 
     def __post_init__(self):
-        mode = CorrelationMode(self.correlation_mode)
-        phi, sigma, scale = float(self.phi), float(self.innovation_sigma), float(self.magnitude_scale)
-        if not abs(phi) < 1.0:
-            raise ConfigError(f"non-stationary coefficient phi={phi}: |phi| must be < 1")
-        if not sigma > 0:
-            raise ConfigError("innovation_sigma must be positive")
-        if not scale > 0:
-            raise ConfigError("magnitude_scale must be positive")
-        for name, value in (("correlation_mode", mode), ("phi", phi if _LAGS[mode] else 0.0),
-                            ("innovation_sigma", sigma), ("magnitude_scale", scale)):
+        mode = member(CorrelationMode, self.correlation_mode, "correlation_mode")
+        phi, sigma, scale = self.phi, self.innovation_sigma, self.magnitude_scale
+        require(is_number(phi) and abs(phi) < 1, "phi",
+                "a finite number in (-1, 1) for a stationary process", phi)
+        require(is_number(sigma) and sigma > 0, "innovation_sigma", "a positive finite number", sigma)
+        require(is_number(scale) and scale > 0, "magnitude_scale", "a positive finite number", scale)
+        for name, value in (("correlation_mode", mode), ("phi", float(phi) if _LAGS[mode] else 0.0),
+                            ("innovation_sigma", float(sigma)), ("magnitude_scale", float(scale))):
             object.__setattr__(self, name, value)
 
     @classmethod

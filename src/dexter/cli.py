@@ -27,8 +27,6 @@ from .ts_features import catalogue_hash
 DATASET_FILES = {"train": "train", "validation": "validation", "test": "test_injected",
                  "clean_test": "test_clean"}
 MANIFEST_NAME = "manifest.json"
-_MANIFEST_SEED_HELP = ("ignored for the run, whose seed comes from the dataset manifest; "
-                       "it only lets a --config without evaluation.master_seed validate")
 
 
 def _resolved_config_with_scales(config: persistence.RunConfig):
@@ -85,9 +83,10 @@ def _load_dataset(dataset_dir: str, names: tuple):
 
 
 def cmd_train(args) -> int:
-    config = persistence.load_config(args.config, seed_override=args.seed_override)
     manifest, banks = _load_dataset(args.dataset, ("train", "validation"))
     data_config = persistence.parse_config(manifest["config"])
+    # The run's seed comes from the manifest, so --config is validated with it.
+    config = persistence.load_config(args.config, seed_override=data_config.master_seed)
     trained = evaluation.fit_detector(config.detector_kind, config.detector_params(), banks,
                                       data_config.master_seed, data_config.target_fpr)
     persistence.save_model(args.out, trained, manifest["config_hash"])
@@ -107,17 +106,17 @@ def _check_catalogue_compat(model_doc: dict, manifest: dict):
 
 
 def cmd_evaluate(args) -> int:
-    # --config is validated, but the run's settings come from the dataset
-    # manifest and the detector's from the model file.
-    persistence.load_config(args.config, seed_override=args.seed_override)
+    # The run's settings come from the manifest, whose seed --config is
+    # validated with, and the detector's from the model file.
     manifest, banks = _load_dataset(args.dataset, ("test", "clean_test"))
+    data_config = persistence.parse_config(manifest["config"])
+    persistence.load_config(args.config, seed_override=data_config.master_seed)
     model_doc = persistence.load_model(args.model)
     _check_catalogue_compat(model_doc, manifest)
     trained = evaluation.TrainedDetector.from_json_dict(model_doc["detector"])
     if not trained.calibrated():
         raise ConfigError("model file holds an uncalibrated detector")
 
-    data_config = persistence.parse_config(manifest["config"])
     result, streams = evaluation.measure_detector(
         trained, banks["test"], banks["clean_test"], data_config.scenario_config(),
         data_config.master_seed, data_config.target_fpr, data_config.counts(),
@@ -300,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--dataset", required=True)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--seed-override", type=int, default=None, help=_MANIFEST_SEED_HELP)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a saved model against a dataset")
@@ -308,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--seed-override", type=int, default=None, help=_MANIFEST_SEED_HELP)
     p_eval.add_argument("--emit-scores", action="store_true")
     p_eval.set_defaults(func=cmd_evaluate)
 

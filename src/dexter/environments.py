@@ -30,7 +30,7 @@ from math import isfinite
 import numpy as np
 
 from .ar_noise import ARProcessSpec, spliced_matrix
-from .errors import ConfigError, DataError, SimulationDivergedError, read_field
+from .errors import ConfigError, DataError, SimulationDivergedError, is_number, member, read_field, require
 from .seeding import child_seed, rng_from
 
 DEFAULT_HORIZON = 200
@@ -212,61 +212,63 @@ def make_env(base_env: BaseEnv):
     return _ENV_CLASSES[BaseEnv(base_env)]()
 
 
+# The base environments of each scenario. ARNS leaves out Acrobot, where state
+# noise perversely helps the agent.
+_SCENARIO_ENVS = {Scenario.ARTS: ["constant"], Scenario.ARNO: ["cartpole", "acrobot"],
+                  Scenario.ARNS: ["cartpole"]}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one benchmark scenario.
 
     ``noise`` is white until the injection time t_a and then follows its
     correlation mode at the same level; t_a is drawn from
-    ``injection_window``, whose bounds ``(low, high)`` must satisfy
-    5 < low <= high <= horizon - 7.
+    ``injection_window``, integers ``(low, high)`` with 5 < low <= high <=
+    horizon - 7, by default (6, horizon - 7). ``horizon`` is an integer of at
+    least 20 and ``per_dimension_scale`` one finite, non-negative number per
+    dimension, or None for ones. Anything else raises :class:`ConfigError`
+    naming its field, as does a scenario on a base environment it lacks.
     """
 
     scenario: Scenario
     base_env: BaseEnv
     noise: ARProcessSpec
-    injection_window: tuple = (6, DEFAULT_HORIZON - 7)
+    injection_window: tuple | None = None
     horizon: int = DEFAULT_HORIZON
     per_dimension_scale: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "scenario", Scenario(self.scenario))
-        object.__setattr__(self, "base_env", BaseEnv(self.base_env))
-        object.__setattr__(self, "injection_window", tuple(int(v) for v in self.injection_window))
-        if self.per_dimension_scale is not None:
-            object.__setattr__(
-                self, "per_dimension_scale", tuple(float(v) for v in self.per_dimension_scale)
-            )
-        if self.horizon < 20:
-            raise ConfigError("horizon must be at least 20")
-        low, high = self.injection_window
-        if not (5 < low <= high <= self.horizon - 7):
-            raise ConfigError(
-                "injection_window must lie strictly inside (t0+5, t_H-5): "
-                f"require 5 < low <= high <= {self.horizon - 7}, got ({low}, {high})"
-            )
-        if self.scenario is Scenario.ARTS and self.base_env is not BaseEnv.CONSTANT:
-            raise ConfigError("ARTS requires base_env 'constant'")
-        if self.scenario is Scenario.ARNO and self.base_env is BaseEnv.CONSTANT:
-            raise ConfigError("ARNO requires a dynamical base_env (cartpole or acrobot)")
-        if self.scenario is Scenario.ARNS and self.base_env is not BaseEnv.CARTPOLE:
-            # Acrobot is excluded: state noise perversely helps the agent there.
-            raise ConfigError("ARNS supports base_env 'cartpole' only")
+        scenario = member(Scenario, self.scenario, "scenario")
+        base_env, envs = member(BaseEnv, self.base_env, "base_env"), _SCENARIO_ENVS[scenario]
+        require(base_env in envs, "base_env", f"one of {envs} under {scenario.value}", base_env.value)
+        horizon, window, scales = self.horizon, self.injection_window, self.per_dimension_scale
+        require(is_number(horizon, integer=True) and horizon >= 20, "horizon",
+                "an integer of at least 20", horizon)
+        window = (6, horizon - 7) if window is None else window
+        require(isinstance(window, (list, tuple)) and len(window) == 2
+                and all(is_number(v, integer=True) for v in window),
+                "injection_window", "null or a pair of integers", window)
+        low, high = window
+        require(5 < low <= high <= horizon - 7, "injection_window",
+                f"strictly inside (t0+5, t_H-5): 5 < low <= high <= {horizon - 7}", window)
+        dims = _ENV_CLASSES[base_env].dim
+        require(scales is None or (isinstance(scales, (list, tuple, np.ndarray)) and len(scales) == dims
+                                   and all(is_number(v) and v >= 0 for v in scales)),
+                "per_dimension_scale", f"null or one finite non-negative number per dimension ({dims})", scales)
+        for name, value in (("scenario", scenario), ("base_env", base_env), ("horizon", int(horizon)),
+                            ("injection_window", (int(low), int(high))), ("per_dimension_scale",
+                             None if scales is None else tuple(float(v) for v in scales))):
+            object.__setattr__(self, name, value)
 
     @property
     def num_dimensions(self) -> int:
         return _ENV_CLASSES[self.base_env].dim
 
     def scales(self) -> np.ndarray:
-        if self.per_dimension_scale is None:
-            return np.ones(self.num_dimensions)
-        arr = np.asarray(self.per_dimension_scale, dtype=float)
-        if arr.shape != (self.num_dimensions,):
-            raise ConfigError(
-                f"per_dimension_scale must have {self.num_dimensions} entries, got {arr.shape}"
-            )
-        return arr
-
+        """The noise scale of each dimension; a zero silences its noise."""
+        scales = self.per_dimension_scale
+        return np.ones(self.num_dimensions) if scales is None else np.array(scales)
 
 
 @dataclass

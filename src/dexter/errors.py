@@ -1,8 +1,10 @@
-"""Exception types shared across the package, the one reader that checks a
-field of a document loaded from a file, and the encoder of the binary
-columns that reader decodes."""
+"""Exception types shared across the package, the checks of a configured
+value, the one reader that checks a field of a document loaded from a file,
+and the encoder of the binary columns that reader decodes."""
 
 import base64
+import math
+import numbers
 import reprlib
 import sys
 
@@ -39,6 +41,30 @@ class IncompatibleModelError(DexterError, ValueError):
 
 class UndefinedMetricError(DexterError, ValueError):
     """Metric is undefined for the given input (e.g. single-class AUROC)."""
+
+
+def require(ok: bool, name: str, expected: str, value):
+    """Raise :class:`ConfigError` "``name`` must be ``expected``, got
+    ``value``" unless ``ok``: each message starts with its field's name."""
+    if not ok:
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+
+
+def is_number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is a finite real number, or with ``integer`` an
+    integer; NumPy scalars count, a bool never does."""
+    try:
+        return (isinstance(value, numbers.Integral if integer else numbers.Real)
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def member(enum, value, name: str):
+    """``value``, one of the values of ``enum``, as its member."""
+    values = [m.value for m in enum]
+    require(isinstance(value, str) and value in values, name, f"one of {values}", value)
+    return enum(value)
 
 
 # What a scalar field of each kind must be, and an array's elements.

@@ -22,16 +22,25 @@ import numpy as np
 
 from . import baselines, cusum, detector as dexter_detector
 from .environments import BaseEnv, PolicyKind, ScenarioConfig, builtin_policy, estimate_dimension_scales, run_episode
-from .errors import ConfigError, DataError, IncompatibleModelError, UndefinedMetricError, read_field
+from .errors import (ConfigError, DataError, IncompatibleModelError, UndefinedMetricError, is_number,
+                     read_field, require)
 from .seeding import child_seed
 
 
 @dataclass(frozen=True)
 class EpisodeCounts:
+    """The episodes of each bank, non-negative integers; anything else
+    raises :class:`ConfigError` naming its field."""
+
     num_train: int = 400
     num_validation: int = 200
     num_test: int = 50
     num_clean_test: int = 200
+
+    def __post_init__(self):
+        for name, count in asdict(self).items():
+            require(is_number(count, integer=True) and count >= 0, name, "a non-negative integer", count)
+            object.__setattr__(self, name, int(count))
 
 
 # The episode banks of one experiment, in generation order, and whether their
@@ -206,8 +215,7 @@ DETECTORS = {"dexter": _Dexter(), "pedm": _Pedm(), "meanshift": _MeanShift()}
 
 
 def _detector(kind):
-    if not isinstance(kind, str) or kind not in DETECTORS:
-        raise ConfigError(f"unknown detector kind {kind!r}; expected one of {tuple(DETECTORS)}")
+    require(isinstance(kind, str) and kind in DETECTORS, "detector kind", f"one of {list(DETECTORS)}", kind)
     return DETECTORS[kind]
 
 
@@ -407,12 +415,15 @@ def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, co
     detection time on the usable injected episodes, and the false-positive
     rate on the clean ones. Each injected episode is scored once; a CUSUM
     kind alerts on the scores the AUROCs use. A usable test episode without
-    an injection time raises :class:`DataError`.
+    an injection time raises :class:`DataError`, and no clean episodes, which
+    leave the false-positive rate undefined, :class:`UndefinedMetricError`.
 
     Returns ``(result, streams)``: ``streams`` holds the transition scores of
     the usable injected episodes, in order."""
     if not trained.calibrated():
         raise ConfigError(f"{trained.kind} detector is not calibrated")
+    if not clean_episodes:
+        raise UndefinedMetricError("the false-positive rate requires clean test episodes")
     usable = [ep for ep in test_episodes if ep.usable]
     clean = [ep.seed for ep in usable if ep.injection_time is None]
     if clean:
@@ -434,7 +445,7 @@ def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, co
     dt = detection_time(alert_steps, injections, config.horizon)
 
     false_alerts = sum(trained.alert_step(ep) is not None for ep in clean_episodes)
-    fpr_measured = false_alerts / len(clean_episodes) if clean_episodes else 0.0
+    fpr_measured = false_alerts / len(clean_episodes)
 
     per_episode = [
         {

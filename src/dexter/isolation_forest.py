@@ -198,9 +198,8 @@ COLUMN_KINDS = {name: float if name == "threshold" else int for name in NODE_COL
 
 def _pack(nodes, feature_count: int, subsample_size: int):
     """Check a forest given in the per-tree-view form and return its packed
-    arrays (feature, threshold, kids, size, roots, levels), where ``levels``
-    is the deepest leaf depth. Fitting and loading both build their forests
-    through here.
+    arrays (feature, threshold, kids, size, roots). Fitting and loading both
+    build their forests through here.
 
     ``nodes`` maps each of ``NODE_COLUMNS`` to one flat array over all
     trees, tree after tree, of integers (finite floats for ``threshold``),
@@ -256,8 +255,7 @@ def _pack(nodes, feature_count: int, subsample_size: int):
 
     feature = np.where(leaf, 0, feature).astype(np.int32, copy=False)
     size, roots = (a.astype(np.int32, copy=False) for a in (size, roots))
-    levels = int(_node_depths(kids, roots).max())
-    return feature, threshold, kids, size, roots, levels
+    return feature, threshold, kids, size, roots
 
 
 def _kids(left, right, leaf, roots) -> np.ndarray:
@@ -324,7 +322,7 @@ class IsolationForestModel:
     def __init__(self, nodes, subsample_size: int, feature_count: int, seed: int,
                  num_training_samples: int):
         (self.feature, self.threshold, self.kids, self.size,
-         self.roots, self.levels) = _pack(nodes, feature_count, subsample_size)
+         self.roots) = _pack(nodes, feature_count, subsample_size)
         self.subsample_size = subsample_size
         self.feature_count = feature_count
         # c(psi), the path length that normalises every score.
@@ -337,6 +335,12 @@ class IsolationForestModel:
     @property
     def trees(self) -> _TreeViews:
         return _TreeViews(self)
+
+    @property
+    def levels(self) -> int:
+        """The deepest leaf's depth, found with the path lengths."""
+        self.path_length_table()
+        return self._levels
 
     @property
     def left(self) -> np.ndarray:
@@ -369,7 +373,9 @@ class IsolationForestModel:
         if self._path_lengths is None:
             leaf = self.right == np.arange(len(self.feature))
             sizes, at = np.unique(self.size[leaf], return_inverse=True)
-            table = _node_depths(self.kids, self.roots).astype(float)
+            depth = _node_depths(self.kids, self.roots)
+            self._levels = int(depth.max())
+            table = depth.astype(float)
             table[leaf] += np.array([average_path_length(n) for n in sizes.tolist()])[at]
             self._path_lengths = table
         return self._path_lengths
@@ -616,6 +622,9 @@ def _walk_one(trees: tuple, point: list) -> float:
 def _walk_many(model: IsolationForestModel, pts: np.ndarray) -> np.ndarray:
     """The path-length sums of a batch, all (tree, point) pairs advanced
     together one level at a time."""
+    # First use derives the path lengths and levels; before the buffers, so
+    # that its temporaries never coexist with them.
+    path_lengths = model.path_length_table()
     num_points, num_features = pts.shape
     flat = np.ascontiguousarray(pts).ravel()
     row_start = np.arange(0, num_points * num_features, num_features)
@@ -636,7 +645,7 @@ def _walk_many(model: IsolationForestModel, pts: np.ndarray) -> np.ndarray:
         np.add(node, node, out=at)
         at += go_left
         np.take(model.kids, at, out=node, mode="clip")
-    return _sum_over_trees(np.take(model.path_length_table(), node, out=value, mode="clip"))
+    return _sum_over_trees(np.take(path_lengths, node, out=value, mode="clip"))
 
 
 def _sum_over_trees(path_lengths: np.ndarray) -> np.ndarray:

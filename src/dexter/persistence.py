@@ -12,14 +12,13 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 from dataclasses import dataclass, fields
 
 from . import __version__ as TOOL_VERSION
 from .ar_noise import ARProcessSpec, CorrelationMode
-from .environments import BaseEnv, PolicyKind, Scenario, ScenarioConfig, Episode
-from .errors import ConfigError
+from .environments import PolicyKind, ScenarioConfig, Episode
+from .errors import ConfigError, member, require
 from .evaluation import DETECTORS, EpisodeCounts, detector_params_with_defaults
 from .ts_features import catalogue_hash
 
@@ -124,47 +123,6 @@ def _merge_section(doc: dict, name: str, defaults: dict) -> dict:
     return merged
 
 
-def _finite_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _check_scenario_section(sc: dict):
-    """Type and range of every scenario field, so that a bad value is a
-    ConfigError naming its field instead of a failure while the scenario is
-    built. Ranges that depend on other fields (the injection window inside
-    the horizon, one scale per dimension) are checked by ScenarioConfig."""
-    def fail(key, expected):
-        raise ConfigError(f"scenario.{key} must be {expected}, got {sc[key]!r}")
-
-    enums = {"scenario": Scenario, "base_env": BaseEnv, "policy": PolicyKind,
-             "correlation_mode": CorrelationMode}
-    for key, enum in enums.items():
-        names = [member.value for member in enum]
-        if key == "policy" and sc[key] is None:
-            continue
-        if not (isinstance(sc[key], str) and sc[key] in names):
-            fail(key, f"one of {names}")
-    if type(sc["horizon"]) is not int:
-        fail("horizon", "an integer")
-    for key in ("phi", "innovation_sigma", "magnitude_scale"):
-        if not _finite_number(sc[key]):
-            fail(key, "a finite number")
-    if not abs(sc["phi"]) < 1:
-        fail("phi", "in (-1, 1) for a stationary process")
-    for key in ("innovation_sigma", "magnitude_scale"):
-        if not sc[key] > 0:
-            fail(key, "positive")
-    window = sc["injection_window"]
-    if window is not None and not (isinstance(window, (list, tuple)) and len(window) == 2
-                                   and all(type(v) is int for v in window)):
-        fail("injection_window", "null or a pair of integers")
-    # A zero scale silences the noise of its dimension.
-    scales = sc["per_dimension_scale"]
-    if scales is not None and not (isinstance(scales, (list, tuple))
-                                   and all(_finite_number(v) and v >= 0 for v in scales)):
-        fail("per_dimension_scale", "null or a list of finite non-negative numbers")
-
-
 @dataclass
 class RunConfig:
     """Validated, fully defaulted run configuration."""
@@ -188,29 +146,25 @@ class RunConfig:
         return float(self.evaluation_section["target_fpr"])
 
     def counts(self) -> EpisodeCounts:
-        return EpisodeCounts(**{key: int(self.evaluation_section[key]) for key in _COUNT_DEFAULTS})
+        return EpisodeCounts(**{key: self.evaluation_section[key] for key in _COUNT_DEFAULTS})
 
     def policy_kind(self):
         policy = self.scenario_section["policy"]
-        return None if policy is None else PolicyKind(policy)
+        return None if policy is None else member(PolicyKind, policy, "policy")
 
     def detector_params(self) -> dict:
         return {k: v for k, v in self.detector_section.items() if k != "kind"}
 
     def scenario_config(self, correlation_mode: str | None = None) -> ScenarioConfig:
         sc = self.scenario_section
-        horizon = int(sc["horizon"])
-        window = sc["injection_window"] or (6, horizon - 7)
         return ScenarioConfig(
-            scenario=Scenario(sc["scenario"]),
-            base_env=BaseEnv(sc["base_env"]),
+            scenario=sc["scenario"],
+            base_env=sc["base_env"],
             noise=ARProcessSpec(correlation_mode or sc["correlation_mode"], sc["phi"],
                                 sc["innovation_sigma"], sc["magnitude_scale"]),
-            injection_window=tuple(window),
-            horizon=horizon,
-            per_dimension_scale=(
-                None if sc["per_dimension_scale"] is None else tuple(sc["per_dimension_scale"])
-            ),
+            injection_window=sc["injection_window"],
+            horizon=sc["horizon"],
+            per_dimension_scale=sc["per_dimension_scale"],
         )
 
     def resolved_dict(self) -> dict:
@@ -234,7 +188,6 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
 
     scenario = _merge_section(doc, "scenario", _SCENARIO_DEFAULTS)
-    _check_scenario_section(scenario)
     evaluation = _merge_section(doc, "evaluation", _EVALUATION_DEFAULTS)
     bench = _merge_section(doc, "bench", _BENCH_DEFAULTS)
 
@@ -245,24 +198,17 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
 
     if seed_override is not None:
         evaluation["master_seed"] = int(seed_override)
-    if evaluation["master_seed"] is None:
-        raise ConfigError("evaluation.master_seed is mandatory (or pass --seed-override)")
-    for key in (*_COUNT_DEFAULTS, "master_seed"):
-        value = evaluation[key]
-        if type(value) is not int and not (key == "master_seed" and value is None):
-            raise ConfigError(f"evaluation.{key} must be an integer, got {value!r}")
-    if type(evaluation["target_fpr"]) not in (int, float):
-        raise ConfigError(f"evaluation.target_fpr must be a number, got {evaluation['target_fpr']!r}")
+    seed, fpr = evaluation["master_seed"], evaluation["target_fpr"]
+    require(type(seed) is int, "evaluation.master_seed", "an integer (or pass --seed-override)", seed)
+    require(type(fpr) in (int, float) and 0 < fpr < 1, "evaluation.target_fpr", "a number in (0, 1)", fpr)
 
     for key in ("detectors", "correlation_modes"):
-        if not isinstance(bench[key], list):
-            raise ConfigError(f"bench.{key} must be a list, got {bench[key]!r}")
+        require(isinstance(bench[key], list), f"bench.{key}", "a list", bench[key])
     for name in bench["detectors"]:
-        if not isinstance(name, str) or name not in DETECTORS:
-            raise ConfigError(f"bench.detectors contains unknown kind {name!r}")
+        require(isinstance(name, str) and name in DETECTORS, "bench.detectors entry",
+                f"one of {list(DETECTORS)}", name)
     for mode in bench["correlation_modes"]:
-        if mode not in list(CorrelationMode):
-            raise ConfigError(f"bench.correlation_modes contains unknown mode {mode!r}")
+        member(CorrelationMode, mode, "bench.correlation_modes entry")
 
     config = RunConfig(
         scenario_section=scenario,
@@ -271,9 +217,13 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         bench_section=bench,
         output_dir=doc.get("output_dir"),
     )
-    config.scenario_config().scales()  # validates scenario invariants eagerly
-    if not 0.0 < config.target_fpr < 1.0:
-        raise ConfigError("evaluation.target_fpr must be in (0, 1)")
+    # Each value is checked by the type that holds it; its message gains the section.
+    for section, build in (("scenario", config.scenario_config), ("scenario", config.policy_kind),
+                           ("evaluation", config.counts)):
+        try:
+            build()
+        except ConfigError as exc:
+            raise ConfigError(f"{section}.{exc}") from None
     return config
 
 

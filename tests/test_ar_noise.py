@@ -84,8 +84,25 @@ def test_mode_coefficient_constraints():
         ARProcessSpec.one_step(0.5, sigma=0.0)
     with pytest.raises(ConfigError, match="magnitude_scale"):
         ARProcessSpec.two_step(0.5, scale=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^correlation_mode must be one of"):
         ARProcessSpec("three_step", 0.5)
+
+
+@pytest.mark.parametrize("args, field", [
+    (("one_step", "0.5"), "phi"), (("bogus", 0.5), "correlation_mode"), ((3, 0.5), "correlation_mode"),
+    (("one_step", True), "phi"), (("one_step", 0.5, None), "innovation_sigma"),
+    (("one_step", 0.5, 1.0, float("inf")), "magnitude_scale"), (("two_step", 10**400), "phi"),
+    (("one_step", 0.5, 10**400), "innovation_sigma"),
+])
+def test_spec_values_must_be_finite_numbers_and_modes(args, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        ARProcessSpec(*args)
+
+
+def test_spec_takes_numpy_scalars_as_floats():
+    spec = ARProcessSpec("one_step", np.float64(0.5), np.float32(2.0), np.int64(3))
+    assert spec == ARProcessSpec.one_step(0.5, sigma=2.0, scale=3.0)
+    assert all(type(v) is float for v in (spec.phi, spec.innovation_sigma, spec.magnitude_scale))
 
 
 def test_series_determinism_bytes():

@@ -15,7 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dexter import persistence
+from dexter.ar_noise import ARProcessSpec
 from dexter.cli import main
+from dexter.environments import ScenarioConfig
+from dexter.errors import ConfigError
+from dexter.evaluation import EpisodeCounts
 from dexter.isolation_forest import COLUMN_KINDS
 from dexter.persistence import RESULT_CSV_COLUMNS, config_hash, read_json
 from forest_columns import column_text, column_values, listed
@@ -105,28 +109,36 @@ def test_seed_override_changes_dataset(workspace):
     assert read_json(ds2 / "manifest.json")["config"]["evaluation"]["master_seed"] == 99
 
 
-def test_seed_override_changes_no_train_or_evaluate_output(workspace):
-    # train and evaluate take the seed from the dataset manifest; the flag
-    # only lets a config without master_seed validate.
+def test_the_config_seed_changes_no_train_or_evaluate_output(workspace):
+    # train and evaluate take the seed from the dataset manifest, so a config
+    # with another seed or with none gives the same bytes.
     tmp, cfg = workspace
     ds = tmp / "ds"
     assert main(["generate", "--config", str(cfg), "--out", str(ds)]) == 0
-    unseeded = tmp / "unseeded.json"
+    reseeded, unseeded = tmp / "reseeded.json", tmp / "unseeded.json"
     doc = read_json(cfg)
+    reseeded.write_text(json.dumps({**doc, "evaluation": {**doc["evaluation"], "master_seed": 99}}))
     del doc["evaluation"]["master_seed"]
     unseeded.write_text(json.dumps(doc))
-    assert main(["train", "--config", str(unseeded), "--dataset", str(ds),
-                 "--out", str(tmp / "refused.json")]) == 1
 
     outputs = []
-    for i, (config, flags) in enumerate(((cfg, []), (cfg, ["--seed-override", "99"]),
-                                         (unseeded, ["--seed-override", "99"]))):
+    for i, config in enumerate((cfg, reseeded, unseeded)):
         model, out = tmp / f"model{i}.json", tmp / f"eval{i}"
-        common = ["--config", str(config), "--dataset", str(ds), *flags]
+        common = ["--config", str(config), "--dataset", str(ds)]
         assert main(["train", *common, "--out", str(model)]) == 0
         assert main(["evaluate", *common, "--model", str(model), "--out", str(out)]) == 0
         outputs.append([read_file(p) for p in (model, out / "report.json", out / "results.csv")])
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_train_and_evaluate_take_no_seed_override(workspace, capsys):
+    tmp, cfg = workspace
+    for command in (["train"], ["evaluate", "--model", str(tmp / "model.json")]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--config", str(cfg), "--dataset", str(tmp), "--out", str(tmp / "out"),
+                  "--seed-override", "99"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed-override 99" in capsys.readouterr().err
 
 
 def test_invalid_config_fails_with_exit_code_1(tmp_path, capsys):
@@ -152,7 +164,7 @@ def test_invalid_config_fails_with_exit_code_1(tmp_path, capsys):
     assert not (tmp_path / "ds4").exists()
 
 
-@pytest.mark.parametrize("section, value", [
+MISTYPED_SECTIONS = [
     ("detector", 5), ("scenario", 5), ("evaluation", [1]), ("bench", "all"),
     ("bench", {"detectors": 5}), ("bench", {"correlation_modes": "one_step"}),
     ("bench", {"correlation_modes": ["bogus"]}), ("evaluation", {"master_seed": "x"}),
@@ -166,7 +178,10 @@ def test_invalid_config_fails_with_exit_code_1(tmp_path, capsys):
     ("scenario", {"magnitude_scale": True}), ("scenario", {"injection_window": 5}),
     ("scenario", {"injection_window": [10]}), ("scenario", {"injection_window": [10, "x"]}),
     ("scenario", {"per_dimension_scale": 1.0}), ("scenario", {"per_dimension_scale": [-1.0]}),
-])
+]
+
+
+@pytest.mark.parametrize("section, value", MISTYPED_SECTIONS)
 def test_mistyped_config_sections_fail_with_exit_code_1(tmp_path, capsys, section, value):
     cfg = tmp_path / "bad.json"
     doc = write_config(cfg)
@@ -177,6 +192,73 @@ def test_mistyped_config_sections_fail_with_exit_code_1(tmp_path, capsys, sectio
     assert err.startswith("error: ") and section in err
     assert "Traceback" not in err
     assert not (tmp_path / "ds").exists()
+
+
+def scenario_from(values: dict) -> ScenarioConfig:
+    """The scenario of a config's ``scenario`` section, built without the
+    config layer; ``policy`` is no part of it."""
+    sc = {**persistence._SCENARIO_DEFAULTS, **values}
+    noise = ARProcessSpec(sc["correlation_mode"], sc["phi"], sc["innovation_sigma"], sc["magnitude_scale"])
+    return ScenarioConfig(sc["scenario"], sc["base_env"], noise, sc["injection_window"], sc["horizon"],
+                          sc["per_dimension_scale"])
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value) for section, values in MISTYPED_SECTIONS
+    if section == "scenario" and isinstance(values, dict) for key, value in values.items()
+    if key != "policy"])
+def test_mistyped_scenario_values_are_refused_by_the_scenario_types(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        scenario_from({key: value})
+
+
+# One value per key of the scenario and evaluation sections that a config can
+# hold without error.
+VALID_VALUES = {
+    "scenario": {"scenario": "arts", "base_env": "constant", "policy": None, "horizon": 200,
+                 "injection_window": [20, 150], "correlation_mode": "two_step", "phi": 0.5,
+                 "innovation_sigma": 2, "magnitude_scale": 0.1, "per_dimension_scale": [0]},
+    "evaluation": {"num_train": 3, "num_validation": 2, "num_test": 0, "num_clean_test": 1,
+                   "target_fpr": 0.05, "master_seed": 11},
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(section=st.sampled_from(sorted(VALID_VALUES)), data=st.data())
+def test_a_config_builds_what_its_values_build_or_names_its_section(section, data):
+    key = data.draw(st.sampled_from(sorted(VALID_VALUES[section])))
+    value = data.draw(st.sampled_from(MUTANTS))
+    doc = {name: dict(values) for name, values in VALID_VALUES.items()}
+    doc[section][key] = value
+    try:
+        config = persistence.parse_config(doc)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{section}.{key} "), exc
+        if section == "scenario" and key != "policy":
+            with pytest.raises(ConfigError, match=f"^{key} "):
+                scenario_from(doc["scenario"])
+        if key.startswith("num_"):
+            with pytest.raises(ConfigError, match=f"^{key} "):
+                EpisodeCounts(**{key: value})
+        return
+    assert config.scenario_config() == scenario_from(doc["scenario"])
+    assert config.counts() == EpisodeCounts(**{k: v for k, v in doc["evaluation"].items()
+                                                if k.startswith("num_")})
+
+
+def test_evaluate_exits_1_without_clean_test_episodes(tmp_path, capsys):
+    # No clean episode was measured, so there is no false-positive rate.
+    cfg = tmp_path / "config.json"
+    write_config(cfg, evaluation={"num_clean_test": 0})
+    ds, model, out = tmp_path / "ds", tmp_path / "model.json", tmp_path / "out"
+    assert main(["generate", "--config", str(cfg), "--out", str(ds)]) == 0
+    assert main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--model", str(model), "--dataset", str(ds),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "false-positive rate" in err
+    assert not out.exists()
 
 
 def test_train_rejects_mistyped_detector_params(workspace, capsys):

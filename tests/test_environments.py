@@ -430,6 +430,32 @@ def test_scenario_config_validation():
         ScenarioConfig(Scenario.ARTS, BaseEnv.CONSTANT, noise, injection_window=(6, 195))
 
 
+@pytest.mark.parametrize("changes, field", [
+    ({"scenario": "bogus"}, "scenario"), ({"base_env": None}, "base_env"),
+    ({"base_env": "cartpole"}, "base_env"), ({"horizon": 200.5}, "horizon"),
+    ({"horizon": True}, "horizon"), ({"horizon": 19}, "horizon"),
+    ({"injection_window": (6.7, 20)}, "injection_window"), ({"injection_window": (6, 20, 30)}, "injection_window"),
+    ({"injection_window": "6,20"}, "injection_window"), ({"per_dimension_scale": (float("nan"),)}, "per_dimension_scale"),
+    ({"per_dimension_scale": (1.0, 1.0)}, "per_dimension_scale"), ({"per_dimension_scale": ()}, "per_dimension_scale"),
+    ({"per_dimension_scale": ("1",)}, "per_dimension_scale"), ({"per_dimension_scale": 1.0}, "per_dimension_scale"),
+])
+def test_scenario_values_are_checked_by_the_scenario_config(changes, field):
+    values = {"scenario": "arts", "base_env": "constant", "noise": ARProcessSpec.one_step(0.9), **changes}
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        ScenarioConfig(**values)
+
+
+def test_scenario_config_defaults_its_window_from_the_horizon_and_takes_numpy_values():
+    noise = ARProcessSpec.one_step(0.9)
+    assert ScenarioConfig("arts", "constant", noise, horizon=100).injection_window == (6, 93)
+    assert ScenarioConfig(Scenario.ARTS, BaseEnv.CONSTANT, noise).injection_window == (6, 193)
+    cfg = ScenarioConfig("arno", "cartpole", noise, injection_window=[np.int64(10), 20],
+                         horizon=np.int64(60), per_dimension_scale=np.array([0.5, 0, 1, 2]))
+    assert cfg == ScenarioConfig(Scenario.ARNO, BaseEnv.CARTPOLE, noise, (10, 20), 60, (0.5, 0.0, 1.0, 2.0))
+    assert type(cfg.horizon) is int and type(cfg.per_dimension_scale[1]) is float
+    assert cfg.scales().tolist() == [0.5, 0.0, 1.0, 2.0]
+
+
 @pytest.mark.parametrize("horizon", [20, 60, 200])
 def test_injection_window_ends_at_horizon_minus_7(horizon):
     noise = ARProcessSpec.one_step(0.9)

@@ -316,6 +316,33 @@ def test_cusum_kinds_decide_like_their_reference_functions_bit_for_bit(kind):
     assert result.fpr_measured == sum(reference_alert(calibrated, ep) is not None for ep in clean) / len(clean)
 
 
+@pytest.mark.parametrize("counts", [{"num_train": -1}, {"num_clean_test": -3}, {"num_test": 2.5},
+                                    {"num_validation": True}, {"num_train": "10"}, {"num_test": None}])
+def test_episode_counts_are_non_negative_integers(counts):
+    (name, count), = counts.items()
+    with pytest.raises(ConfigError, match=f"^{name} must be a non-negative integer"):
+        EpisodeCounts(**counts)
+
+
+def test_episode_counts_take_numpy_integers_as_ints():
+    counts = EpisodeCounts(num_train=np.int64(3), num_clean_test=0)
+    assert type(counts.num_train) is int and counts == EpisodeCounts(num_train=3, num_clean_test=0)
+
+
+def test_measure_detector_refuses_an_empty_clean_bank():
+    from dexter.environments import builtin_policy
+    from dexter.evaluation import generate_episodes, measure_detector
+
+    cfg = arts_cfg()
+    policy = builtin_policy(cfg.base_env, "random")
+    clean = generate_episodes(cfg, policy, "clean_test", 3, 4, inject=False)
+    injected = generate_episodes(cfg, policy, "test", 2, 4, inject=True)
+    trained = train_detector("meanshift", clean, seed=0)
+    calibrate_detector(trained, clean, 0.2, seed=0)
+    with pytest.raises(UndefinedMetricError, match="false-positive rate"):
+        measure_detector(trained, injected, [], cfg, master_seed=4, target_fpr=0.2, counts=SMALL)
+
+
 def test_measure_detector_refuses_a_usable_test_episode_without_injection_time():
     from dexter.environments import builtin_policy
     from dexter.evaluation import generate_episodes, measure_detector
