@@ -5,7 +5,9 @@ four episode datasets and a manifest carrying the fully resolved config (per
 dimension scales included); ``train`` fits and calibrates the configured
 detector on those files; ``evaluate`` measures a saved model against a
 dataset; ``bench`` runs the detector x correlation-mode matrix from scratch
-with per-cell caching.
+with per-cell caching. Each mode has one seed and one set of banks, on which
+every detector of the matrix is fitted and measured; ``--jobs`` runs modes
+in parallel.
 
 Exit codes: 0 success, 1 validation/configuration error, 2 runtime error.
 """
@@ -114,6 +116,7 @@ def cmd_evaluate(args) -> int:
     model_doc = persistence.load_model(args.model)
     _check_catalogue_compat(model_doc, manifest)
     trained = evaluation.TrainedDetector.from_json_dict(model_doc["detector"])
+    del model_doc  # its column strings would stay alive through the whole evaluation
     if not trained.calibrated():
         raise ConfigError("model file holds an uncalibrated detector")
 
@@ -152,26 +155,28 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _bench_cell(payload: dict) -> tuple:
-    """One bench matrix cell as ``(result, None)``, or ``(None, message)``
-    when it fails with a :class:`DexterError`; module-level for use with
-    process pools."""
+def _bench_mode(payload: dict) -> list:
+    """The pending cells of one correlation mode, in the order of
+    ``payload["detectors"]``: each ``(result, None)``, or ``(None, message)``
+    when it fails with a :class:`DexterError`. Every detector is fitted and
+    measured on one set of banks, so a failure to resolve the scales or to
+    generate the banks fails them all. Module-level for use with process
+    pools."""
+    kinds = payload["detectors"]
     try:
         config = persistence.parse_config(payload["config"])
-        scenario_cfg = config.scenario_config(correlation_mode=payload["correlation_mode"])
-        params = config.detector_params() if payload["detector"] == config.detector_kind else None
-        result = evaluation.run_experiment(
-            scenario_cfg,
-            payload["detector"],
-            master_seed=payload["cell_seed"],
+        outcomes = evaluation.run_experiments(
+            config.scenario_config(correlation_mode=payload["correlation_mode"]),
+            {kind: config.detector_params() if kind == config.detector_kind else None for kind in kinds},
+            master_seed=payload["mode_seed"],
             counts=config.counts(),
             target_fpr=config.target_fpr,
             policy_kind=config.policy_kind(),
-            detector_params=params,
         )
     except DexterError as exc:
-        return None, str(exc)
-    return result.to_json_dict(), None
+        return [(None, str(exc))] * len(kinds)
+    return [(None, str(outcome)) if isinstance(outcome, DexterError) else (outcome.to_json_dict(), None)
+            for outcome in (outcomes[kind] for kind in kinds)]
 
 
 _RESULT_FIELDS = {f.name for f in fields(evaluation.ExperimentResult)}
@@ -195,9 +200,13 @@ def _cached_result(cache_path: str, cell_hash: str, detector: str) -> dict | Non
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     config = persistence.load_config(args.config, seed_override=args.seed_override)
     resolved = config.resolved_dict()
-    seed = config.master_seed
+    # One seed per mode: every detector of a mode sees the same episodes.
+    mode_seeds = {mode: child_seed(config.master_seed, "bench", mode)
+                  for mode in config.bench_section["correlation_modes"]}
 
     cells = []
     for detector_kind in config.bench_section["detectors"]:
@@ -206,12 +215,13 @@ def cmd_bench(args) -> int:
                 "config": resolved,
                 "detector": detector_kind,
                 "correlation_mode": mode,
-                "cell_seed": child_seed(seed, "bench", detector_kind, mode),
+                "cell_seed": mode_seeds[mode],
             }
             cells.append((persistence.config_hash(payload), payload))
 
     os.makedirs(os.path.join(args.out, "cells"), exist_ok=True)
-    results, pending = {}, []
+    # pending: mode -> detector -> (cell hash, payload, cache path) of the cells to compute.
+    results, pending = {}, {}
     for cell_hash, payload in cells:
         cache_path = os.path.join(args.out, "cells", f"{cell_hash}.json")
         cached = _cached_result(cache_path, cell_hash, payload["detector"]) if args.resume else None
@@ -219,28 +229,34 @@ def cmd_bench(args) -> int:
             results[cell_hash] = cached
             print(f"cell {payload['detector']}/{payload['correlation_mode']}: cached")
         else:
-            pending.append((cell_hash, payload, cache_path))
+            pending.setdefault(payload["correlation_mode"], {})[payload["detector"]] = (
+                cell_hash, payload, cache_path)
 
-    parallel = args.jobs > 1
+    modes = [{"config": resolved, "correlation_mode": mode, "mode_seed": mode_seeds[mode],
+              "detectors": list(by_detector)} for mode, by_detector in pending.items()]
+    workers = min(args.jobs, len(modes))
+    parallel = workers > 1
     if parallel:
         # Imported here: the pool machinery adds about 1.6 MB of resident
-        # memory to every start of the CLI, and ``--jobs 1`` never uses it.
+        # memory to every start of the CLI, and one worker never uses it.
         from concurrent.futures import ProcessPoolExecutor
-    with (ProcessPoolExecutor(max_workers=args.jobs) if parallel else nullcontext()) as pool:
-        outcomes = (pool.map if parallel else map)(_bench_cell, [p for _, p, _ in pending])
-        for (cell_hash, payload, cache_path), (result, error) in zip(pending, outcomes):
-            persistence.atomic_write_json(cache_path, {
-                "schema_version": persistence.SCHEMA_VERSION,
-                "tool_version": persistence.TOOL_VERSION,
-                "cell_hash": cell_hash,
-                "cell": {k: payload[k] for k in ("detector", "correlation_mode", "cell_seed")},
-                "result": result,
-                "error": error,
-            })
-            results[cell_hash] = result
-            if error is not None:
-                print(f"cell {payload['detector']}/{payload['correlation_mode']} failed: {error}",
-                      file=sys.stderr)
+    with (ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext()) as pool:
+        outcomes = (pool.map if parallel else map)(_bench_mode, modes)
+        for job, job_outcomes in zip(modes, outcomes):
+            for detector_kind, (result, error) in zip(job["detectors"], job_outcomes):
+                cell_hash, payload, cache_path = pending[job["correlation_mode"]][detector_kind]
+                persistence.atomic_write_json(cache_path, {
+                    "schema_version": persistence.SCHEMA_VERSION,
+                    "tool_version": persistence.TOOL_VERSION,
+                    "cell_hash": cell_hash,
+                    "cell": {k: payload[k] for k in ("detector", "correlation_mode", "cell_seed")},
+                    "result": result,
+                    "error": error,
+                })
+                results[cell_hash] = result
+                if error is not None:
+                    print(f"cell {payload['detector']}/{payload['correlation_mode']} failed: {error}",
+                          file=sys.stderr)
 
     rows = [results[c] for c, _ in cells if results.get(c) is not None]
     table = _bench_table(rows)

@@ -7,13 +7,17 @@ from the injection to the alert, capped at the horizon for undetected
 episodes; alerts raised before the injection are counted separately as
 episode-level false positives and excluded from the mean.
 
-``run_experiment`` reproduces the benchmark protocol for one scenario and
-one detector: generate clean training data, train, calibrate the decision
-rule on clean validation episodes, then measure AUROC and detection time on
-injected test episodes and the false-positive rate on a held-out clean test
-set. Everything is a deterministic function of the master seed. The stages
-are ``generate_banks``, ``fit_detector`` and ``measure_detector``; the CLI's
-``generate``/``train``/``evaluate`` commands run the same three.
+``run_experiments`` reproduces the benchmark protocol for one scenario and
+several detectors: generate clean training data, train, calibrate the
+decision rule on clean validation episodes, then measure AUROC and detection
+time on injected test episodes and the false-positive rate on a held-out
+clean test set. The banks are generated once and every detector is fitted
+and measured on them, so the detectors are compared on the same episodes;
+``run_experiment`` is its one-detector case, and ``bench`` runs it once per
+correlation mode. Everything is a deterministic function of the master seed.
+The stages are ``generate_banks``, ``fit_detector`` and
+``measure_detector``; the CLI's ``generate``/``train``/``evaluate`` commands
+run the same three.
 """
 
 from dataclasses import asdict, dataclass, field, replace
@@ -22,8 +26,8 @@ import numpy as np
 
 from . import baselines, cusum, detector as dexter_detector
 from .environments import BaseEnv, PolicyKind, ScenarioConfig, builtin_policy, estimate_dimension_scales, run_episode
-from .errors import (ConfigError, DataError, IncompatibleModelError, UndefinedMetricError, is_number,
-                     read_field, require)
+from .errors import (ConfigError, DataError, DexterError, IncompatibleModelError, UndefinedMetricError,
+                     is_number, read_field, require)
 from .seeding import child_seed
 
 
@@ -480,15 +484,42 @@ def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, co
     return result, streams
 
 
-def run_experiment(config: ScenarioConfig, detector_kind: str, master_seed: int,
-                   counts: EpisodeCounts = EpisodeCounts(), target_fpr: float = 0.01,
-                   policy_kind=None, detector_params: dict | None = None) -> ExperimentResult:
-    """Full train/calibrate/evaluate cycle for one scenario and detector."""
-    params = detector_params_with_defaults(detector_kind, detector_params)
+def run_experiments(config: ScenarioConfig, detectors: dict, master_seed: int,
+                    counts: EpisodeCounts = EpisodeCounts(), target_fpr: float = 0.01,
+                    policy_kind=None) -> dict:
+    """Full train/calibrate/evaluate cycle for one scenario and several
+    detector kinds on one set of banks. ``detectors`` maps each kind to its
+    parameter overrides (None for the defaults), which are all checked
+    before any episode is generated. The scales and banks are drawn once
+    from ``master_seed``, and every kind is fitted and measured on them with
+    the same sub-seeds, so each kind's outcome is what ``run_experiment``
+    gives it at ``master_seed``.
+
+    Returns kind -> :class:`ExperimentResult`, or the :class:`DexterError`
+    that kind's fit or measurement raised; an error while resolving the
+    scales or generating the banks is raised, since it fails every kind."""
+    params = {kind: detector_params_with_defaults(kind, p) for kind, p in detectors.items()}
     _, policy = resolve_policy(config, policy_kind)
     config = resolve_scales(config, policy, master_seed)
     banks = generate_banks(config, policy, counts, master_seed)
-    trained = fit_detector(detector_kind, params, banks, master_seed, target_fpr)
-    result, _ = measure_detector(trained, banks["test"], banks["clean_test"], config,
-                                 master_seed, target_fpr, counts)
-    return result
+    outcomes = {}
+    for kind, kind_params in params.items():
+        try:
+            trained = fit_detector(kind, kind_params, banks, master_seed, target_fpr)
+            outcomes[kind], _ = measure_detector(trained, banks["test"], banks["clean_test"], config,
+                                                 master_seed, target_fpr, counts)
+        except DexterError as exc:
+            outcomes[kind] = exc
+    return outcomes
+
+
+def run_experiment(config: ScenarioConfig, detector_kind: str, master_seed: int,
+                   counts: EpisodeCounts = EpisodeCounts(), target_fpr: float = 0.01,
+                   policy_kind=None, detector_params: dict | None = None) -> ExperimentResult:
+    """Full train/calibrate/evaluate cycle for one scenario and detector:
+    the one-kind case of ``run_experiments``."""
+    outcome = run_experiments(config, {detector_kind: detector_params}, master_seed, counts,
+                              target_fpr, policy_kind)[detector_kind]
+    if isinstance(outcome, DexterError):
+        raise outcome
+    return outcome

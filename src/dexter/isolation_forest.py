@@ -110,6 +110,7 @@ sum, so a point would score differently alone than inside a batch, and
 streamed scores would stop matching ``score_stream`` bit for bit.
 """
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -121,10 +122,9 @@ from .seeding import rng_from
 
 DEFAULT_NUM_TREES = 100
 DEFAULT_SUBSAMPLE = 256
-# Largest subsample ``fit`` takes and a model file may give. c(n) costs time
-# linear in n (c(10^7) took 0.03 s on a 2-vCPU VM) and is evaluated on load
-# for the subsample size and on first score for every distinct leaf size, so
-# this bounds what one such size can cost; the acceptance configs use 8000.
+# Largest subsample ``fit`` takes and a model file may give; the acceptance
+# configs use 8000. It keeps every size c(n) sees within the range over which
+# the series of ``harmonic_number`` is tested against the exact sum.
 MAX_SUBSAMPLE_SIZE = 10**7
 # Most (tree, point) pairs one NumPy scoring walk advances together; its
 # buffers take 33 bytes a pair. On 300 x 191, 300 x 873 and 25 x 4000
@@ -143,29 +143,24 @@ _CHUNK_PAIRS = 1 << 16
 _PYTHON_WALK_PAIRS = 64
 # Most subsample points one chunk of trees is grown with.
 _CHUNK_POINTS = 1 << 17
-# Most reciprocals c(n) materialises at a time (512 KiB of float64).
+# Largest n whose harmonic number is summed term by term (512 KiB of float64
+# reciprocals); above it c(n) takes the asymptotic series in constant time, so
+# a model file's first score costs time linear in its nodes, however large
+# its leaf sizes.
 _RECIPROCAL_BLOCK = 1 << 16
 
 
-def _reciprocal_sum(first: int, n: int) -> float:
-    """The sum of 1/k for k = first .. first + n - 1, split as NumPy's
-    pairwise float sum splits a row of n values (halves rounded down to a
-    multiple of 8), so that only blocks of at most ``_RECIPROCAL_BLOCK``
-    values are materialised and each is summed by NumPy itself."""
-    if n <= _RECIPROCAL_BLOCK:
-        return float(np.add.reduce(1.0 / np.arange(first, first + n)))
-    half = n // 2
-    half -= half % 8
-    return _reciprocal_sum(first, half) + _reciprocal_sum(first + half, n - half)
-
-
 def harmonic_number(n: int) -> float:
-    """The n-th harmonic number, bit for bit
-    ``np.sum(1.0 / np.arange(1, n + 1))``, in memory bounded whatever n a
-    model file gives."""
+    """The n-th harmonic number: bit for bit
+    ``np.sum(1.0 / np.arange(1, n + 1))`` up to ``_RECIPROCAL_BLOCK``, and
+    above it ln n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4), whose dropped
+    terms there are below 1e-31, far under one ulp of the sum."""
     if n <= 0:
         return 0.0
-    return _reciprocal_sum(1, n)
+    if n <= _RECIPROCAL_BLOCK:
+        return float(np.add.reduce(1.0 / np.arange(1, n + 1)))
+    x = float(n)
+    return math.log(x) + np.euler_gamma + 1.0 / (2.0 * x) - 1.0 / (12.0 * x * x) + 1.0 / (120.0 * x**4)
 
 
 def average_path_length(n: int) -> float:

@@ -560,6 +560,126 @@ def test_bench_parallel_jobs_match_serial(workspace):
     assert read_file(out1 / "results.csv") == read_file(out2 / "results.csv")
 
 
+def test_every_bench_row_is_run_experiment_at_its_mode_seed(workspace):
+    """Each mode's detectors share one seed and one set of banks, so every
+    row equals ``run_experiment`` of its kind at the mode's seed."""
+    from dexter.evaluation import run_experiment
+    from dexter.seeding import child_seed
+
+    tmp, cfg = workspace
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp / "bench")]) == 0
+    rows = read_json(tmp / "bench" / "report.json")["results"]
+    config = persistence.load_config(str(cfg))
+    assert sorted(r["detector_id"] for r in rows) == sorted(["dexter", "pedm", "meanshift"] * 2)
+    for row in rows:
+        mode = row["scenario_id"].split("/")[1]
+        kind = row["detector_id"]
+        result = run_experiment(config.scenario_config(correlation_mode=mode), kind,
+                                child_seed(config.master_seed, "bench", mode), counts=config.counts(),
+                                target_fpr=config.target_fpr, policy_kind=config.policy_kind(),
+                                detector_params=config.detector_params() if kind == "dexter" else None)
+        assert row == json.loads(json.dumps(result.to_json_dict()))
+
+
+def counting(monkeypatch, owner, name, calls: list, fail=None):
+    """Wrap ``owner.name`` to append each call's arguments to ``calls``, and
+    to raise ``fail(*args)`` instead of running when that gives an error."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        error = fail(*args) if fail is not None else None
+        if error is not None:
+            raise error
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_bench_resume_generates_a_mode_only_for_its_missing_cells(workspace, monkeypatch):
+    from dexter import evaluation
+
+    tmp, cfg = workspace
+    out = tmp / "bench"
+    write_config(cfg, bench={"correlation_modes": ["one_step"]})
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    want = read_file(out / "results.csv")
+    banks, fits = [], []
+    counting(monkeypatch, evaluation, "generate_banks", banks)
+    counting(monkeypatch, evaluation, "train_detector", fits)
+
+    assert main(["bench", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+    assert (len(banks), len(fits)) == (0, 0)
+
+    cells = {read_json(c)["cell"]["detector"]: c for c in (out / "cells").iterdir()}
+    cells["pedm"].unlink()
+    assert main(["bench", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+    assert len(banks) == 1
+    assert [args[0] for args in fits] == ["pedm"]
+    cells["dexter"].unlink()
+    cells["meanshift"].unlink()
+    assert main(["bench", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+    assert len(banks) == 2
+    assert [args[0] for args in fits] == ["pedm", "dexter", "meanshift"]
+    assert read_file(out / "results.csv") == want
+
+
+def test_bench_failures_fail_only_their_own_cells(workspace, monkeypatch, capsys):
+    """Failed banks fail every cell of their mode, a failed fit only its
+    detector's cell; ``--resume`` then computes just those cells again."""
+    from dexter import evaluation
+    from dexter.errors import DataError
+
+    tmp, cfg = workspace
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp / "fresh")]) == 0
+    out, banks, fits = tmp / "bench", [], []
+    two_step = lambda config, *rest: (DataError("no banks") if config.noise.correlation_mode.value
+                                      == "two_step" else None)
+    counting(monkeypatch, evaluation, "generate_banks", banks, fail=two_step)
+    counting(monkeypatch, evaluation, "train_detector", fits,
+             fail=lambda kind, *rest: DataError("no pedm") if kind == "pedm" else None)
+    capsys.readouterr()
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert read_json(out / "report.json")["num_failed"] == 4
+    failed = {(doc["cell"]["detector"], doc["cell"]["correlation_mode"]): doc["error"]
+              for doc in map(read_json, (out / "cells").iterdir()) if doc["result"] is None}
+    assert failed == {("dexter", "two_step"): "no banks", ("pedm", "two_step"): "no banks",
+                      ("meanshift", "two_step"): "no banks", ("pedm", "one_step"): "no pedm"}
+    assert "cell meanshift/two_step failed: no banks" in err
+    assert len(banks) == 2
+
+    monkeypatch.undo()
+    counting(monkeypatch, evaluation, "train_detector", fits)
+    del fits[:]
+    assert main(["bench", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+    assert sorted(args[0] for args in fits) == ["dexter", "meanshift", "pedm", "pedm"]
+    assert read_json(out / "report.json")["num_failed"] == 0
+    assert read_file(out / "results.csv") == read_file(tmp / "fresh" / "results.csv")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bench_refuses_jobs_below_one(workspace, capsys, jobs):
+    tmp, cfg = workspace
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp / "b"), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--jobs" in err
+    assert not (tmp / "b").exists()
+
+
+def test_bench_starts_no_pool_for_one_pending_mode(tmp_path, monkeypatch):
+    """The pool holds one process per mode with pending cells at most, so
+    one mode runs in this process whatever ``--jobs`` asks."""
+    import concurrent.futures
+
+    cfg = tmp_path / "config.json"
+    write_config(cfg, evaluation={"num_train": 4, "num_validation": 4, "num_test": 2, "num_clean_test": 3},
+                 bench={"detectors": ["meanshift", "pedm"], "correlation_modes": ["two_step"]})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # any use fails
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b"), "--jobs", "4"]) == 0
+    assert read_json(tmp_path / "b" / "report.json")["num_failed"] == 0
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda doc: {**doc, "result": {}},
     lambda doc: {**doc, "result": {k: v for k, v in doc["result"].items()

@@ -89,3 +89,23 @@ def test_stage_probes_see_every_cli_stage(tmp_path, kind):
         seen = {name: stats.calls for name, stats in tracer.layers.items() if stats.calls}
         seen.pop("decision", None)
         assert seen == calls
+
+
+def test_stage_probes_see_one_generation_per_bench_mode(tmp_path):
+    """``arno_bench`` times ``bench``: the detectors of one mode share one
+    set of banks, so three detectors give 5 generate calls (one
+    ``resolve_scales`` and four banks), 6 train calls and 3 evaluate calls."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"scenario": "arno", "base_env": "cartpole", "magnitude_scale": 0.5},
+        "detector": {"kind": "dexter", "num_trees": 5},
+        "evaluation": {"num_train": 4, "num_validation": 4, "num_test": 2, "num_clean_test": 3,
+                       "master_seed": 3},
+        "bench": {"detectors": ["dexter", "pedm", "meanshift"], "correlation_modes": ["one_step"]},
+    }))
+    with Tracer(layers.stage_probes()) as tracer:
+        assert cli_main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b"), "--jobs", "1"]) == 0
+    seen = {name: stats.calls for name, stats in tracer.layers.items() if stats.calls}
+    assert seen.pop("decision") > 0
+    assert seen == {"generate": 5, "train": 6, "evaluate": 3}
+    assert persistence.read_json(tmp_path / "b" / "report.json")["num_failed"] == 0
