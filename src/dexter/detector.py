@@ -111,18 +111,20 @@ def train(dataset, window_size: int = DEFAULT_WINDOW, num_trees: int = iforest.D
         raise DataError(f"episodes disagree on state dimension: {sorted(dims)}")
     num_dims = dims.pop()
 
-    per_dim_features = [[] for _ in range(num_dims)]
-    for matrix in matrices:
-        windows = training_windows(matrix, window_size)
-        for d in range(num_dims):
-            per_dim_features[d].append(ts_features.extract_features_batch(windows[:, :, d]))
+    # One extraction call over every window of every dimension: dimension
+    # by dimension, and within one, episode by episode in order. The joined
+    # (D, windows, W) copy is freed once it is extracted.
+    all_features = ts_features.extract_features_batch(np.concatenate(
+        [training_windows(m, window_size).transpose(2, 0, 1) for m in matrices], axis=1,
+    ).reshape(-1, window_size))
+    num_windows = all_features.shape[0] // num_dims
 
     # All dimensions use one shared sub-seed: forests over identical data are
     # identical, and results stay reproducible from the master seed.
     forest_seed = child_seed(seed, "forest")
     forests = []
     for d in range(num_dims):
-        features = np.concatenate(per_dim_features[d])
+        features = all_features[d * num_windows:(d + 1) * num_windows]
         # Finite observations of magnitude above ~1e154 overflow the
         # squared-value features; a forest split on them is meaningless.
         if not np.isfinite(features).all():
@@ -157,11 +159,14 @@ def score_stream(model: DexterModel, episode) -> ScoreSeries:
     length, num_dims = obs.shape
     scores = np.full(length, np.nan)
     if length >= model.window_size:
-        acc = np.zeros(length - model.window_size + 1)
-        for d in range(num_dims):
-            windows = ts_features.sliding_windows(obs[:, d], model.window_size)
-            feats = ts_features.extract_features_batch(windows)
-            acc += iforest.score_batch(model.forests[d], feats)
+        count = length - model.window_size + 1
+        # One extraction call over the sliding windows of every dimension;
+        # forest d scores rows d * count to (d + 1) * count.
+        features = ts_features.extract_features_batch(np.concatenate(
+            [ts_features.sliding_windows(obs[:, d], model.window_size) for d in range(num_dims)]))
+        acc = np.zeros(count)
+        for d, forest in enumerate(model.forests):
+            acc += iforest.score_batch(forest, features[d * count:(d + 1) * count])
         scores[model.window_size - 1 :] = acc / num_dims
     return ScoreSeries(scores=scores)
 

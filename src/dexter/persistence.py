@@ -209,6 +209,11 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
                 f"one of {list(DETECTORS)}", name)
     for mode in bench["correlation_modes"]:
         member(CorrelationMode, mode, "bench.correlation_modes entry")
+    # A repeated entry would name one cell twice: one result, several rows.
+    for key in ("detectors", "correlation_modes"):
+        entries = bench[key]
+        for i, entry in enumerate(entries):
+            require(entry not in entries[:i], f"bench.{key} entry", "listed once", entry)
 
     config = RunConfig(
         scenario_section=scenario,

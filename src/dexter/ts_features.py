@@ -15,11 +15,12 @@ finite.
 A batch takes one of two paths, chosen by its size alone:
 
 - More than ``_PYTHON_PATH_VALUES`` values (windows x W) are computed in
-  whole-array passes with no loop over window positions: both
-  approximate-entropy embeddings take their Chebyshev distances from one
-  (n, W, W) matrix of pairwise differences, one sort gives the median, and
-  a running maximum gives the longest increasing run. Each statistic keeps
-  the arithmetic of its plain NumPy formula (``mean``, ``std``, ``median``,
+  whole-array passes with no loop over window positions. Approximate entropy
+  compares each of a window's W(W-1)/2 pairs i < j with r once and counts
+  template matches in boolean pair columns ANDed along the template
+  diagonals (``_approx_entropy``); one sort gives the median, and a running
+  maximum gives the longest increasing run. Each statistic keeps the
+  arithmetic of its plain NumPy formula (``mean``, ``std``, ``median``,
   match fractions), so values are bit-identical to the per-template
   formulation.
 - A smaller batch, such as the one window per dimension that online
@@ -33,9 +34,13 @@ A batch takes one of two paths, chosen by its size alone:
   which signed zero it returns is NumPy's own choice.
 
 Either way a window extracted alone equals its row in any batch, bit for
-bit (BENCH_10.json times both paths).
+bit. Callers therefore extract all the windows they have in one call:
+``detector.score_stream`` the sliding windows of every dimension of an
+episode, ``detector.train`` the non-overlapping windows of every episode
+and dimension, and ``DexterStream.push`` the D windows of one step.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -78,9 +83,8 @@ APEN_RADIUS_FLOOR = 1e-12
 _ZERO_VAR_EPS = 1e-24
 # Batches of at most this many values (windows x W) take the plain-Python
 # path. Its cost grows with every window (the match table with W^2), while
-# the NumPy path's floor of about 110 us hardly does. Timed both ways at
-# W = 4 to 32, the plain-Python path was faster up to about 24 values and
-# within about 10% either way from 24 to 32 (BENCH_10.json).
+# the whole-array path's fixed cost of a hundred-odd NumPy calls hardly
+# does; the README gives where the two crossed when timed.
 _PYTHON_PATH_VALUES = 32
 
 
@@ -122,26 +126,85 @@ def _longest_increasing_run(rises: np.ndarray) -> np.ndarray:
     return (pos - last_break).max(axis=1) + 1.0
 
 
+def _diagonal_pairs(size: int) -> list:
+    """The pairs (a, b) with a < b < size, diagonal by diagonal: first every
+    pair with b - a = 1, then every pair with b - a = 2, and so on. Pair
+    (a + k, b + k) sits k places after (a, b)."""
+    return [(a, a + d) for d in range(1, size) for a in range(size - d)]
+
+
+@functools.lru_cache(maxsize=16)
+def _apen_tables(w: int) -> tuple:
+    """Index tables of ``_approx_entropy`` for window size W, read-only:
+    - ``first``, ``second``: the values compared by each pair column;
+    - ``short_cols``: the pair column of each pair of length-m templates;
+    - ``extend_from``, ``extend_cols``: each pair of length-(m + 1)
+      templates as its length-m pair and the pair column of its last values;
+    - ``partners``: per template, m-templates first and then (m + 1)-
+      templates, the match columns of its pairs, padded to a multiple of 8
+      with the always-False last column;
+    - ``sizes``: the number of templates of each row of ``partners``."""
+    m = APEN_EMBEDDING
+    count = w - m + 1
+    pairs = _diagonal_pairs(w)
+    column = {pair: i for i, pair in enumerate(pairs)}
+    short, longer = _diagonal_pairs(count), _diagonal_pairs(count - 1)
+    short_at = {pair: i for i, pair in enumerate(short)}
+    longer_at = {pair: len(short) + i for i, pair in enumerate(longer)}
+    width = -(-(count - 1) // 8) * 8
+    partners = []
+    for size, at in ((count, short_at), (count - 1, longer_at)):
+        for a in range(size):
+            row = [at[min(a, b), max(a, b)] for b in range(size) if b != a]
+            partners.append(row + [len(short) + len(longer)] * (width - len(row)))
+    tables = (
+        np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]),
+        np.array([column[pair] for pair in short]),
+        np.array([short_at[pair] for pair in longer]),
+        np.array([column[a + m, b + m] for a, b in longer]),
+        np.array(partners), np.array([count] * count + [count - 1] * (count - 1), dtype=float),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _approx_entropy(x: np.ndarray, std: np.ndarray) -> np.ndarray:
     """Approximate entropy with embedding m, tolerance r = 0.2 std (floored),
-    Chebyshev distance, self-matches included. The distance between the
-    length-m templates at a and b is max_{k<m} |x_{a+k} - x_{b+k}|: the
-    elementwise maximum of m diagonal shifts of one pairwise matrix, and
-    embedding m + 1 takes the maximum with one more shift."""
-    r = np.maximum(APEN_RADIUS_FACTOR * std, APEN_RADIUS_FLOOR)[:, None, None]
-    pair = np.abs(x[:, :, None] - x[:, None, :])
+    Chebyshev distance, self-matches included.
+
+    The templates at a and b are within r when |x_{a+k} - x_{b+k}| <= r for
+    every k < m, because a maximum is at most r exactly when each of its
+    terms is. So each of the W(W-1)/2 pairs i < j is compared with r once,
+    and a template pair's match is the AND of m pair columns along one
+    diagonal; embedding m + 1 ANDs one more. A template's match count is
+    its matching pairs, counted as bytes, plus one for itself: the integers
+    the full W x W distance matrices give, so fractions and logarithms keep
+    their bits."""
+    n, w = x.shape
     m = APEN_EMBEDDING
-    count = x.shape[1] - m + 1
-    dist = pair[:, :count, :count]
+    first, second, short_cols, extend_from, extend_cols, partners, sizes = _apen_tables(w)
+    r = np.maximum(APEN_RADIUS_FACTOR * std, APEN_RADIUS_FLOOR)[:, None]
+    dist = x[:, first]
+    dist -= x[:, second]
+    close = np.abs(dist, out=dist) <= r
+    del dist
+    # One column per (m)-template pair, then per (m + 1)-template pair, then
+    # one that stays False for the padding of ``partners``.
+    match = np.zeros((n, len(short_cols) + len(extend_cols) + 1), dtype=bool)
+    short = match[:, :len(short_cols)]
+    np.take(close, short_cols, axis=1, out=short)
     for k in range(1, m):
-        dist = np.maximum(dist, pair[:, k:k + count, k:k + count])
-    longer = np.maximum(dist[:, :-1, :-1], pair[:, m:, m:])
-
-    def phi(d: np.ndarray) -> np.ndarray:
-        templates = d.shape[1]
-        return np.log((d <= r).sum(axis=2) / templates).sum(axis=1) / templates
-
-    return phi(dist) - phi(longer)
+        short &= close[:, short_cols + k]
+    np.logical_and(short[:, extend_from], close[:, extend_cols], out=match[:, len(short_cols):-1])
+    # Each byte of a template's partner row is 0 or 1, so eight of them read
+    # as one uint64 and multiplied by 0x0101010101010101 leave their sum in
+    # the top byte.
+    pairs = np.take(match, partners, axis=1).view(np.uint64)
+    counts = ((pairs * np.uint64(0x0101010101010101)) >> np.uint64(56)).sum(axis=2) + 1
+    logs = np.log(counts / sizes)
+    count = w - m + 1
+    return logs[:, :count].sum(axis=1) / count - logs[:, count:].sum(axis=1) / (count - 1)
 
 
 def _add_reduce(values: list) -> float:

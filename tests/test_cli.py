@@ -667,6 +667,22 @@ def test_bench_refuses_jobs_below_one(workspace, capsys, jobs):
     assert not (tmp / "b").exists()
 
 
+@pytest.mark.parametrize("key, entries", [
+    ("detectors", ["meanshift", "pedm", "meanshift"]),
+    ("correlation_modes", ["one_step", "two_step", "one_step"]),
+])
+def test_bench_refuses_a_repeated_entry(workspace, capsys, key, entries):
+    """A repeated entry names one cell twice; the config is refused before
+    any cell runs, with one error line naming the entry."""
+    tmp, cfg = workspace
+    write_config(cfg, bench={key: entries})
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"bench.{key} entry" in err and repr(entries[0]) in err
+    assert not (tmp / "b").exists()
+
+
 def test_bench_starts_no_pool_for_one_pending_mode(tmp_path, monkeypatch):
     """The pool holds one process per mode with pending cells at most, so
     one mode runs in this process whatever ``--jobs`` asks."""

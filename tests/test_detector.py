@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from dexter import isolation_forest as iforest
 from dexter.ar_noise import ARProcessSpec
 from dexter.cusum import CusumDetector, first_alert_step
-from dexter.detector import DexterModel, DexterStream, calibrate, detect_online, score_stream, train
-from dexter.environments import BaseEnv, Scenario, ScenarioConfig, builtin_policy, run_episode
+from dexter.detector import (
+    DexterModel, DexterStream, calibrate, detect_online, score_stream, train, training_windows,
+)
+from dexter.environments import BaseEnv, PolicyKind, Scenario, ScenarioConfig, builtin_policy, run_episode
 from dexter.errors import ConfigError, DataError, IncompatibleModelError
 from dexter.seeding import child_seed
+from dexter.ts_features import catalogue_hash, extract_features_batch, sliding_windows
 from forest_columns import listed
 
 
@@ -30,6 +33,23 @@ def arts_model():
     episodes = [run_episode(cfg, policy, child_seed(0, "train", i), inject=False) for i in range(30)]
     model = train(episodes, window_size=10, num_trees=60, subsample=600, seed=1)
     return cfg, policy, episodes, model
+
+
+@pytest.fixture(scope="module")
+def cartpole_model():
+    """A 4-D ARNO Cartpole model trained on clean episodes cut to unequal
+    lengths, so that each leaves a different remainder of its windows."""
+    cfg = ScenarioConfig(
+        scenario=Scenario.ARNO,
+        base_env=BaseEnv.CARTPOLE,
+        noise=ARProcessSpec.one_step(0.95, scale=0.5),
+        per_dimension_scale=(0.23, 0.17, 0.008, 0.2),
+    )
+    policy = builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC)
+    matrices = [run_episode(cfg, policy, child_seed(0, "cartpole", i), inject=False).observations[:length]
+                for i, length in enumerate([200, 157, 10, 99, 200, 41])]
+    model = train(matrices, window_size=10, num_trees=20, subsample=64, seed=5)
+    return cfg, policy, matrices, model
 
 
 def test_default_window_size_is_ten():
@@ -71,6 +91,36 @@ def test_score_stream_counts_and_range(arts_model):
     defined = series.scores[~np.isnan(series.scores)]
     assert len(defined) == 191
     assert np.all(defined > 0.0) and np.all(defined < 1.0)
+
+
+def test_score_stream_is_the_mean_of_per_dimension_extractions_bit_for_bit(cartpole_model):
+    """One extraction call over every dimension's sliding windows scores as
+    one call per dimension did, down to episodes of a few windows, which a
+    call per dimension would extract on the plain-Python path."""
+    cfg, policy, _, model = cartpole_model
+    episodes = [run_episode(cfg, policy, seed=71).observations,
+                run_episode(cfg, policy, seed=72, inject=False).observations]
+    episodes += [episodes[0][:12], episodes[0][:10], episodes[0][:9]]
+    for obs in episodes:
+        want = np.full(len(obs), np.nan)
+        if len(obs) >= 10:
+            total = np.zeros(len(obs) - 9)
+            for d, forest in enumerate(model.forests):
+                total += iforest.score_batch(forest, extract_features_batch(sliding_windows(obs[:, d], 10)))
+            want[9:] = total / 4
+        assert np.array_equal(score_stream(model, obs).scores.view(np.int64), want.view(np.int64))
+
+
+def test_training_equals_forests_fitted_on_per_episode_extractions(cartpole_model):
+    """One extraction call over the whole training set gives the model that
+    extracting each episode and dimension alone, joined in order, gave."""
+    _, _, matrices, model = cartpole_model
+    forests = []
+    for d in range(4):
+        features = np.concatenate([extract_features_batch(training_windows(m, 10)[:, :, d]) for m in matrices])
+        forests.append(iforest.fit(features, num_trees=20, subsample=64, seed=child_seed(5, "forest")))
+    want = DexterModel(forests=forests, window_size=10, feature_manifest_hash=catalogue_hash())
+    assert json.dumps(model.to_json_dict(), sort_keys=True) == json.dumps(want.to_json_dict(), sort_keys=True)
 
 
 def test_training_rejects_short_and_empty_datasets():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,53 @@ def test_approx_entropy_counts_a_distance_of_exactly_r_as_a_match():
     expected = reference_features_batch(window).view(np.int64)
     for path in (ts_features._extract_numpy, ts_features._extract_small):
         assert np.array_equal(path(window).view(np.int64), expected)
+
+
+# Windows of widths outside the drawn 4-32 with a pairwise distance of
+# exactly r. At W = 4 only the floored radius gave one: no integer window
+# within +-40 has 0.2 std equal to one of its distances.
+EXACT_R_WINDOWS = {
+    4: np.array([0.0, 1e-12, 1e-12, 3e-12]),
+    33: np.array([-10, 10, -10, -10, 10, -10, 10, 10, 10, -10, -10, -10, -10, 10, -10, -10, -12,
+                  10, 10, -10, 9, -10, 10, -10, 10, 10, 10, -10, -12, -8, 10, 10, -10], dtype=float),
+    64: np.where(np.arange(64) % 2, -5.0, 5.0),
+}
+EXACT_R_WINDOWS[64][[18, 23, 27, 34, 37]] = [2.0, 6.0, 0.0, -6.0, -7.0]
+
+
+@pytest.mark.parametrize("width", sorted(EXACT_R_WINDOWS))
+def test_approx_entropy_at_the_edge_widths(width):
+    """The minimum window and two beyond the drawn widths: a window with a
+    distance of exactly r, a constant one and two random ones, against the
+    loop formula and bit for bit against the reference on both paths."""
+    exact = EXACT_R_WINDOWS[width]
+    r = max(0.2 * exact.std(), ts_features.APEN_RADIUS_FLOOR)
+    assert (np.abs(exact[:, None] - exact) == r).any()
+    rng = np.random.default_rng(width)
+    windows = np.stack([exact, np.full(width, 2.5), np.cumsum(rng.normal(size=width)),
+                        rng.integers(-3, 4, width).astype(float)])
+    feats = extract_features_batch(windows)
+    for i, window in enumerate(windows):
+        assert feats[i, IDX["approx_entropy"]] == pytest.approx(brute_approx_entropy(list(window)), abs=1e-9)
+    assert feats[1, IDX["approx_entropy"]] == 0.0
+    bits = reference_features_batch(windows).view(np.int64)
+    for path in (ts_features._extract_numpy, ts_features._extract_small):
+        assert np.array_equal(path(windows).view(np.int64), bits)
+
+
+def test_a_large_batch_holds_few_pairwise_tables():
+    """Approximate entropy compares the W(W-1)/2 pairs of each window once,
+    on the upper triangle: the batch's peak stays below 2.5 full float
+    W x W tables (3.3 while it built the whole matrix and its maxima)."""
+    x = np.random.default_rng(9).normal(size=(8000, 10))
+    extract_features_batch(x[:8])  # the index tables of W = 10 are built once per W
+    tracemalloc.start()
+    try:
+        extract_features_batch(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * x.shape[0] * x.shape[1] ** 2 * 8
 
 
 def test_shift_covariance():
