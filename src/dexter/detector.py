@@ -93,8 +93,9 @@ def train(dataset, window_size: int = DEFAULT_WINDOW, num_trees: int = iforest.D
 
     Every per-dimension forest is trained on that dimension's feature vectors
     pooled over all episodes' non-overlapping windows. Episodes shorter than
-    the window, and observations so large that their features overflow, are
-    rejected.
+    the window yield no window and are skipped; a dataset where every
+    episode is that short, and observations so large that their features
+    overflow, are rejected.
     """
     episodes = list(dataset)
     if not episodes:
@@ -103,13 +104,13 @@ def train(dataset, window_size: int = DEFAULT_WINDOW, num_trees: int = iforest.D
         raise ConfigError(f"window_size must be >= {ts_features.MIN_WINDOW}")
 
     matrices = [_observation_matrix(ep) for ep in episodes]
-    too_short = [i for i, m in enumerate(matrices) if m.shape[0] < window_size]
-    if too_short:
-        raise DataError(f"episodes shorter than window {window_size}: indices {too_short}")
     dims = {m.shape[1] for m in matrices}
     if len(dims) != 1:
         raise DataError(f"episodes disagree on state dimension: {sorted(dims)}")
     num_dims = dims.pop()
+    matrices = [m for m in matrices if m.shape[0] >= window_size]
+    if not matrices:
+        raise DataError(f"all {len(episodes)} episodes are shorter than window {window_size}")
 
     # One extraction call over every window of every dimension: dimension
     # by dimension, and within one, episode by episode in order. The joined

@@ -396,23 +396,21 @@ def builtin_policy(base_env: BaseEnv, kind: PolicyKind):
     return acrobot_heuristic_policy()
 
 
-def _observe(scenario, state: list, columns, t: int) -> np.ndarray:
+def _observe(scenario, state: list, columns, t: int) -> list:
     if scenario is Scenario.ARNO:
-        return np.array([v + n for v, n in zip(state, columns[t])])
-    if scenario is Scenario.ARTS:
-        return np.array(columns[t])
-    return np.array(state)
+        return [v + n for v, n in zip(state, columns[t])]
+    return state
 
 
 def _rollout(env, state: list, policy, policy_rng, horizon: int, scenario=None, columns=()):
     """The simulation loop: step ``env`` from ``state`` until it terminates
     or ``horizon`` observations exist.
 
-    ``columns[t]`` is the noise of observation t. Under ARTS it is the
-    observation; under ARNO it is added to the observed state; under ARNS it
-    is added to the state that the transition into t starts from. With
-    ``scenario=None`` the clean state is observed. Returns the observations
-    (the arrays the policy was given), the actions and the reward sum.
+    ``columns[t]`` is the noise of observation t. Under ARNO it is added to
+    the observed state; under ARNS it is added to the state that the
+    transition into t starts from. With ``scenario=None`` the clean state is
+    observed. Returns the observations (the lists of floats the policy was
+    given, which it must not change), the actions and the reward sum.
     """
     observations = [_observe(scenario, state, columns, 0)]
     actions = []
@@ -432,14 +430,18 @@ def _rollout(env, state: list, policy, policy_rng, horizon: int, scenario=None, 
 
 def _simulate(config: ScenarioConfig, policy, noise: np.ndarray, env_rng, policy_rng):
     """(observations, actions, reward sum) of one roll-out of ``config``'s
-    scenario on ``noise``, the (num_dimensions, horizon) noise matrix."""
+    scenario on ``noise``, the (num_dimensions, horizon) noise matrix.
+
+    ARTS observes its noise unscaled and steps nothing: its constant
+    environment never terminates and has the one action 0, which is all a
+    policy can return there, so the policy is not called.
+    """
+    if config.scenario is Scenario.ARTS:
+        return noise.T.astype(float, order="C"), np.zeros(config.horizon - 1, dtype=int), 0.0
     env = make_env(config.base_env)
-    scales = config.scales()
-    # ARTS observes its noise unscaled.
-    values = noise if config.scenario is Scenario.ARTS else noise * scales[:, None]
     observations, actions, reward_sum = _rollout(
         env, env.reset(env_rng), policy, policy_rng, config.horizon,
-        config.scenario, values.T.tolist(),
+        config.scenario, (noise * config.scales()[:, None]).T.tolist(),
     )
     return np.array(observations), np.array(actions, dtype=int), reward_sum
 
@@ -447,6 +449,8 @@ def _simulate(config: ScenarioConfig, policy, noise: np.ndarray, env_rng, policy
 def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True) -> Episode:
     """Roll out one episode, deterministic in (config, policy, seed).
 
+    ``policy(observation, rng)`` returns the action for each observation, a
+    list of Python floats; ARTS has one action and does not call it.
     Injected episodes draw t_a uniformly from the injection window, and
     their noise turns from white to ``config.noise``'s correlation mode at
     t_a; clean episodes have no t_a and all-white noise. Episodes that

@@ -56,9 +56,7 @@ for ``feature``, ``left``, ``right``, ``size`` and ``roots`` and float64 for
 ``threshold`` (``errors.encode_column``), so that saving and loading a
 forest handle six strings instead of one JSON number per node; the reader,
 ``errors.read_field``, also takes the JSON lists that files written before
-this hold. A 300-tree forest of 103k nodes takes 3.30 MB against 2.42 MB as
-lists, but saves in 28 ms against 134 ms and loads in 32 ms against 113 ms
-(BENCH_15.json).
+this hold.
 
 Memory. The node columns stay int32 (float64 for ``threshold``) from build
 to file and back, and no stage holds more than one column's temporaries
@@ -70,12 +68,7 @@ column, releasing each chunk's copy, and ``_pack`` checks the columns in the
 dtype they arrive in and packs them without copies, only ``feature`` and
 ``kids`` being new. A model file's binary columns load as read-only int32 and
 float64 views of their decoded bytes, and ``to_json_dict`` encodes one
-column at a time. On a forest like the ``arts_cli`` benchmark's (300 trees,
-subsample 1000, 21 features, 94k nodes, 2.25 MB packed) the tracemalloc
-peaks fell from 16.1 to 7.3 MB for ``fit``, from 12.1 to 4.8 MB for
-``from_json_dict`` of the parsed document and from 9.0 to 5.0 MB for
-``persistence.save_model`` (a 3.0 MB file); at subsample 8000 (347k nodes)
-from 60.0 to 18.8, 44.8 to 17.4 and 33.3 to 18.5 MB (BENCH_19.json).
+column at a time.
 
 Scoring. A point's h in one tree is the depth of the leaf its walk ends at
 plus c(leaf size), so a forest keeps one path length per leaf, derived on
@@ -98,10 +91,7 @@ bit for bit, and a NaN feature value compares false and routes right in both.
   arithmetic. The form is built once per forest, on the first such batch, in
   one reverse sweep over the packed arrays (children follow their parents,
   so no recursion, however deep a tree), and is never built on load nor
-  saved. On the four 25-tree forests of a 4-D Cartpole model (7.7k-9.1k
-  nodes) a walk took 23-27 us against 69-82 us for the earlier walk over
-  memoryviews of the packed arrays, and the build 2.6-4.1 ms (2-vCPU VM,
-  BENCH_13.json).
+  saved.
 
 The per-tree path lengths are summed in tree order from 0.0, one tree at a
 time (``_sum_over_trees``). NumPy's ``sum`` over the tree axis reduces
@@ -127,19 +117,16 @@ DEFAULT_SUBSAMPLE = 256
 # the series of ``harmonic_number`` is tested against the exact sum.
 MAX_SUBSAMPLE_SIZE = 10**7
 # Most (tree, point) pairs one NumPy scoring walk advances together; its
-# buffers take 33 bytes a pair. On 300 x 191, 300 x 873 and 25 x 4000
-# batches 2^16 scored within 6% of the best power of two from 2^13 to 2^18,
-# while 2^13 was 40-54% slower with 300 trees and 2^18 12% slower on
-# 300 x 873 (BENCH_7.json).
+# buffers take 33 bytes a pair. README "Forest scoring" gives the timings
+# that chose it.
 _CHUNK_PAIRS = 1 << 16
-# Most (tree, point) pairs a batch may hold to be walked in plain Python. That
-# walk costs 1-1.7 us a pair; the NumPy walk's floor, about 250 us at 25 trees
-# and 870 us at 300, drew level at 25 trees x 10 points and was lower at
-# 300 x 2 (BENCH_13.json). The bound stays well below that because the first
-# plain-Python walk of a forest also builds its nested form (2.6-4.1 ms at 25
-# trees, 38 ms at 300), which a forest scored a few points at a time, such as
-# ``score_stream`` on an episode of under 20 steps, repays only after dozens
-# of calls.
+# Most (tree, point) pairs a batch may hold to be walked in plain Python.
+# Below the pair count at which the two walks cost the same, the NumPy walk's
+# fixed cost outweighs the plain-Python walk's cost per pair. The bound stays
+# well below that crossover because the first plain-Python walk of a forest
+# also builds its nested form, which a forest scored a few points at a time,
+# such as ``score_stream`` on an episode of under 20 steps, repays only after
+# dozens of calls. README "Forest scoring" gives the measurements.
 _PYTHON_WALK_PAIRS = 64
 # Most subsample points one chunk of trees is grown with.
 _CHUNK_POINTS = 1 << 17

@@ -2,7 +2,8 @@
 library: within :func:`recording`, each environment that
 ``environments.make_env`` returns records its state at every ``reset`` and
 then the state each ``step`` returns. Under ARNS the noise-perturbed state
-passed to ``step`` is not recorded, only the state it returns."""
+passed to ``step`` is not recorded, only the state it returns. An ARTS
+episode makes no environment; its hidden state is the constant 0.0."""
 
 import contextlib
 from unittest import mock
@@ -40,8 +41,17 @@ def recording():
         yield runs
 
 
+def hidden_states(config, runs: list, length: int) -> np.ndarray:
+    """The hidden states of the last roll-out of ``config`` that ``runs``
+    recorded; ``length`` is its number of observations."""
+    if config.scenario is environments.Scenario.ARTS:
+        assert runs == []  # no environment is made, reset or stepped
+        return np.zeros((length, 1))
+    return np.array(runs[-1])
+
+
 def recorded_episode(config, policy, seed: int, inject: bool = True):
     """The episode of ``environments.run_episode`` and its hidden states."""
     with recording() as runs:
         episode = environments.run_episode(config, policy, seed, inject=inject)
-    return episode, np.array(runs[-1])
+    return episode, hidden_states(config, runs, episode.length)

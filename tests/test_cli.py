@@ -291,7 +291,7 @@ def test_train_rejects_episodes_shorter_than_window(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg), "--out", str(ds)]) == 0
     assert main(["train", "--config", str(cfg), "--dataset", str(ds),
                  "--out", str(tmp_path / "m.json")]) == 1
-    assert "indices" in capsys.readouterr().err
+    assert "shorter than window 50" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["dexter", "pedm", "meanshift"])

@@ -13,6 +13,8 @@ from dexter.detector import (
 )
 from dexter.environments import BaseEnv, PolicyKind, Scenario, ScenarioConfig, builtin_policy, run_episode
 from dexter.errors import ConfigError, DataError, IncompatibleModelError
+from dexter.evaluation import TrainedDetector
+from dexter.persistence import save_model
 from dexter.seeding import child_seed
 from dexter.ts_features import catalogue_hash, extract_features_batch, sliding_windows
 from forest_columns import listed
@@ -123,14 +125,24 @@ def test_training_equals_forests_fitted_on_per_episode_extractions(cartpole_mode
     assert json.dumps(model.to_json_dict(), sort_keys=True) == json.dumps(want.to_json_dict(), sort_keys=True)
 
 
-def test_training_rejects_short_and_empty_datasets():
+def test_training_rejects_short_and_empty_datasets(tmp_path):
     rng = np.random.default_rng(2)
     with pytest.raises(DataError):
         train([], window_size=10)
     short = rng.normal(size=(8, 2))
     good = rng.normal(size=(40, 2))
-    with pytest.raises(DataError, match="indices \\[1\\]"):
-        train([good, short], window_size=10, num_trees=5, subsample=4)
+    # An episode shorter than the window yields no window and is skipped.
+    with_short = train([good, short], window_size=10, num_trees=5, subsample=4)
+    alone = train([good], window_size=10, num_trees=5, subsample=4)
+    saved = []
+    for name, model in (("with_short", with_short), ("alone", alone)):
+        save_model(str(tmp_path / name), TrainedDetector("dexter", {}, model), "hash")
+        saved.append((tmp_path / name).read_bytes())
+    assert saved[0] == saved[1]
+    with pytest.raises(DataError, match="all 2 episodes are shorter than window 10"):
+        train([short, short[:3]], window_size=10, num_trees=5, subsample=4)
+    with pytest.raises(DataError, match="disagree on state dimension"):
+        train([good, short[:, :1]], window_size=10, num_trees=5, subsample=4)
     huge = good.copy()
     huge[:10, 1] = [1e300, -1e300] * 5  # finite, but the squared values overflow
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DataError, match="dimension 1"):

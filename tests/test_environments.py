@@ -26,7 +26,7 @@ from dexter.environments import (
 )
 from dexter.errors import ConfigError, DataError, SimulationDivergedError
 from dexter.seeding import rng_from
-from recorded_states import recorded_episode, recording
+from recorded_states import hidden_states, recorded_episode, recording
 
 
 def cartpole_oracle(vector, action):
@@ -100,7 +100,8 @@ def simulate_recorded(config, policy, noise, env_rng, policy_rng):
     """``_simulate``'s (observations, actions, reward sum) and the hidden
     states of the roll-out."""
     with recording() as runs:
-        return (*_simulate(config, policy, noise, env_rng, policy_rng), np.array(runs[-1]))
+        observations, actions, reward_sum = _simulate(config, policy, noise, env_rng, policy_rng)
+    return observations, actions, reward_sum, hidden_states(config, runs, len(observations))
 
 
 def simulate(config, noise, policy=None, seed=0):
@@ -221,12 +222,18 @@ def test_acrobot_step_matches_oracle_on_random_states():
         assert abs(got[1] - math.sin(expected[0])) < 1e-9
 
 
+def never_called(observation, rng):
+    raise AssertionError("the policy was called")
+
+
 def test_arts_step_direct_lookup():
-    # The ARTS observation at step t is the noise row's entry t, unscaled.
+    # The ARTS observation at step t is the noise row's entry t, unscaled,
+    # and no policy is asked for the constant environment's one action.
     values = np.random.default_rng(3).normal(size=(1, 30))
     cfg = noise_config(Scenario.ARTS, BaseEnv.CONSTANT, horizon=30, scales=(4.0,))
-    obs, actions, reward_sum, hidden = simulate(cfg, values, policy=lambda o, rng: 0)
-    assert np.array_equal(obs, values.T)
+    obs, actions, reward_sum, hidden = simulate(cfg, values, policy=never_called)
+    assert np.array_equal(obs, values.T) and obs.flags.c_contiguous and obs.dtype == np.float64
+    assert not np.shares_memory(obs, values)
     assert np.array_equal(hidden, np.zeros((30, 1)))
     assert reward_sum == 0.0 and np.array_equal(actions, np.zeros(29, dtype=int))
 
@@ -606,13 +613,19 @@ def episode_configs(draw):
     )
 
 
-def watched(policy):
-    """``policy`` plus the list of observations it was given."""
+def watched(policy, dim, given=list):
+    """``policy`` plus the list of observations it was given: each a list of
+    ``dim`` Python floats, or with ``given=np.ndarray`` (the oracle's) a 1-D
+    array of ``dim`` floats."""
     seen = []
 
     def wrapped(observation, rng):
-        assert isinstance(observation, np.ndarray) and observation.ndim == 1
-        seen.append(observation.copy())
+        assert type(observation) is given and len(observation) == dim
+        if given is list:
+            assert all(type(v) is float for v in observation)
+        else:
+            assert observation.shape == (dim,) and observation.dtype == np.float64
+        seen.append(np.array(observation))
         return policy(observation, rng)
 
     return wrapped, seen
@@ -625,7 +638,10 @@ def bits(array):
 def assert_same_episode(got, want, got_hidden, want_hidden):
     assert np.array_equal(bits(got.observations), bits(want.observations))
     assert got.observations.shape == want.observations.shape
+    assert got.observations.dtype == want.observations.dtype
+    assert got.observations.flags.c_contiguous
     assert got.actions.dtype == want.actions.dtype
+    assert got.actions.shape == want.actions.shape
     assert np.array_equal(got.actions, want.actions)
     assert np.array_equal(got.labels, want.labels)
     assert bits(got.reward_sum) == bits(want.reward_sum)
@@ -643,13 +659,18 @@ def assert_same_episode(got, want, got_hidden, want_hidden):
     seed=st.integers(0, 2**63 - 1),
 )
 def test_run_episode_equals_oracle_bit_for_bit(config, kind, inject, seed):
-    policy, seen = watched(builtin_policy(config.base_env, kind))
+    dim = config.num_dimensions
+    policy, seen = watched(builtin_policy(config.base_env, kind), dim)
     got, got_hidden = recorded_episode(config, policy, seed, inject=inject)
-    oracle_policy, oracle_seen = watched(builtin_policy(config.base_env, kind))
+    oracle_policy, oracle_seen = watched(builtin_policy(config.base_env, kind), dim, np.ndarray)
     want, want_hidden = oracle.run_episode(config, oracle_policy, seed, inject=inject)
     assert_same_episode(got, want, got_hidden, want_hidden)
-    assert len(seen) == len(oracle_seen)
-    assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(seen, oracle_seen))
+    if config.scenario is Scenario.ARTS:
+        # The constant environment's one action is 0: ARTS asks no policy.
+        assert seen == [] and len(oracle_seen) == want.length - 1 and not want.actions.any()
+    else:
+        assert len(seen) == len(oracle_seen)
+        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(seen, oracle_seen))
 
 
 @pytest.mark.parametrize("scenario", [Scenario.ARNO, Scenario.ARNS])
@@ -664,8 +685,8 @@ def test_divergence_raises_at_the_oracle_step(scenario, dim, bad, step, seed):
     values[dim, step] = bad
     cfg = noise_config(scenario)
 
-    def outcome(simulate_fn):
-        policy, seen = watched(builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC))
+    def outcome(simulate_fn, given):
+        policy, seen = watched(builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC), 4, given)
         try:
             with np.errstate(all="ignore"):
                 result = simulate_fn(cfg, policy, values, rng_from(seed, "env"),
@@ -674,7 +695,7 @@ def test_divergence_raises_at_the_oracle_step(scenario, dim, bad, step, seed):
             return "diverged", len(seen), None
         return "finished", len(seen), result
 
-    got, want = outcome(simulate_recorded), outcome(oracle.simulate)
+    got, want = outcome(simulate_recorded, list), outcome(oracle.simulate, np.ndarray)
     assert got[:2] == want[:2]
     if want[2] is not None:
         for a, b in zip(got[2], want[2]):

@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import simulation_oracle as oracle
 from dexter.ar_noise import ARProcessSpec
 from dexter.environments import BaseEnv, Scenario, ScenarioConfig
 from dexter.errors import ConfigError, DataError, IncompatibleModelError, UndefinedMetricError
 from dexter.evaluation import (
+    BANKS,
     EpisodeCounts,
     LabeledScoreSet,
     auroc,
@@ -14,11 +16,15 @@ from dexter.evaluation import (
     calibrate_detector,
     detection_time,
     detector_params_with_defaults,
+    generate_banks,
     pooled_scores,
+    resolve_policy,
+    resolve_scales,
     run_experiment,
     train_detector,
     TrainedDetector,
 )
+from dexter.seeding import child_seed
 
 
 def brute_force_auroc(scores, labels):
@@ -360,3 +366,34 @@ def test_measure_detector_refuses_a_usable_test_episode_without_injection_time()
     result, _ = measure_detector(trained, injected + clean[1:], clean, cfg, master_seed=4,
                                  target_fpr=0.2, counts=SMALL)
     assert result.num_test_episodes == 2 and result.num_unusable_episodes == 2
+
+
+# The scenario shapes of the ``arts_cli`` and ``arno_bench`` benchmark
+# workloads: ARTS on the constant env, and ARNO Cartpole at magnitude 0.5
+# with its dimension scales estimated as the CLI does.
+BENCH_SCENARIOS = [
+    ScenarioConfig(Scenario.ARTS, BaseEnv.CONSTANT, ARProcessSpec.one_step(0.95)),
+    ScenarioConfig(Scenario.ARNO, BaseEnv.CARTPOLE, ARProcessSpec.one_step(0.95, scale=0.5)),
+]
+
+
+@pytest.mark.parametrize("master_seed", [3, 40])
+@pytest.mark.parametrize("config", BENCH_SCENARIOS, ids=lambda c: c.scenario.value)
+def test_generated_banks_equal_the_simulation_oracle_bit_for_bit(config, master_seed):
+    _, policy = resolve_policy(config)
+    config = resolve_scales(config, policy, master_seed)
+    counts = EpisodeCounts(3, 3, 2, 2)
+    banks = generate_banks(config, policy, counts, master_seed)
+    for bank, inject in BANKS:
+        want = [oracle.run_episode(config, policy, child_seed(master_seed, bank, i), inject=inject)[0]
+                for i in range(getattr(counts, f"num_{bank}"))]
+        assert len(banks[bank]) == len(want)
+        for got, ref in zip(banks[bank], want):
+            assert got.observations.dtype == ref.observations.dtype == np.float64
+            assert got.observations.shape == ref.observations.shape and got.observations.flags.c_contiguous
+            assert got.observations.tobytes() == ref.observations.tobytes()
+            assert got.actions.dtype == ref.actions.dtype and got.actions.tobytes() == ref.actions.tobytes()
+            assert got.labels.tobytes() == ref.labels.tobytes()
+            assert np.float64(got.reward_sum).tobytes() == np.float64(ref.reward_sum).tobytes()
+            assert (got.injection_time, got.usable, got.seed, got.scenario) == \
+                (ref.injection_time, ref.usable, ref.seed, ref.scenario)
