@@ -428,19 +428,22 @@ def _rollout(env, state: list, policy, policy_rng, horizon: int, scenario=None, 
     return observations, actions, reward_sum
 
 
-def _simulate(config: ScenarioConfig, policy, noise: np.ndarray, env_rng, policy_rng):
+def _simulate(config: ScenarioConfig, policy, noise: np.ndarray, seed: int):
     """(observations, actions, reward sum) of one roll-out of ``config``'s
-    scenario on ``noise``, the (num_dimensions, horizon) noise matrix.
+    scenario on ``noise``, the (num_dimensions, horizon) noise matrix; the
+    environment and the policy draw from ``rng_from(seed, "env")`` and
+    ``rng_from(seed, "policy")``.
 
     ARTS observes its noise unscaled and steps nothing: its constant
     environment never terminates and has the one action 0, which is all a
-    policy can return there, so the policy is not called.
+    policy can return there, so the policy is not called and neither
+    generator is derived.
     """
     if config.scenario is Scenario.ARTS:
         return noise.T.astype(float, order="C"), np.zeros(config.horizon - 1, dtype=int), 0.0
     env = make_env(config.base_env)
     observations, actions, reward_sum = _rollout(
-        env, env.reset(env_rng), policy, policy_rng, config.horizon,
+        env, env.reset(rng_from(seed, "env")), policy, rng_from(seed, "policy"), config.horizon,
         config.scenario, (noise * config.scales()[:, None]).T.tolist(),
     )
     return np.array(observations), np.array(actions, dtype=int), reward_sum
@@ -464,9 +467,7 @@ def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True) 
         t_a = int(rng_from(attempt_seed, "t_a").integers(low, high + 1)) if inject else None
         noise = spliced_matrix(config.noise, t_a, config.num_dimensions, config.horizon,
                                child_seed(attempt_seed, "noise"))
-        observations, actions, reward_sum = _simulate(
-            config, policy, noise, rng_from(attempt_seed, "env"), rng_from(attempt_seed, "policy"),
-        )
+        observations, actions, reward_sum = _simulate(config, policy, noise, attempt_seed)
         length = observations.shape[0]
         episode = Episode(
             observations=observations,

@@ -80,8 +80,19 @@ bit for bit, and a NaN feature value compares false and routes right in both.
   chunk of points together, for a fixed number of levels: the forest's
   deepest leaf depth, at most ceil(log2(psi)) for a fitted forest. A level is
   ``node = kids[2 node + (x[feature[node]] < threshold[node])]``, a few
-  ``np.take`` passes into buffers reused from level to level; a pair that
-  has reached its leaf stays there.
+  ``np.take`` passes into buffers reused from level to level and from chunk
+  to chunk; a pair that has reached its leaf stays there.
+- A batch of at least 2 x ``_THREAD_PAIRS`` pairs is split into contiguous
+  ranges of points, one per CPU the process may run on
+  (``os.sched_getaffinity``) and each of at least ``_THREAD_PAIRS`` pairs.
+  The calling thread walks the first range and one shared pool of worker
+  threads the others; NumPy releases the interpreter lock inside each pass.
+  The caller allocates every thread's buffers, together at most
+  ``_CHUNK_PAIRS`` pairs as for one thread, and each thread writes its
+  points' sums into its own slice of the result, so a worker allocates no
+  array. The pool is made, and ``concurrent.futures`` imported, on the first
+  split batch; a forked child forgets its parent's pool, whose threads it
+  does not have, and makes its own.
 - A batch of at most ``_PYTHON_WALK_PAIRS`` pairs, such as one point of a
   small forest as online monitoring scores it, is walked tree by tree in
   plain Python, which skips the NumPy walk's fixed cost of some eighty calls.
@@ -97,10 +108,14 @@ The per-tree path lengths are summed in tree order from 0.0, one tree at a
 time (``_sum_over_trees``). NumPy's ``sum`` over the tree axis reduces
 pairwise for a batch of one, which rounds differently from the sequential
 sum, so a point would score differently alone than inside a batch, and
-streamed scores would stop matching ``score_stream`` bit for bit.
+streamed scores would stop matching ``score_stream`` bit for bit. Each
+point's sum is formed on its own, so neither chunks nor threads change a
+score: scores do not depend on the number of CPUs.
 """
 
 import math
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -116,10 +131,15 @@ DEFAULT_SUBSAMPLE = 256
 # configs use 8000. It keeps every size c(n) sees within the range over which
 # the series of ``harmonic_number`` is tested against the exact sum.
 MAX_SUBSAMPLE_SIZE = 10**7
-# Most (tree, point) pairs one NumPy scoring walk advances together; its
-# buffers take 33 bytes a pair. README "Forest scoring" gives the timings
-# that chose it.
+# Most (tree, point) pairs the buffers of one NumPy scoring walk hold, over
+# all its threads together; they take 33 bytes a pair. README "Forest
+# scoring" gives the timings that chose it.
 _CHUNK_PAIRS = 1 << 16
+# Fewest (tree, point) pairs a thread of a split batch walks, so that only
+# batches of at least twice as many are split. Two threads scored a batch
+# slower than one below about 10k pairs and faster from 16k on; README
+# "Forest scoring" gives the timings.
+_THREAD_PAIRS = 1 << 14
 # Most (tree, point) pairs a batch may hold to be walked in plain Python.
 # Below the pair count at which the two walks cost the same, the NumPy walk's
 # fixed cost outweighs the plain-Python walk's cost per pair. The bound stays
@@ -601,46 +621,107 @@ def _walk_one(trees: tuple, point: list) -> float:
     return total
 
 
-def _walk_many(model: IsolationForestModel, pts: np.ndarray) -> np.ndarray:
-    """The path-length sums of a batch, all (tree, point) pairs advanced
-    together one level at a time."""
-    # First use derives the path lengths and levels; before the buffers, so
-    # that its temporaries never coexist with them.
+def _walk_buffers(pairs: int) -> tuple:
+    """One thread's walk buffers for ``pairs`` (tree, point) pairs: node,
+    feature, at, value, threshold and go_left, 33 bytes a pair."""
+    return (np.empty(pairs, dtype=np.int32), np.empty(pairs, dtype=np.int32),
+            np.empty(pairs, dtype=np.intp), np.empty(pairs), np.empty(pairs),
+            np.empty(pairs, dtype=bool))
+
+
+def _walk_range(model: IsolationForestModel, flat: np.ndarray, row_start: np.ndarray,
+                points: range, buffers: tuple, total: np.ndarray) -> None:
+    """Writes the path-length sums of ``points`` into ``total``, advancing
+    every (tree, point) pair of a chunk together one level at a time. Each
+    chunk fills a prefix of ``buffers`` and allocates no array, so a range
+    walked on a worker thread only reads the model and writes its own
+    buffers and its own slice of ``total``."""
+    num_trees = len(model.roots)
+    step = len(buffers[0]) // num_trees
     path_lengths = model.path_length_table()
-    num_points, num_features = pts.shape
-    flat = np.ascontiguousarray(pts).ravel()
-    row_start = np.arange(0, num_points * num_features, num_features)
-    node = np.repeat(model.roots[:, None], num_points, axis=1)
-    feature = np.empty(node.shape, dtype=np.int32)
-    at = np.empty(node.shape, dtype=np.intp)
-    value, threshold = np.empty(node.shape), np.empty(node.shape)
-    go_left = np.empty(node.shape, dtype=bool)
-    # Every index is in range (``_pack`` checked the children), so "clip"
-    # never clips; unlike the default "raise", it lets ``take`` write into
-    # ``out`` directly instead of through a buffer.
-    for _ in range(model.levels):
-        np.take(model.feature, node, out=feature, mode="clip")
-        np.add(feature, row_start, out=at)
-        np.take(flat, at, out=value, mode="clip")
-        np.take(model.threshold, node, out=threshold, mode="clip")
-        np.less(value, threshold, out=go_left)
-        np.add(node, node, out=at)
-        at += go_left
-        np.take(model.kids, at, out=node, mode="clip")
-    return _sum_over_trees(np.take(path_lengths, node, out=value, mode="clip"))
+    for start in range(points.start, points.stop, step):
+        stop = min(start + step, points.stop)
+        shape = (num_trees, stop - start)
+        node, feature, at, value, threshold, go_left = (
+            b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
+        node[...] = model.roots[:, None]
+        rows = row_start[start:stop]
+        # Every index is in range (``_pack`` checked the children), so "clip"
+        # never clips; unlike the default "raise", it lets ``take`` write into
+        # ``out`` directly instead of through a buffer.
+        for _ in range(model.levels):
+            np.take(model.feature, node, out=feature, mode="clip")
+            np.add(feature, rows, out=at)
+            np.take(flat, at, out=value, mode="clip")
+            np.take(model.threshold, node, out=threshold, mode="clip")
+            np.less(value, threshold, out=go_left)
+            np.add(node, node, out=at)
+            at += go_left
+            np.take(model.kids, at, out=node, mode="clip")
+        _sum_over_trees(np.take(path_lengths, node, out=value, mode="clip"), total[start:stop])
 
 
-def _sum_over_trees(path_lengths: np.ndarray) -> np.ndarray:
-    """Each column's sum of a (trees, points) array, in tree order from 0.0.
-    Reducing a C-contiguous array over its first axis adds row after row, so
-    ``np.add.reduce`` keeps that order for two or more points; over a single
-    column it would sum pairwise, so one point is summed in plain Python."""
+def _sum_over_trees(path_lengths: np.ndarray, out: np.ndarray) -> None:
+    """Writes each column's sum of a (trees, points) array into ``out``, in
+    tree order from 0.0. Reducing a C-contiguous array over its first axis
+    adds row after row, so ``np.add.reduce`` keeps that order for two or
+    more points; over a single column it would sum pairwise, so one point is
+    summed in plain Python."""
     if path_lengths.shape[1] >= 2:
-        return np.add.reduce(path_lengths, axis=0)
+        np.add.reduce(path_lengths, axis=0, out=out)
+        return
     total = 0.0
     for h in path_lengths.ravel().tolist():
         total += h
-    return np.full(path_lengths.shape[1], total)
+    out[:] = total
+
+
+# Threads a large batch is split across; None means one per CPU the process
+# may run on (``set_scoring_threads``).
+_threads = None
+# The worker threads of split batches: created on the first one, shared by
+# every later one, and forgotten in a forked child, which has none of them.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def set_scoring_threads(count: int | None) -> None:
+    """Split large batches across ``count`` threads from now on in this
+    process; None, the default, means one per CPU the process may run on.
+    Scores do not depend on it."""
+    global _threads
+    _threads = count
+
+
+def _scoring_threads() -> int:
+    if _threads is not None:
+        return _threads
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_pool(threads: int):
+    """The shared pool, created on first use with ``threads - 1`` workers; a
+    later batch that asks for more threads queues its extra ranges."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # Imported here: a process that never splits a batch, such as
+            # the CLI scoring small forests, does not load it.
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max_workers=threads - 1, thread_name_prefix="dexter-score")
+        return _pool
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a platform without fork has no child to reset
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def score_batch(model: IsolationForestModel, points) -> np.ndarray:
@@ -650,19 +731,37 @@ def score_batch(model: IsolationForestModel, points) -> np.ndarray:
         raise IncompatibleModelError(
             f"point dimension {pts.shape[1]} != model feature count {model.feature_count}"
         )
+    num_points, num_features = pts.shape
     num_trees = len(model.roots)
     denom = model.normalizer_c if model.normalizer_c > 0 else 1.0
-    if pts.shape[0] * num_trees <= _PYTHON_WALK_PAIRS:
+    if num_points * num_trees <= _PYTHON_WALK_PAIRS:
         trees = model.nested_trees()
         # np.power, as for the NumPy walk's scores, not **: NumPy's SIMD
         # power need not round like the C library's pow.
         return np.power(2.0, [-(_walk_one(trees, point) / num_trees) / denom
                               for point in pts.tolist()])
-    # The walk holds a few arrays of trees x points; large batches go in
-    # chunks so that memory stays bounded. Chunking cannot change a score,
-    # because each point's sum is formed independently.
-    total = np.empty(pts.shape[0])
-    step = max(1, _CHUNK_PAIRS // num_trees)
-    for start in range(0, pts.shape[0], step):
-        total[start:start + step] = _walk_many(model, pts[start:start + step])
+    # First use derives the path lengths and levels; before any buffer or
+    # thread, so that its temporaries never coexist with the buffers and no
+    # two threads derive them.
+    model.path_length_table()
+    # Each point's sum is formed on its own, so neither the split into
+    # ranges nor the chunks within a range can change a score. Each range
+    # holds at least _THREAD_PAIRS pairs, and the buffer sets together hold
+    # at most _CHUNK_PAIRS.
+    threads = _scoring_threads()
+    parts = max(1, min(threads, num_points // -(-_THREAD_PAIRS // num_trees)))
+    bounds = [num_points * i // parts for i in range(parts + 1)]
+    step = min(max(1, _CHUNK_PAIRS // parts // num_trees), -(-num_points // parts))
+    flat = np.ascontiguousarray(pts).ravel()
+    row_start = np.arange(0, num_points * num_features, num_features)
+    total = np.empty(num_points)
+    work = [(model, flat, row_start, range(lo, hi), _walk_buffers(step * num_trees), total)
+            for lo, hi in zip(bounds, bounds[1:])]
+    futures = []
+    if parts > 1:
+        pool = _worker_pool(threads)
+        futures = [pool.submit(_walk_range, *args) for args in work[1:]]
+    _walk_range(*work[0])
+    for future in futures:
+        future.result()
     return np.power(2.0, -(total / num_trees) / denom)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dexter import persistence
+from dexter import isolation_forest, persistence
 from dexter.ar_noise import ARProcessSpec
 from dexter.cli import main
 from dexter.environments import ScenarioConfig
@@ -552,7 +552,14 @@ def test_bench_matrix_cache_and_determinism(workspace):
         assert read_file(path) == read_file(out2 / "cells" / path.name)
 
 
-def test_bench_parallel_jobs_match_serial(workspace):
+def test_bench_parallel_jobs_match_serial(workspace, monkeypatch):
+    """Also when this process has split a scoring batch across threads
+    before ``bench`` forks its workers, which have none of those threads."""
+    monkeypatch.setattr(isolation_forest, "_threads", 2)
+    rng = np.random.default_rng(0)
+    model = isolation_forest.fit(rng.normal(size=(200, 2)), num_trees=300, subsample=64, seed=0)
+    isolation_forest.score_batch(model, rng.normal(size=(120, 2)))
+    assert isolation_forest._pool is not None
     tmp, cfg = workspace
     out1, out2 = tmp / "serial", tmp / "parallel"
     assert main(["bench", "--config", str(cfg), "--out", str(out1)]) == 0

@@ -5,6 +5,7 @@ missing."""
 
 import ast
 import os
+import subprocess
 import sys
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "dexter")
@@ -39,3 +40,15 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
         if extra:
             outside[name] = sorted(extra)
     assert outside == {}
+
+
+def test_importing_the_cli_loads_no_pool_machinery():
+    """``concurrent.futures`` is imported where a pool is first made (a
+    split scoring batch, ``bench --jobs``), so starting the CLI does not pay
+    for it."""
+    src = os.path.dirname(os.path.abspath(SRC))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, dexter.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

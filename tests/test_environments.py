@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simulation_oracle as oracle
+from dexter import environments
 from dexter.ar_noise import ARProcessSpec, CorrelationMode
 from dexter.environments import (
     AcrobotEnv,
@@ -96,20 +97,24 @@ def noise_config(scenario, base_env=BaseEnv.CARTPOLE, horizon=60, scales=None):
     )
 
 
-def simulate_recorded(config, policy, noise, env_rng, policy_rng):
+def simulate_recorded(config, policy, noise, seed):
     """``_simulate``'s (observations, actions, reward sum) and the hidden
     states of the roll-out."""
     with recording() as runs:
-        observations, actions, reward_sum = _simulate(config, policy, noise, env_rng, policy_rng)
+        observations, actions, reward_sum = _simulate(config, policy, noise, seed)
     return observations, actions, reward_sum, hidden_states(config, runs, len(observations))
+
+
+def oracle_simulate(config, policy, noise, seed):
+    """The oracle's roll-out on the generators ``_simulate`` derives from
+    ``seed``."""
+    return oracle.simulate(config, policy, noise, rng_from(seed, "env"), rng_from(seed, "policy"))
 
 
 def simulate(config, noise, policy=None, seed=0):
     """(observations, actions, reward sum, hidden states) of one roll-out on
     the given noise matrix."""
-    return simulate_recorded(
-        config, policy or alternating_policy(), noise, rng_from(seed, "env"), rng_from(seed, "policy"),
-    )
+    return simulate_recorded(config, policy or alternating_policy(), noise, seed)
 
 
 def replay(env, start, actions):
@@ -226,7 +231,7 @@ def never_called(observation, rng):
     raise AssertionError("the policy was called")
 
 
-def test_arts_step_direct_lookup():
+def test_arts_step_direct_lookup(monkeypatch):
     # The ARTS observation at step t is the noise row's entry t, unscaled,
     # and no policy is asked for the constant environment's one action.
     values = np.random.default_rng(3).normal(size=(1, 30))
@@ -236,6 +241,13 @@ def test_arts_step_direct_lookup():
     assert not np.shares_memory(obs, values)
     assert np.array_equal(hidden, np.zeros((30, 1)))
     assert reward_sum == 0.0 and np.array_equal(actions, np.zeros(29, dtype=int))
+    # An ARTS episode derives only its injection time's generator, none for
+    # the environment or the policy.
+    derived = []
+    monkeypatch.setattr(environments, "rng_from",
+                        lambda seed, *path: derived.append(path) or rng_from(seed, *path))
+    run_episode(cfg, never_called, seed=3)
+    assert derived == [("t_a",)]
 
 
 def test_arts_episode_observations_carry_the_configured_correlation():
@@ -689,13 +701,12 @@ def test_divergence_raises_at_the_oracle_step(scenario, dim, bad, step, seed):
         policy, seen = watched(builtin_policy(BaseEnv.CARTPOLE, PolicyKind.HEURISTIC), 4, given)
         try:
             with np.errstate(all="ignore"):
-                result = simulate_fn(cfg, policy, values, rng_from(seed, "env"),
-                                     rng_from(seed, "policy"))
+                result = simulate_fn(cfg, policy, values, seed)
         except SimulationDivergedError:
             return "diverged", len(seen), None
         return "finished", len(seen), result
 
-    got, want = outcome(simulate_recorded, list), outcome(oracle.simulate, np.ndarray)
+    got, want = outcome(simulate_recorded, list), outcome(oracle_simulate, np.ndarray)
     assert got[:2] == want[:2]
     if want[2] is not None:
         for a, b in zip(got[2], want[2]):

@@ -488,10 +488,13 @@ def forests_and_queries(draw):
 BOTH_WALKS = (0, 1 << 62)
 
 
-def walk_scores(model, queries, python_walk_pairs, chunk_pairs=isolation_forest._CHUNK_PAIRS):
+def walk_scores(model, queries, python_walk_pairs, chunk_pairs=isolation_forest._CHUNK_PAIRS,
+                threads=1, thread_pairs=isolation_forest._THREAD_PAIRS):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(isolation_forest, "_PYTHON_WALK_PAIRS", python_walk_pairs)
         patch.setattr(isolation_forest, "_CHUNK_PAIRS", chunk_pairs)
+        patch.setattr(isolation_forest, "_threads", threads)
+        patch.setattr(isolation_forest, "_THREAD_PAIRS", thread_pairs)
         return score_batch(model, queries)
 
 
@@ -543,10 +546,70 @@ def test_both_walks_match_the_reference_on_renumbered_forests(case, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(forests_and_queries(), st.integers(1, 200))
-def test_numpy_walk_across_chunk_boundaries_matches_the_reference(case, chunk_pairs):
+@given(forests_and_queries(), st.integers(1, 200), st.sampled_from([1, 2, 3]), st.integers(1, 100))
+def test_numpy_walk_across_chunk_boundaries_matches_the_reference(case, chunk_pairs, threads,
+                                                                  thread_pairs):
+    """Any chunk size, thread count and least range size, so that ranges
+    of one point and ranges ending in a one-point chunk occur, on the
+    fitted forest and on its loaded form, whose columns are read-only."""
     model, queries = case
-    assert np.array_equal(walk_scores(model, queries, 0, chunk_pairs), reference_scores(model, queries))
+    want = reference_scores(model, queries)
+    loaded = IsolationForestModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
+    for forest in (model, loaded):
+        assert np.array_equal(walk_scores(forest, queries, 0, chunk_pairs, threads, thread_pairs), want)
+
+
+def test_scores_do_not_depend_on_the_thread_count():
+    """A 300-tree forest, at batch sizes on both sides of the smallest split
+    batches (at least 2^14 pairs a thread: 110 points on two threads, 165 on
+    three) and of the chunk bounds (218 points a chunk on one thread, 109 on
+    two, 72 on three; 219 and 220 points end ranges in one-point chunks),
+    with NaN features, on the fitted forest and on its loaded form."""
+    rng = np.random.default_rng(21)
+    model = fit(rng.normal(size=(1000, 4)), num_trees=300, subsample=1000, seed=2)
+    loaded = IsolationForestModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
+    assert not loaded.threshold.flags.writeable
+    for num_points in (109, 110, 164, 165, 218, 219, 220, 437):
+        queries = rng.normal(size=(num_points, 4))
+        queries[::7, rng.integers(4)] = np.nan
+        want = walk_scores(model, queries, 1 << 62)
+        for threads in (1, 2, 3):
+            for forest in (model, loaded):
+                got = walk_scores(forest, queries, 0, threads=threads)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (num_points, threads)
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    """Four threads split batches at once, with the interpreter switching
+    threads every microsecond: each gets its own batch's scores, however
+    their ranges interleave on the shared pool."""
+    import threading
+
+    monkeypatch.setattr(isolation_forest, "_threads", 3)
+    monkeypatch.setattr(isolation_forest, "_pool", None)
+    rng = np.random.default_rng(22)
+    model = fit(rng.normal(size=(500, 3)), num_trees=300, subsample=256, seed=5)
+    batches = [rng.normal(size=(170 + 7 * i, 3)) for i in range(4)]
+    want = [walk_scores(model, batch, 0) for batch in batches]
+    got = [[] for _ in batches]
+
+    def score(i):
+        for _ in range(5):
+            got[i].append(score_batch(model, batches[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=score, args=(i,)) for i in range(len(batches))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for scores, expected in zip(got, want):
+        assert len(scores) == 5 and all(np.array_equal(s, expected) for s in scores)
 
 
 def test_both_walks_score_forests_without_levels():
@@ -677,8 +740,9 @@ def test_tree_sums_add_in_tree_order(num_trees, num_points, seed):
     want = np.zeros(num_points)
     for row in path_lengths:
         want += row
-    got = isolation_forest._sum_over_trees(path_lengths)
-    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+    got = np.full(num_points, np.nan)
+    isolation_forest._sum_over_trees(path_lengths, got)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_batch_split_into_chunks_scores_the_same(monkeypatch):
@@ -830,3 +894,46 @@ def test_saving_a_forest_holds_its_text_once(tmp_path):
     trained, path = Trained(bench_size_forest()), tmp_path / "model.json"
     _, peak = traced_peak(lambda: persistence.save_model(str(path), trained, "hash"))
     assert peak < 2 * path.stat().st_size
+
+
+def test_a_split_batch_holds_the_buffers_of_one_serial_walk(monkeypatch):
+    """The caller allocates every thread's walk buffers, which together hold
+    at most ``_CHUNK_PAIRS`` pairs, so splitting a batch of 300 trees across
+    two threads adds at most 10% to the serial walk's peak: an ARTS episode
+    of 191 points, and 873 points, which the serial walk takes in chunks."""
+    model = bench_size_forest()
+    for num_points in (191, 873):
+        queries = np.random.default_rng(5).normal(size=(num_points, 21))
+        peaks = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(isolation_forest, "_threads", threads)
+            want = score_batch(model, queries)  # derives the path lengths, starts the pool
+            got, peaks[threads] = traced_peak(lambda: score_batch(model, queries))
+            assert np.array_equal(got, want)
+        assert peaks[2] <= 1.1 * peaks[1], num_points
+
+
+def test_a_forked_child_scores_a_split_batch_as_its_parent(monkeypatch):
+    """A forked child has none of its parent's pool threads; its first split
+    batch must not wait on them, and scores as the parent's does."""
+    import multiprocessing
+
+    monkeypatch.setattr(isolation_forest, "_threads", 2)
+    rng = np.random.default_rng(6)
+    model = fit(rng.normal(size=(500, 3)), num_trees=300, subsample=256, seed=4)
+    queries = rng.normal(size=(200, 3))
+    want = score_batch(model, queries)
+    assert isolation_forest._pool is not None
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=lambda: send.send(score_batch(model, queries).tobytes()))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child's split batch did not finish"
+        assert receive.recv() == want.tobytes()
+        child.join(timeout=30)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
