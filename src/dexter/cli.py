@@ -20,7 +20,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import fields
 
-from . import evaluation, isolation_forest, persistence
+from . import evaluation, persistence
 from .errors import ConfigError, DataError, DexterError, IncompatibleModelError, UndefinedMetricError
 from .seeding import child_seed
 from .ts_features import catalogue_hash
@@ -240,10 +240,7 @@ def cmd_bench(args) -> int:
         # Imported here: the pool machinery adds about 1.6 MB of resident
         # memory to every start of the CLI, and one worker never uses it.
         from concurrent.futures import ProcessPoolExecutor
-    # The worker processes already fill the CPUs, so each scores its forests
-    # on one thread.
-    with (ProcessPoolExecutor(max_workers=workers, initializer=isolation_forest.set_scoring_threads,
-                              initargs=(1,)) if parallel else nullcontext()) as pool:
+    with (ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext()) as pool:
         outcomes = (pool.map if parallel else map)(_bench_mode, modes)
         for job, job_outcomes in zip(modes, outcomes):
             for detector_kind, (result, error) in zip(job["detectors"], job_outcomes):

@@ -83,16 +83,15 @@ bit for bit, and a NaN feature value compares false and routes right in both.
   ``np.take`` passes into buffers reused from level to level and from chunk
   to chunk; a pair that has reached its leaf stays there.
 - A batch of at least 2 x ``_THREAD_PAIRS`` pairs is split into contiguous
-  ranges of points, one per CPU the process may run on
-  (``os.sched_getaffinity``) and each of at least ``_THREAD_PAIRS`` pairs.
-  The calling thread walks the first range and one shared pool of worker
-  threads the others; NumPy releases the interpreter lock inside each pass.
-  The caller allocates every thread's buffers, together at most
-  ``_CHUNK_PAIRS`` pairs as for one thread, and each thread writes its
-  points' sums into its own slice of the result, so a worker allocates no
-  array. The pool is made, and ``concurrent.futures`` imported, on the first
-  split batch; a forked child forgets its parent's pool, whose threads it
-  does not have, and makes its own.
+  ranges of points, at most one per CPU the process may run on
+  (``os.sched_getaffinity``), each of at least ``_THREAD_PAIRS`` pairs and
+  with chunks of at least as many. The calling thread walks the first range
+  and one thread started for the call each of the others; NumPy releases
+  the interpreter lock inside each pass. The caller allocates every
+  thread's buffers, together at most ``_CHUNK_PAIRS`` pairs as for one
+  thread, and each thread writes its points' sums into its own slice of the
+  result, so no other thread allocates an array. No thread outlives the
+  call, so a forked child inherits none.
 - A batch of at most ``_PYTHON_WALK_PAIRS`` pairs, such as one point of a
   small forest as online monitoring scores it, is walked tree by tree in
   plain Python, which skips the NumPy walk's fixed cost of some eighty calls.
@@ -135,8 +134,9 @@ MAX_SUBSAMPLE_SIZE = 10**7
 # all its threads together; they take 33 bytes a pair. README "Forest
 # scoring" gives the timings that chose it.
 _CHUNK_PAIRS = 1 << 16
-# Fewest (tree, point) pairs a thread of a split batch walks, so that only
-# batches of at least twice as many are split. Two threads scored a batch
+# Fewest (tree, point) pairs a thread of a split batch walks and its buffers
+# hold, so that only batches of at least twice as many are split and at most
+# _CHUNK_PAIRS // _THREAD_PAIRS threads walk one. Two threads scored a batch
 # slower than one below about 10k pairs and faster from 16k on; README
 # "Forest scoring" gives the timings.
 _THREAD_PAIRS = 1 << 14
@@ -621,31 +621,34 @@ def _walk_one(trees: tuple, point: list) -> float:
     return total
 
 
-def _walk_buffers(pairs: int) -> tuple:
-    """One thread's walk buffers for ``pairs`` (tree, point) pairs: node,
-    feature, at, value, threshold and go_left, 33 bytes a pair."""
-    return (np.empty(pairs, dtype=np.int32), np.empty(pairs, dtype=np.int32),
-            np.empty(pairs, dtype=np.intp), np.empty(pairs), np.empty(pairs),
-            np.empty(pairs, dtype=bool))
+def _walk_buffers(num_trees: int, width: int) -> tuple:
+    """One thread's walk buffers for chunks of ``width`` points: node,
+    feature, at, value, threshold and go_left, each (num_trees, width), 33
+    bytes a pair."""
+    shape = (num_trees, width)
+    return (np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.int32),
+            np.empty(shape, dtype=np.intp), np.empty(shape), np.empty(shape),
+            np.empty(shape, dtype=bool))
 
 
 def _walk_range(model: IsolationForestModel, flat: np.ndarray, row_start: np.ndarray,
-                points: range, buffers: tuple, total: np.ndarray) -> None:
-    """Writes the path-length sums of ``points`` into ``total``, advancing
-    every (tree, point) pair of a chunk together one level at a time. Each
-    chunk fills a prefix of ``buffers`` and allocates no array, so a range
-    walked on a worker thread only reads the model and writes its own
+                start: int, stop: int, buffers: tuple, total: np.ndarray) -> None:
+    """Writes the path-length sums of points ``start`` to ``stop`` into
+    ``total``, advancing every (tree, point) pair of a chunk together one
+    level at a time. The chunks reuse ``buffers`` and allocate no array, so
+    a range walked on another thread only reads the model and writes its own
     buffers and its own slice of ``total``."""
-    num_trees = len(model.roots)
-    step = len(buffers[0]) // num_trees
     path_lengths = model.path_length_table()
-    for start in range(points.start, points.stop, step):
-        stop = min(start + step, points.stop)
-        shape = (num_trees, stop - start)
-        node, feature, at, value, threshold, go_left = (
-            b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
+    node, feature, at, value, threshold, go_left = buffers
+    num_trees, width = node.shape
+    for lo in range(start, stop, width):
+        hi = min(lo + width, stop)
+        if hi - lo < width:  # the last chunk: a C-contiguous prefix of each buffer
+            shape = (num_trees, hi - lo)
+            node, feature, at, value, threshold, go_left = (
+                b.reshape(-1)[:shape[0] * shape[1]].reshape(shape) for b in buffers)
         node[...] = model.roots[:, None]
-        rows = row_start[start:stop]
+        rows = row_start[lo:hi]
         # Every index is in range (``_pack`` checked the children), so "clip"
         # never clips; unlike the default "raise", it lets ``take`` write into
         # ``out`` directly instead of through a buffer.
@@ -658,7 +661,7 @@ def _walk_range(model: IsolationForestModel, flat: np.ndarray, row_start: np.nda
             np.add(node, node, out=at)
             at += go_left
             np.take(model.kids, at, out=node, mode="clip")
-        _sum_over_trees(np.take(path_lengths, node, out=value, mode="clip"), total[start:stop])
+        _sum_over_trees(np.take(path_lengths, node, out=value, mode="clip"), total[lo:hi])
 
 
 def _sum_over_trees(path_lengths: np.ndarray, out: np.ndarray) -> None:
@@ -676,52 +679,52 @@ def _sum_over_trees(path_lengths: np.ndarray, out: np.ndarray) -> None:
     out[:] = total
 
 
-# Threads a large batch is split across; None means one per CPU the process
-# may run on (``set_scoring_threads``).
+# Threads a large batch may be split across; None means one per CPU the
+# process may run on. Tests set it; scores do not depend on it.
 _threads = None
-# The worker threads of split batches: created on the first one, shared by
-# every later one, and forgotten in a forked child, which has none of them.
-_pool = None
-_pool_lock = threading.Lock()
 
 
-def set_scoring_threads(count: int | None) -> None:
-    """Split large batches across ``count`` threads from now on in this
-    process; None, the default, means one per CPU the process may run on.
-    Scores do not depend on it."""
-    global _threads
-    _threads = count
+def _split_parts(num_points: int, num_trees: int) -> int:
+    """How many threads walk a batch: at most one per CPU the process may
+    run on, with at least ``_THREAD_PAIRS`` pairs each, both in its range and
+    in its chunk of the ``_CHUNK_PAIRS`` the buffers hold together."""
+    if num_points * num_trees < 2 * _THREAD_PAIRS:
+        return 1  # never split, so the CPU count is not asked for
+    threads = _threads
+    if threads is None:
+        try:
+            threads = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity on this platform
+            threads = os.cpu_count() or 1
+    return max(1, min(threads, _CHUNK_PAIRS // _THREAD_PAIRS,
+                      num_points // -(-_THREAD_PAIRS // num_trees)))
 
 
-def _scoring_threads() -> int:
-    if _threads is not None:
-        return _threads
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
+def _walk_split(model: IsolationForestModel, flat: np.ndarray, row_start: np.ndarray,
+                parts: int, total: np.ndarray) -> None:
+    """Walks a batch as ``parts`` contiguous ranges of points, the calling
+    thread the first and one new thread each of the others, with buffer sets
+    that together hold at most ``_CHUNK_PAIRS`` pairs."""
+    num_points, num_trees = len(total), len(model.roots)
+    bounds = [num_points * i // parts for i in range(parts + 1)]
+    width = min(max(1, _CHUNK_PAIRS // parts // num_trees), -(-num_points // parts))
+    ranges = [(lo, hi, _walk_buffers(num_trees, width)) for lo, hi in zip(bounds, bounds[1:])]
+    errors = []
 
+    def walk(lo, hi, buffers):
+        try:
+            _walk_range(model, flat, row_start, lo, hi, buffers, total)
+        except BaseException as error:  # raised in the caller once every range has stopped
+            errors.append(error)
 
-def _worker_pool(threads: int):
-    """The shared pool, created on first use with ``threads - 1`` workers; a
-    later batch that asks for more threads queues its extra ranges."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # Imported here: a process that never splits a batch, such as
-            # the CLI scoring small forests, does not load it.
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(max_workers=threads - 1, thread_name_prefix="dexter-score")
-        return _pool
-
-
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # a platform without fork has no child to reset
-    os.register_at_fork(after_in_child=_forget_pool)
+    workers = [threading.Thread(target=walk, args=args) for args in ranges[1:]]
+    for worker in workers:
+        worker.start()
+    walk(*ranges[0])
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
 
 
 def score_batch(model: IsolationForestModel, points) -> np.ndarray:
@@ -745,23 +748,14 @@ def score_batch(model: IsolationForestModel, points) -> np.ndarray:
     # two threads derive them.
     model.path_length_table()
     # Each point's sum is formed on its own, so neither the split into
-    # ranges nor the chunks within a range can change a score. Each range
-    # holds at least _THREAD_PAIRS pairs, and the buffer sets together hold
-    # at most _CHUNK_PAIRS.
-    threads = _scoring_threads()
-    parts = max(1, min(threads, num_points // -(-_THREAD_PAIRS // num_trees)))
-    bounds = [num_points * i // parts for i in range(parts + 1)]
-    step = min(max(1, _CHUNK_PAIRS // parts // num_trees), -(-num_points // parts))
+    # ranges nor the chunks within a range can change a score.
     flat = np.ascontiguousarray(pts).ravel()
     row_start = np.arange(0, num_points * num_features, num_features)
     total = np.empty(num_points)
-    work = [(model, flat, row_start, range(lo, hi), _walk_buffers(step * num_trees), total)
-            for lo, hi in zip(bounds, bounds[1:])]
-    futures = []
-    if parts > 1:
-        pool = _worker_pool(threads)
-        futures = [pool.submit(_walk_range, *args) for args in work[1:]]
-    _walk_range(*work[0])
-    for future in futures:
-        future.result()
+    parts = _split_parts(num_points, num_trees)
+    if parts == 1:
+        width = min(max(1, _CHUNK_PAIRS // num_trees), num_points)
+        _walk_range(model, flat, row_start, 0, num_points, _walk_buffers(num_trees, width), total)
+    else:
+        _walk_split(model, flat, row_start, parts, total)
     return np.power(2.0, -(total / num_trees) / denom)

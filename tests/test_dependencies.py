@@ -43,9 +43,8 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
 
 
 def test_importing_the_cli_loads_no_pool_machinery():
-    """``concurrent.futures`` is imported where a pool is first made (a
-    split scoring batch, ``bench --jobs``), so starting the CLI does not pay
-    for it."""
+    """``concurrent.futures`` is imported where ``bench --jobs`` makes its
+    pool, so starting the CLI does not pay for it."""
     src = os.path.dirname(os.path.abspath(SRC))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, dexter.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"

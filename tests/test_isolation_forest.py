@@ -579,14 +579,13 @@ def test_scores_do_not_depend_on_the_thread_count():
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (num_points, threads)
 
 
-def test_concurrent_callers_share_the_pool(monkeypatch):
+def test_concurrent_callers_each_get_their_own_scores(monkeypatch):
     """Four threads split batches at once, with the interpreter switching
     threads every microsecond: each gets its own batch's scores, however
-    their ranges interleave on the shared pool."""
+    their ranges' threads interleave."""
     import threading
 
     monkeypatch.setattr(isolation_forest, "_threads", 3)
-    monkeypatch.setattr(isolation_forest, "_pool", None)
     rng = np.random.default_rng(22)
     model = fit(rng.normal(size=(500, 3)), num_trees=300, subsample=256, seed=5)
     batches = [rng.normal(size=(170 + 7 * i, 3)) for i in range(4)]
@@ -610,6 +609,31 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
     assert not any(caller.is_alive() for caller in callers)
     for scores, expected in zip(got, want):
         assert len(scores) == 5 and all(np.array_equal(s, expected) for s in scores)
+
+
+@pytest.mark.parametrize("num_trees, num_points", [(300, 109), (300, 191), (300, 873), (25, 4000)])
+@pytest.mark.parametrize("threads", [1, 2, 8, 32])
+def test_walk_buffers_hold_at_least_thread_pairs_a_thread(monkeypatch, threads, num_trees, num_points):
+    """However many CPUs, a batch gets at most one buffer set per thread,
+    each of at least ``_THREAD_PAIRS`` pairs (to within a point) and together
+    at most ``_CHUNK_PAIRS``; a batch that fits in one chunk gets one set
+    shaped (trees, points), which its one chunk fills."""
+    monkeypatch.setattr(isolation_forest, "_threads", threads)
+    model = fit(np.random.default_rng(7).normal(size=(300, 2)), num_trees=num_trees, subsample=64, seed=1)
+    queries = np.random.default_rng(8).normal(size=(num_points, 2))
+    shapes = []
+    make = isolation_forest._walk_buffers
+    monkeypatch.setattr(isolation_forest, "_walk_buffers",
+                        lambda *shape: shapes.append(shape) or make(*shape))
+    got = score_batch(model, queries)
+    assert np.array_equal(got, walk_scores(model, queries, 1 << 62))
+    pairs = [trees * width for trees, width in shapes]
+    assert 1 <= len(shapes) <= min(threads, isolation_forest._CHUNK_PAIRS // isolation_forest._THREAD_PAIRS)
+    assert sum(pairs) <= isolation_forest._CHUNK_PAIRS
+    if len(shapes) > 1:
+        assert min(pairs) > isolation_forest._THREAD_PAIRS - num_trees
+    elif num_points * num_trees <= isolation_forest._CHUNK_PAIRS:
+        assert shapes == [(num_trees, num_points)]
 
 
 def test_both_walks_score_forests_without_levels():
@@ -907,33 +931,7 @@ def test_a_split_batch_holds_the_buffers_of_one_serial_walk(monkeypatch):
         peaks = {}
         for threads in (1, 2):
             monkeypatch.setattr(isolation_forest, "_threads", threads)
-            want = score_batch(model, queries)  # derives the path lengths, starts the pool
+            want = score_batch(model, queries)  # derives the path lengths
             got, peaks[threads] = traced_peak(lambda: score_batch(model, queries))
             assert np.array_equal(got, want)
         assert peaks[2] <= 1.1 * peaks[1], num_points
-
-
-def test_a_forked_child_scores_a_split_batch_as_its_parent(monkeypatch):
-    """A forked child has none of its parent's pool threads; its first split
-    batch must not wait on them, and scores as the parent's does."""
-    import multiprocessing
-
-    monkeypatch.setattr(isolation_forest, "_threads", 2)
-    rng = np.random.default_rng(6)
-    model = fit(rng.normal(size=(500, 3)), num_trees=300, subsample=256, seed=4)
-    queries = rng.normal(size=(200, 3))
-    want = score_batch(model, queries)
-    assert isolation_forest._pool is not None
-    context = multiprocessing.get_context("fork")
-    receive, send = context.Pipe(duplex=False)
-    child = context.Process(target=lambda: send.send(score_batch(model, queries).tobytes()))
-    child.start()
-    try:
-        assert receive.poll(60), "the forked child's split batch did not finish"
-        assert receive.recv() == want.tobytes()
-        child.join(timeout=30)
-        assert child.exitcode == 0
-    finally:
-        if child.is_alive():
-            child.kill()
-            child.join(timeout=10)
