@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cusum import (
-    CusumDetector, calibrate_from_streams, calibrate_split_half, clamped_step, first_alert_step,
-    first_crossing,
+    CusumDetector, calibrate_from_streams, calibrate_split_half, check_calibrated, clamped_step,
+    first_alert_step, first_crossing,
 )
 from .errors import ConfigError, DataError, IncompatibleModelError, read_field
 from .seeding import rng_from
@@ -241,6 +241,7 @@ class MeanShiftDetector:
             raise IncompatibleModelError(f"{owner} reference_mean and reference_std differ in shape")
         if not (model.reference_std > 0).all():
             raise IncompatibleModelError(f"{owner} reference_std must be positive")
+        check_calibrated(owner, "threshold", model.threshold, model.target_fpr)
         return model
 
 

@@ -50,43 +50,33 @@ def cmd_generate(args) -> int:
     banks = evaluation.generate_banks(scenario_cfg, policy, config.counts(), config.master_seed)
 
     os.makedirs(args.out, exist_ok=True)
-    file_map = {key: f"{key}.jsonl" for key in DATASET_FILES.values()}
     for bank, key in DATASET_FILES.items():
-        persistence.save_episodes(os.path.join(args.out, file_map[key]), banks[bank])
-    episode_counts = {key: len(banks[bank]) for bank, key in DATASET_FILES.items()}
-
-    persistence.save_dataset_manifest(
-        os.path.join(args.out, MANIFEST_NAME), resolved,
-        files={"paths": file_map, "episode_counts": episode_counts},
-    )
-    print(f"wrote dataset ({sum(episode_counts.values())} episodes) to {args.out}")
+        persistence.save_episodes(os.path.join(args.out, f"{key}.jsonl"), banks[bank])
+    persistence.save_dataset_manifest(os.path.join(args.out, MANIFEST_NAME), resolved)
+    print(f"wrote dataset ({sum(map(len, banks.values()))} episodes) to {args.out}")
     return 0
 
 
 def _load_dataset(dataset_dir: str, names: tuple):
-    """The dataset's manifest and the banks ``names``, keyed by bank name.
-    The manifest must list all four banks; only the named ones are read."""
+    """The dataset's manifest, its parsed config and the banks ``names``
+    keyed by bank name, each read from ``<DATASET_FILES[bank]>.jsonl`` and
+    held to the width of the scenario's state."""
     manifest_path = os.path.join(dataset_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise ConfigError(f"dataset manifest not found: {manifest_path}")
     manifest = persistence.read_json_object(manifest_path, "dataset manifest")
-    for key in ("files", "config", "config_hash"):
+    for key in ("config", "config_hash"):
         if key not in manifest:
             raise ConfigError(f"dataset manifest {manifest_path} is missing {key!r}")
-    paths = manifest["files"].get("paths") if isinstance(manifest["files"], dict) else None
-    if not isinstance(paths, dict):
-        raise ConfigError(f"dataset manifest {manifest_path} is missing 'files.paths'")
-    for key in DATASET_FILES.values():
-        if not isinstance(paths.get(key), str):
-            raise ConfigError(f"dataset manifest {manifest_path} is missing the {key!r} bank")
-    banks = {bank: persistence.load_episodes(os.path.join(dataset_dir, paths[DATASET_FILES[bank]]))
+    config = persistence.parse_config(manifest["config"])
+    width = config.scenario_config().num_dimensions
+    banks = {bank: persistence.load_episodes(os.path.join(dataset_dir, f"{DATASET_FILES[bank]}.jsonl"), width)
              for bank in names}
-    return manifest, banks
+    return manifest, config, banks
 
 
 def cmd_train(args) -> int:
-    manifest, banks = _load_dataset(args.dataset, ("train", "validation"))
-    data_config = persistence.parse_config(manifest["config"])
+    manifest, data_config, banks = _load_dataset(args.dataset, ("train", "validation"))
     # The run's seed comes from the manifest, so --config is validated with it.
     config = persistence.load_config(args.config, seed_override=data_config.master_seed)
     trained = evaluation.fit_detector(config.detector_kind, config.detector_params(), banks,
@@ -110,8 +100,7 @@ def _check_catalogue_compat(model_doc: dict, manifest: dict):
 def cmd_evaluate(args) -> int:
     # The run's settings come from the manifest, whose seed --config is
     # validated with, and the detector's from the model file.
-    manifest, banks = _load_dataset(args.dataset, ("test", "clean_test"))
-    data_config = persistence.parse_config(manifest["config"])
+    manifest, data_config, banks = _load_dataset(args.dataset, ("test", "clean_test"))
     persistence.load_config(args.config, seed_override=data_config.master_seed)
     model_doc = persistence.load_model(args.model)
     _check_catalogue_compat(model_doc, manifest)

@@ -50,11 +50,16 @@ class CusumDetector:
         refused."""
         detector = cls(**{name: read_field(d, name, "cusum detector")
                           for name in ("mean_score_abar", "threshold_tau", "target_fpr")})
-        if detector.threshold_tau < 0.0:
-            raise IncompatibleModelError(f"cusum detector threshold_tau {detector.threshold_tau} < 0")
-        if not 0.0 < detector.target_fpr < 1.0:
-            raise IncompatibleModelError(f"cusum detector target_fpr {detector.target_fpr} outside (0, 1)")
+        check_calibrated("cusum detector", "threshold_tau", detector.threshold_tau, detector.target_fpr)
         return detector
+
+
+def check_calibrated(owner: str, name: str, threshold: float, target_fpr: float):
+    """Refuse a loaded threshold ``name`` below 0 or target outside (0, 1)."""
+    if threshold < 0.0:
+        raise IncompatibleModelError(f"{owner} {name} {threshold} < 0")
+    if not 0.0 < target_fpr < 1.0:
+        raise IncompatibleModelError(f"{owner} target_fpr {target_fpr} outside (0, 1)")
 
 
 def clamped_step(statistic: float, score: float, mean: float) -> float:

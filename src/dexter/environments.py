@@ -273,21 +273,15 @@ class ScenarioConfig:
 
 @dataclass
 class Episode:
-    """One recorded trajectory.
-
-    ``labels[i]`` refers to the transition from observation i to observation
-    i+1 and is True exactly when the destination index i+1 has reached the
-    injection time.
-    """
+    """One recorded trajectory. Its ``labels`` and ``usable`` follow from
+    its length and injection time, so they are derived, never stored."""
 
     observations: np.ndarray
     actions: np.ndarray
     injection_time: int | None
-    labels: np.ndarray
     reward_sum: float
     seed: int
     scenario: str
-    usable: bool = True
 
     @property
     def length(self) -> int:
@@ -297,6 +291,19 @@ class Episode:
     def num_dimensions(self) -> int:
         return self.observations.shape[1]
 
+    @property
+    def labels(self) -> np.ndarray:
+        """``labels[i]`` is True when transition i's destination i+1 has
+        reached the injection time; a clean episode has none."""
+        if self.injection_time is None:
+            return np.zeros(self.length - 1, dtype=bool)
+        return np.arange(1, self.length) >= self.injection_time
+
+    @property
+    def usable(self) -> bool:
+        """Whether the episode is clean or has an anomalous transition."""
+        return self.injection_time is None or self.length > self.injection_time
+
     def to_json_dict(self) -> dict:
         return {
             "seed": int(self.seed),
@@ -304,20 +311,16 @@ class Episode:
             "injection_time": None if self.injection_time is None else int(self.injection_time),
             "observations": np.asarray(self.observations, dtype=float).tolist(),
             "actions": np.asarray(self.actions, dtype=int).tolist(),
-            "labels": np.asarray(self.labels, dtype=bool).tolist(),
             "reward_sum": float(self.reward_sum),
-            "usable": bool(self.usable),
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Episode":
         """The episode of one dataset record. A record that is not an
         object, a missing key, a field of the wrong JSON type, observations
-        that are not a finite 2-D matrix, actions that are not integers or
-        labels that are not booleans, one of each per transition, an
-        ``injection_time`` that is neither null nor an integer >= 1, and
-        labels other than :func:`transition_labels` of the episode raise
-        :class:`DataError`."""
+        that are not a finite 2-D matrix, actions that are not integers, one
+        per transition, and an ``injection_time`` that is neither null nor an
+        integer >= 1 raise :class:`DataError`. Other keys are ignored."""
         def read(name, kind=float, ndim=0, nullable=False):
             return read_field(d, name, "episode record", kind, ndim, DataError, nullable)
 
@@ -325,32 +328,16 @@ class Episode:
             observations=read("observations", ndim=2),
             actions=read("actions", int, 1),
             injection_time=read("injection_time", int, nullable=True),
-            labels=read("labels", bool, 1),
             reward_sum=read("reward_sum"),
             seed=read("seed", int),
             scenario=read("scenario", str),
-            usable=read("usable", bool),
         )
         if episode.injection_time is not None and episode.injection_time < 1:
             raise DataError(f"episode injection_time {episode.injection_time} < 1")
-        transitions = (episode.observations.shape[0] - 1,)
-        if episode.actions.shape != transitions or episode.labels.shape != transitions:
-            raise DataError(
-                f"episode with {episode.length} observations needs {transitions[0]} actions and "
-                f"labels, got {episode.actions.shape} and {episode.labels.shape}"
-            )
-        if not np.array_equal(episode.labels, transition_labels(episode.length, episode.injection_time)):
-            raise DataError(f"episode labels disagree with its injection_time {episode.injection_time}")
+        if episode.actions.shape != (episode.length - 1,):
+            raise DataError(f"episode with {episode.length} observations needs {episode.length - 1} "
+                            f"actions, got {episode.actions.shape[0]}")
         return episode
-
-
-def transition_labels(length: int, injection_time: int | None) -> np.ndarray:
-    """The labels of an episode of ``length`` observations: transition i is
-    anomalous when its destination i+1 has reached ``injection_time``; a
-    clean episode (None) has none."""
-    if injection_time is None:
-        return np.zeros(length - 1, dtype=bool)
-    return np.arange(1, length) >= injection_time
 
 
 def random_policy(num_actions: int):
@@ -456,34 +443,22 @@ def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True) 
     list of Python floats; ARTS has one action and does not call it.
     Injected episodes draw t_a uniformly from the injection window, and
     their noise turns from white to ``config.noise``'s correlation mode at
-    t_a; clean episodes have no t_a and all-white noise. Episodes that
-    terminate before producing any anomalous transition are re-rolled with a
-    fresh sub-seed up to a retry cap, then returned with ``usable=False``.
+    t_a; clean episodes have no t_a and all-white noise. An injected
+    episode that terminates before producing any anomalous transition is
+    unusable and is re-rolled with a fresh sub-seed; the first usable
+    attempt is returned, else the last of ``EPISODE_RETRY_CAP + 1``.
     """
     low, high = config.injection_window
-    last = None
     for attempt in range(EPISODE_RETRY_CAP + 1):
         attempt_seed = child_seed(seed, "attempt", attempt)
         t_a = int(rng_from(attempt_seed, "t_a").integers(low, high + 1)) if inject else None
         noise = spliced_matrix(config.noise, t_a, config.num_dimensions, config.horizon,
                                child_seed(attempt_seed, "noise"))
         observations, actions, reward_sum = _simulate(config, policy, noise, attempt_seed)
-        length = observations.shape[0]
-        episode = Episode(
-            observations=observations,
-            actions=actions,
-            injection_time=t_a,
-            labels=transition_labels(length, t_a),
-            reward_sum=reward_sum,
-            seed=int(seed),
-            scenario=config.scenario.value,
-            usable=True,
-        )
-        if not inject or length >= t_a + 1:
-            return episode
-        last = episode
-    last.usable = False
-    return last
+        episode = Episode(observations, actions, t_a, reward_sum, int(seed), config.scenario.value)
+        if episode.usable:
+            break
+    return episode
 
 
 def estimate_dimension_scales(base_env: BaseEnv, policy, num_episodes: int = 50,

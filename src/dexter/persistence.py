@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from . import __version__ as TOOL_VERSION
 from .ar_noise import ARProcessSpec, CorrelationMode
 from .environments import PolicyKind, ScenarioConfig, Episode
-from .errors import ConfigError, member, require
+from .errors import ConfigError, DataError, member, require
 from .evaluation import DETECTORS, EpisodeCounts, detector_params_with_defaults
 from .ts_features import catalogue_hash
 
@@ -99,11 +99,6 @@ def write_jsonl(path: str, dicts):
         buf.write(canonical_json(d))
         buf.write("\n")
     atomic_write_text(path, buf.getvalue())
-
-
-def read_jsonl(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -249,13 +244,12 @@ def file_header(cfg_hash: str) -> dict:
     }
 
 
-def save_dataset_manifest(path: str, resolved_config: dict, files: dict):
-    cfg_hash = config_hash(resolved_config)
+def save_dataset_manifest(path: str, resolved_config: dict):
+    """The bank files and their counts follow from the config: not listed."""
     atomic_write_json(path, {
-        **file_header(cfg_hash),
+        **file_header(config_hash(resolved_config)),
         "feature_catalogue_hash": catalogue_hash(),
         "config": resolved_config,
-        "files": files,
     })
 
 
@@ -263,8 +257,24 @@ def save_episodes(path: str, episodes):
     write_jsonl(path, (ep.to_json_dict() for ep in episodes))
 
 
-def load_episodes(path: str):
-    return [Episode.from_json_dict(d) for d in read_jsonl(path)]
+def load_episodes(path: str, num_dimensions: int) -> list:
+    """The episodes of a JSON Lines file. A line that is not UTF-8 JSON, or
+    not a record of ``num_dimensions`` columns that :class:`Episode` reads,
+    raises :class:`DataError` naming the file and the line."""
+    episodes = []
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                episode = Episode.from_json_dict(json.loads(line.decode("utf-8")))
+                if episode.num_dimensions != num_dimensions:
+                    raise DataError(f"episode observations have {episode.num_dimensions} columns, "
+                                    f"the scenario's state has {num_dimensions}")
+            except ValueError as exc:  # not UTF-8, not JSON, or a refused record
+                raise DataError(f"{path} line {number}: {exc}") from None
+            episodes.append(episode)
+    return episodes
 
 
 def save_model(path: str, trained, cfg_hash: str):

@@ -26,7 +26,6 @@ from dexter.environments import (
     DEFAULT_HORIZON,
     EPISODE_RETRY_CAP,
     BaseEnv,
-    Episode,
     Scenario,
     ScenarioConfig,
 )
@@ -337,9 +336,25 @@ def simulate(config: ScenarioConfig, policy, noise: np.ndarray, env_rng, policy_
     )
 
 
+@dataclass
+class RecordedEpisode:
+    """An episode as first written: the library's ``Episode`` fields plus
+    the labels and the usability, which the library now derives and this
+    oracle still computes itself."""
+
+    observations: np.ndarray
+    actions: np.ndarray
+    injection_time: int | None
+    labels: np.ndarray
+    reward_sum: float
+    seed: int
+    scenario: str
+    usable: bool = True
+
+
 def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True):
-    """The episode roll-out as first written, and its hidden states; its
-    noise comes from :func:`spliced_matrix`."""
+    """The episode roll-out as first written, as a :class:`RecordedEpisode`,
+    and its hidden states; its noise comes from :func:`spliced_matrix`."""
     low, high = config.injection_window
     last = None
     for attempt in range(EPISODE_RETRY_CAP + 1):
@@ -358,7 +373,7 @@ def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True):
         else:
             labels = np.zeros(max(length - 1, 0), dtype=bool)
 
-        episode = Episode(
+        episode = RecordedEpisode(
             observations=observations,
             actions=actions,
             injection_time=t_a,

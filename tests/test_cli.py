@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dexter import isolation_forest, persistence
 from dexter.ar_noise import ARProcessSpec
-from dexter.cli import main
+from dexter.cli import DATASET_FILES, main
 from dexter.environments import ScenarioConfig
 from dexter.errors import ConfigError
 from dexter.evaluation import EpisodeCounts
@@ -51,6 +51,15 @@ def read_file(path):
         return handle.read()
 
 
+def read_records(path):
+    """The JSON documents of a JSON Lines file, one per line."""
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+
+
+def write_records(path, records):
+    Path(path).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
 def test_generate_train_evaluate_pipeline(workspace):
     tmp, cfg = workspace
     ds = tmp / "ds"
@@ -62,7 +71,9 @@ def test_generate_train_evaluate_pipeline(workspace):
     manifest = read_json(ds / "manifest.json")
     assert manifest["config_hash"] == config_hash(manifest["config"])
     assert manifest["schema_version"] == persistence.SCHEMA_VERSION
-    assert manifest["files"]["episode_counts"]["train"] == 15
+    assert sorted(manifest) == ["config", "config_hash", "feature_catalogue_hash", "schema_version",
+                                "tool_version"]
+    assert len(read_records(ds / "train.jsonl")) == 15
 
     model = tmp / "model.json"
     assert main(["train", "--config", str(cfg), "--dataset", str(ds),
@@ -389,15 +400,30 @@ def test_train_refuses_malformed_episode_records(workspace, capsys):
     ds = tmp / "ds"
     assert main(["generate", "--config", str(cfg), "--out", str(ds)]) == 0
     train = ds / "train.jsonl"
-    records = [json.loads(line) for line in train.read_text(encoding="utf-8").splitlines()]
-    del records[3]["labels"]
-    train.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    records = read_records(train)
+    del records[3]["actions"]
+    write_records(train, records)
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--dataset", str(ds),
                  "--out", str(tmp / "m.json")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "labels" in err
+    assert err.startswith(f"error: {train} line 4: ") and "actions" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, message", [(b"\xff\xfe", "can't decode"), (b'{"seed": 1', "Expecting")],
+                         ids=["not_utf8", "cut_json"])
+def test_train_refuses_a_bank_line_that_is_not_utf8_json(small_models, tmp_path, line, message):
+    """A bank line that is not UTF-8 once ended ``train`` in a
+    UnicodeDecodeError traceback."""
+    cfg, ds, _ = small_models
+    shutil.copytree(ds, tmp_path / "ds")
+    path = tmp_path / "ds" / "validation.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:2] + [line + b"\n"] + lines[2:]))
+    code, err = run_train(cfg, "meanshift", tmp_path / "ds", tmp_path / "model.json")
+    assert_clean_exit(code, err, tmp_path)
+    assert code == 1 and err.startswith(f"error: {path} line 3: ") and message in err
 
 
 def test_malformed_dataset_manifests_fail_with_exit_code_1(workspace, capsys):
@@ -409,21 +435,13 @@ def test_malformed_dataset_manifests_fail_with_exit_code_1(workspace, capsys):
     good = json.loads(manifest_path.read_text(encoding="utf-8"))
     capsys.readouterr()
 
-    def without_bank(bank):
-        paths = {k: v for k, v in good["files"]["paths"].items() if k != bank}
-        return json.dumps({**good, "files": {**good["files"], "paths": paths}})
-
     cases = [
         ("{", "not JSON"),
         (b"\xff\xfe", "not JSON"),
         ("[]", "not a JSON object"),
-        (json.dumps({k: v for k, v in good.items() if k != "files"}), "'files'"),
         (json.dumps({k: v for k, v in good.items() if k != "config"}), "'config'"),
         (json.dumps({k: v for k, v in good.items() if k != "config_hash"}), "'config_hash'"),
-        (json.dumps({**good, "files": {}}), "'files.paths'"),
-        (json.dumps({**good, "files": ["train.jsonl"]}), "'files.paths'"),
-    ] + [(without_bank(bank), repr(bank))
-         for bank in ("train", "validation", "test_injected", "test_clean")]
+    ]
     for text, message in cases:
         manifest_path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         for command in (["train", "--out", str(tmp / "m.json")],
@@ -817,9 +835,12 @@ def test_emit_scores_reuses_the_scores_of_the_evaluation(workspace, monkeypatch)
     assert main(["generate", "--config", str(cfg), "--out", str(ds)]) == 0
     assert main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(model)]) == 0
     injected = ds / "test_injected.jsonl"
-    records = [json.loads(line) for line in injected.read_text().splitlines()]
-    records[2]["usable"] = False
-    injected.write_text("".join(json.dumps(r) + "\n" for r in records))
+    records = read_records(injected)
+    # Cut at the injection time, the episode holds no anomalous transition.
+    t_a = records[2]["injection_time"]
+    records[2]["observations"] = records[2]["observations"][:t_a]
+    records[2]["actions"] = records[2]["actions"][:t_a - 1]
+    write_records(injected, records)
 
     calls = []
     score_stream = detector.score_stream
@@ -838,12 +859,13 @@ def test_emit_scores_reuses_the_scores_of_the_evaluation(workspace, monkeypatch)
     assert counts[True] == counts[False] + 1
 
     trained = TrainedDetector.from_json_dict(persistence.load_model(str(model))["detector"])
-    episodes = persistence.load_episodes(str(injected))
+    episodes = persistence.load_episodes(str(injected), 1)
+    assert [ep.usable for ep in episodes] == [True, True, False, True, True]
     assert sorted(os.listdir(tmp / "out1" / "scores")) == [f"episode_{i:04d}.jsonl" for i in range(5)]
     for idx in (1, 2):
         scores = trained.transition_scores(episodes[idx])
         expected = [{"t": i + 1, "score": float(s)} for i, s in enumerate(scores) if not np.isnan(s)]
-        assert persistence.read_jsonl(str(tmp / "out1" / "scores" / f"episode_{idx:04d}.jsonl")) == expected
+        assert read_records(tmp / "out1" / "scores" / f"episode_{idx:04d}.jsonl") == expected
 
 
 def test_train_and_evaluate_read_only_the_banks_they_use(workspace, monkeypatch):
@@ -853,9 +875,9 @@ def test_train_and_evaluate_read_only_the_banks_they_use(workspace, monkeypatch)
     read = []
     load_episodes = persistence.load_episodes
 
-    def counted(path):
+    def counted(path, num_dimensions):
         read.append(os.path.basename(path))
-        return load_episodes(path)
+        return load_episodes(path, num_dimensions)
 
     monkeypatch.setattr(persistence, "load_episodes", counted)
     assert main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(model)]) == 0
@@ -892,13 +914,24 @@ def small_models(tmp_path_factory):
     return cfg, ds, models
 
 
-def run_evaluate(cfg, model, ds, out) -> tuple:
-    """``dexter evaluate`` in-process: (exit code, stderr)."""
+def run_quiet(argv) -> tuple:
+    """``dexter`` in-process on ``argv``, its arguments as strings or paths:
+    (exit code, stderr)."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["evaluate", "--config", str(cfg), "--model", str(model),
-                     "--dataset", str(ds), "--out", str(out)])
+        code = main([str(arg) for arg in argv])
     return code, err.getvalue()
+
+
+def run_evaluate(cfg, model, ds, out, *flags) -> tuple:
+    """``dexter evaluate`` in-process: (exit code, stderr)."""
+    return run_quiet(["evaluate", "--config", cfg, "--model", model, "--dataset", ds, "--out", out, *flags])
+
+
+def run_train(cfg, kind, ds, out) -> tuple:
+    """``dexter train`` in-process with the config of ``kind`` that
+    ``small_models`` wrote beside ``cfg``: (exit code, stderr)."""
+    return run_quiet(["train", "--config", cfg.parent / f"{kind}.json", "--dataset", ds, "--out", out])
 
 
 def assert_clean_exit(code, err, *dirs):
@@ -927,19 +960,6 @@ def _set(*path_and_value):
     return edit
 
 
-def _integer_labels(record):
-    record["labels"] = [int(label) for label in record["labels"]]
-    return record
-
-
-def _clean_record(record):
-    """The record with no injection time and the all-False labels of a
-    clean episode."""
-    record["injection_time"] = None
-    record["labels"] = [False] * len(record["labels"])
-    return record
-
-
 @pytest.mark.parametrize("where, edit, message", [
     ("model", _set("detector", "model", "window_size", 10.5), "window_size"),
     ("model", _set("detector", "model", "window_size", "10"), "window_size"),
@@ -951,30 +971,29 @@ def _clean_record(record):
     ("record", _set("injection_time", "abc"), "injection_time"),
     ("record", _set("injection_time", 50.5), "injection_time"),
     ("record", _set("injection_time", -5), "injection_time"),
-    ("record", _set("usable", "no"), "usable"),
+    ("meanshift", _set("detector", "model", "threshold", -1.0), "meanshift model threshold -1.0 < 0"),
+    ("meanshift", _set("detector", "model", "target_fpr", 7.0), "meanshift model target_fpr 7.0 outside (0, 1)"),
     ("record", _set("seed", 3.7), "seed"),
-    ("record", _integer_labels, "labels"),
-    ("record", _set("injection_time", None), "labels disagree"),
-    ("record", _clean_record, "no injection time"),
+    ("record", _set("injection_time", None), "no injection time"),
 ], ids=["window_size_fraction", "window_size_text", "feature_count_fraction", "model_root_5",
         "schema_version_text", "model_catalogue_hash_5", "manifest_catalogue_hash_5",
         "injection_time_text", "injection_time_fraction", "injection_time_negative",
-        "usable_text", "seed_fraction", "labels_integers", "injection_time_null",
+        "meanshift_threshold_negative", "meanshift_target_fpr_7", "seed_fraction",
         "clean_test_episode"])
 def test_evaluate_refuses_mistyped_model_and_dataset_fields(small_models, tmp_path, where, edit, message):
     cfg, ds, models = small_models
     ds_copy, model = tmp_path / "ds", tmp_path / "model.json"
     shutil.copytree(ds, ds_copy)
-    model_doc = json.loads(models["dexter"])
-    if where == "model":
+    model_doc = json.loads(models["meanshift" if where == "meanshift" else "dexter"])
+    if where in ("model", "meanshift"):
         model_doc = edit(model_doc)
     elif where == "manifest":
         manifest = ds_copy / "manifest.json"
         manifest.write_text(json.dumps(edit(read_json(manifest))))
     else:
         injected = ds_copy / "test_injected.jsonl"
-        records = persistence.read_jsonl(str(injected))
-        injected.write_text("".join(json.dumps(r) + "\n" for r in [edit(records[0])] + records[1:]))
+        records = read_records(injected)
+        write_records(injected, [edit(records[0])] + records[1:])
     model.write_text(json.dumps(model_doc))
     code, err = run_evaluate(cfg, model, ds_copy, tmp_path / "out")
     assert_clean_exit(code, err, tmp_path)
@@ -1118,6 +1137,24 @@ def mutated_column(draw, forest):
     forest[name] = text
 
 
+def mutated_text(draw, text, how):
+    """The JSON document ``text`` with one mutation: cut at a character
+    (``how`` "truncate"), a value replaced by one of ``MUTANTS``
+    ("replace"), or a key or list element dropped ("drop")."""
+    if how == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    paths = list(json_paths(doc))
+    if how == "replace":
+        return json.dumps(_set(*draw(st.sampled_from(paths)), draw(st.sampled_from(MUTANTS)))(doc))
+    *path, last = draw(st.sampled_from(paths[1:]))
+    parent = doc
+    for key in path:
+        parent = parent[key]
+    del parent[last]
+    return json.dumps(doc)
+
+
 @st.composite
 def mutated_model_files(draw, models):
     """A model file written by ``dexter train`` with one mutation: a key or
@@ -1127,21 +1164,11 @@ def mutated_model_files(draw, models):
     kind = draw(st.sampled_from(sorted(models)))
     text = models[kind]
     how = draw(st.sampled_from(["drop", "replace", "truncate"] + ["column"] * (kind == "dexter")))
-    if how == "truncate":
-        return text[:draw(st.integers(0, len(text) - 1))]
+    if how != "column":
+        return mutated_text(draw, text, how)
     doc = json.loads(text)
-    if how == "column":
-        forests = doc["detector"]["model"]["forests"]
-        mutated_column(draw, forests[draw(st.integers(0, len(forests) - 1))])
-        return json.dumps(doc)
-    paths = list(json_paths(doc))
-    if how == "replace":
-        return json.dumps(_set(*draw(st.sampled_from(paths)), draw(st.sampled_from(MUTANTS)))(doc))
-    *path, last = draw(st.sampled_from(paths[1:]))
-    parent = doc
-    for key in path:
-        parent = parent[key]
-    del parent[last]
+    forests = doc["detector"]["model"]["forests"]
+    mutated_column(draw, forests[draw(st.integers(0, len(forests) - 1))])
     return json.dumps(doc)
 
 
@@ -1156,3 +1183,106 @@ def test_evaluate_ends_every_mutated_model_file_with_exit_0_or_1(small_models, d
         model.write_text(text, encoding="utf-8")
         code, err = run_evaluate(cfg, model, ds, scratch / "out")
         assert_clean_exit(code, err, scratch, ds)
+
+
+@st.composite
+def mutated_datasets(draw, ds):
+    """A file that ``dexter train`` reads from the dataset ``ds`` and its
+    text with one mutation by :func:`mutated_text`: of the whole manifest,
+    or of one line of the ``train`` or ``validation`` bank."""
+    name = draw(st.sampled_from(["manifest.json", "train.jsonl", "validation.jsonl"]))
+    how = draw(st.sampled_from(["drop", "replace", "truncate"]))
+    text = (ds / name).read_text(encoding="utf-8")
+    if name == "manifest.json":
+        return name, mutated_text(draw, text, how)
+    lines = text.splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    lines[at] = mutated_text(draw, lines[at], how)
+    return name, "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_train_ends_every_mutated_dataset_with_exit_0_or_1(small_models, data):
+    cfg, ds, _ = small_models
+    kind = data.draw(st.sampled_from(sorted(SMALL_DETECTORS)))
+    name, text = data.draw(mutated_datasets(ds))
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        shutil.copytree(ds, scratch / "ds")
+        (scratch / "ds" / name).write_text(text, encoding="utf-8")
+        code, err = run_train(cfg, kind, scratch / "ds", scratch / "model.json")
+        assert_clean_exit(code, err, scratch, ds)
+
+
+@pytest.mark.parametrize("width, edited", [(0, slice(None)), (2, slice(1, 2))],
+                         ids=["zero_columns", "two_columns"])
+@pytest.mark.parametrize("bank", ["train", "validation"])
+@pytest.mark.parametrize("kind", sorted(SMALL_DETECTORS))
+def test_train_refuses_a_record_of_another_state_width(small_models, tmp_path, kind, bank, width, edited):
+    """A 1-D ARTS bank whose rows hold no value (``[[], [], ...]``) once
+    ended ``train`` in a ZeroDivisionError traceback, and one record whose
+    rows hold two values in NumPy's concatenate traceback."""
+    cfg, ds, _ = small_models
+    shutil.copytree(ds, tmp_path / "ds")
+    path = tmp_path / "ds" / f"{bank}.jsonl"
+    records = read_records(path)
+    for record in records[edited]:
+        record["observations"] = [[0.5] * width for _ in record["observations"]]
+    write_records(path, records)
+    code, err = run_train(cfg, kind, tmp_path / "ds", tmp_path / "model.json")
+    assert_clean_exit(code, err, tmp_path)
+    assert code == 1 and err.startswith(f"error: {path} line {(edited.start or 0) + 1}: ")
+    assert f"have {width} columns, the scenario's state has 1" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("command, bank", [("train", "validation"), ("evaluate", "test_clean")])
+def test_a_missing_bank_file_exits_1_naming_its_path(small_models, tmp_path, command, bank):
+    cfg, ds, models = small_models
+    shutil.copytree(ds, tmp_path / "ds")
+    path = tmp_path / "ds" / f"{bank}.jsonl"
+    path.unlink()
+    if command == "train":
+        code, err = run_train(cfg, "dexter", tmp_path / "ds", tmp_path / "model.json")
+    else:
+        (tmp_path / "model.json").write_text(models["dexter"])
+        code, err = run_evaluate(cfg, tmp_path / "model.json", tmp_path / "ds", tmp_path / "out")
+    assert_clean_exit(code, err, tmp_path)
+    assert code == 1 and str(path) in err
+
+
+def test_datasets_in_the_older_format_train_and_evaluate_to_the_same_bytes(small_models, tmp_path):
+    """Datasets written before labels and usability were derived also hold
+    ``labels`` and ``usable`` in every record and a ``files`` map in the
+    manifest. Loading ignores them, so such a dataset trains and evaluates
+    to the bytes of the same dataset without them."""
+    cfg, ds, models = small_models
+    old = tmp_path / "old"
+    shutil.copytree(ds, old)
+    counts = {}
+    for key in DATASET_FILES.values():
+        path = old / f"{key}.jsonl"
+        records = read_records(path)
+        for record in records:
+            length, t_a = len(record["observations"]), record["injection_time"]
+            record["labels"] = [t_a is not None and i >= t_a for i in range(1, length)]
+            record["usable"] = t_a is None or length > t_a
+        persistence.write_jsonl(str(path), records)
+        counts[key] = len(records)
+    manifest = read_json(old / "manifest.json")
+    manifest["files"] = {"paths": {key: f"{key}.jsonl" for key in counts}, "episode_counts": counts}
+    persistence.atomic_write_json(str(old / "manifest.json"), manifest)
+    assert any(any(r["labels"]) for r in read_records(old / "test_injected.jsonl"))
+
+    for kind in sorted(models):
+        outputs = []
+        for dataset in (ds, old):
+            model, out = tmp_path / f"{dataset.name}_{kind}.json", tmp_path / f"{dataset.name}_{kind}"
+            assert run_train(cfg, kind, dataset, model) == (0, "")
+            assert run_evaluate(cfg, model, dataset, out, "--emit-scores") == (0, "")
+            files = sorted(path for path in out.rglob("*") if path.is_file())
+            assert len(files) == 2 + SMALL_COUNTS["num_test"]
+            outputs.append([read_file(model)] + [(path.relative_to(out), read_file(path)) for path in files])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == models[kind].encode("utf-8")

@@ -540,7 +540,7 @@ def test_episode_json_roundtrip():
     ep = run_episode(cfg, policy, seed=12)
     back = Episode.from_json_dict(ep.to_json_dict())
     assert np.array_equal(back.observations, ep.observations)
-    assert np.array_equal(back.labels, ep.labels)
+    assert np.array_equal(back.labels, ep.labels) and back.usable
     assert back.injection_time == ep.injection_time
     assert back.scenario == ep.scenario
 
@@ -550,27 +550,51 @@ def test_episode_json_text_equals_the_per_value_conversion():
                              [2.2250738585072014e-308, -1e300, 0.1],
                              [1e-310, -123456.789, 3.0]])
     ep = Episode(observations=observations, actions=np.array([1, 0]), injection_time=1,
-                 labels=np.array([True, False]), reward_sum=-2.5, seed=4, scenario="arts")
+                 reward_sum=-2.5, seed=4, scenario="arts")
     per_value = {
         **ep.to_json_dict(),
         "observations": [[float(v) for v in row] for row in ep.observations],
         "actions": [int(a) for a in ep.actions],
-        "labels": [bool(b) for b in ep.labels],
     }
     assert json.dumps(ep.to_json_dict()) == json.dumps(per_value)
+    assert sorted(per_value) == ["actions", "injection_time", "observations", "reward_sum", "scenario", "seed"]
+
+
+@pytest.mark.parametrize("length, injection_time, labels, usable", [
+    (1, None, [], True),
+    (4, None, [False] * 3, True),
+    (4, 1, [True] * 3, True),
+    (4, 2, [False, True, True], True),
+    (4, 3, [False, False, True], True),
+    (4, 4, [False] * 3, False),
+    (4, 9, [False] * 3, False),
+])
+def test_episode_labels_and_usability_follow_length_and_injection_time(length, injection_time, labels,
+                                                                         usable):
+    ep = Episode(observations=np.zeros((length, 1)), actions=np.zeros(length - 1, dtype=int),
+                 injection_time=injection_time, reward_sum=0.0, seed=0, scenario="arts")
+    assert ep.labels.dtype == bool and ep.labels.tolist() == labels
+    assert ep.usable is usable
+
+
+def test_episode_json_ignores_the_stored_labels_and_usability_of_older_records():
+    """Records written before labels and usability were derived also hold
+    ``labels`` and ``usable``; loading ignores both, even when they are
+    wrong."""
+    cfg = noise_config(Scenario.ARTS, BaseEnv.CONSTANT, horizon=20, scales=(1.0,))
+    ep = run_episode(cfg, builtin_policy(cfg.base_env, PolicyKind.RANDOM), seed=2)
+    for stored in ({"labels": ep.labels.tolist(), "usable": True}, {"labels": [1, "x"], "usable": "no"}):
+        back = Episode.from_json_dict({**ep.to_json_dict(), **stored})
+        assert back.to_json_dict() == ep.to_json_dict()
+        assert np.array_equal(back.labels, ep.labels) and back.usable
 
 
 @pytest.mark.parametrize("edit, field", [
-    (lambda d: d.pop("labels"), "labels"),
     (lambda d: d.pop("observations"), "observations"),
     (lambda d: d.update(observations=[1.0, 2.0]), "2-D"),
     (lambda d: d.update(observations=[[float("nan")]] * 3), "finite"),
     (lambda d: d.update(actions=d["actions"][:-1]), "actions"),
-    (lambda d: d.update(labels=d["labels"] + [True]), "labels"),
     (lambda d: d.update(reward_sum="lots"), "malformed"),
-    (lambda d: d.update(injection_time=None), "disagree"),
-    (lambda d: d.update(injection_time=d["injection_time"] + 1), "disagree"),
-    (lambda d: d.update(labels=[False] * len(d["labels"])), "disagree"),
 ])
 def test_episode_json_rejects_malformed_records(edit, field):
     cfg = noise_config(Scenario.ARTS, BaseEnv.CONSTANT, horizon=20, scales=(1.0,))
@@ -679,7 +703,7 @@ def test_run_episode_equals_oracle_bit_for_bit(config, kind, inject, seed):
     assert_same_episode(got, want, got_hidden, want_hidden)
     if config.scenario is Scenario.ARTS:
         # The constant environment's one action is 0: ARTS asks no policy.
-        assert seen == [] and len(oracle_seen) == want.length - 1 and not want.actions.any()
+        assert seen == [] and len(oracle_seen) == len(want.observations) - 1 and not want.actions.any()
     else:
         assert len(seen) == len(oracle_seen)
         assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(seen, oracle_seen))

@@ -251,7 +251,7 @@ def test_malformed_detector_documents_are_rejected():
 
 def _truncated(episode, length):
     return dataclasses.replace(episode, observations=episode.observations[:length],
-                               actions=episode.actions[:length - 1], labels=episode.labels[:length - 1])
+                               actions=episode.actions[:length - 1])
 
 
 @pytest.mark.parametrize("kind", ["dexter", "pedm"])
@@ -270,8 +270,10 @@ def test_cusum_kinds_decide_like_their_reference_functions_bit_for_bit(kind):
     injected = generate_episodes(cfg, policy, "test", 6, 4, inject=True)
     clean = generate_episodes(cfg, policy, "clean_test", 6, 4, inject=False)
     # Shorter than the window (no defined dexter score) and one observation
-    # (no transition at all).
-    odd = [_truncated(ep, n) for ep in (injected[0], clean[0]) for n in (9, 5, 1)]
+    # (no transition at all); cut from clean episodes, which stay usable at
+    # any length.
+    odd = [_truncated(ep, n) for ep in clean[:2] for n in (9, 5, 1)]
+    assert all(ep.usable for ep in odd)
     episodes = injected + clean + odd
 
     params = {"num_trees": 10, "subsample_cap": 100} if kind == "dexter" else None
@@ -362,8 +364,11 @@ def test_measure_detector_refuses_a_usable_test_episode_without_injection_time()
     with pytest.raises(DataError, match=f"seed {clean[1].seed} has no injection time"):
         measure_detector(trained, injected + clean[1:], clean, cfg, master_seed=4,
                          target_fpr=0.2, counts=SMALL)
-    clean[1].usable = clean[2].usable = False  # unusable episodes are skipped
-    result, _ = measure_detector(trained, injected + clean[1:], clean, cfg, master_seed=4,
+    # An injection time past the last observation leaves an episode without
+    # anomalous transitions: unusable, so skipped.
+    unusable = [dataclasses.replace(ep, injection_time=ep.length) for ep in clean[1:]]
+    assert not any(ep.usable for ep in unusable)
+    result, _ = measure_detector(trained, injected + unusable, clean, cfg, master_seed=4,
                                  target_fpr=0.2, counts=SMALL)
     assert result.num_test_episodes == 2 and result.num_unusable_episodes == 2
 
