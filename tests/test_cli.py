@@ -975,11 +975,12 @@ def _set(*path_and_value):
     ("meanshift", _set("detector", "model", "target_fpr", 7.0), "meanshift model target_fpr 7.0 outside (0, 1)"),
     ("record", _set("seed", 3.7), "seed"),
     ("record", _set("injection_time", None), "no injection time"),
+    ("clean_record", None, "no injection time"),
 ], ids=["window_size_fraction", "window_size_text", "feature_count_fraction", "model_root_5",
         "schema_version_text", "model_catalogue_hash_5", "manifest_catalogue_hash_5",
         "injection_time_text", "injection_time_fraction", "injection_time_negative",
         "meanshift_threshold_negative", "meanshift_target_fpr_7", "seed_fraction",
-        "clean_test_episode"])
+        "injection_time_null", "clean_test_episode"])
 def test_evaluate_refuses_mistyped_model_and_dataset_fields(small_models, tmp_path, where, edit, message):
     cfg, ds, models = small_models
     ds_copy, model = tmp_path / "ds", tmp_path / "model.json"
@@ -993,7 +994,9 @@ def test_evaluate_refuses_mistyped_model_and_dataset_fields(small_models, tmp_pa
     else:
         injected = ds_copy / "test_injected.jsonl"
         records = read_records(injected)
-        write_records(injected, [edit(records[0])] + records[1:])
+        # "clean_record" puts a whole clean episode in the injected bank.
+        first = read_records(ds_copy / "test_clean.jsonl")[0] if where == "clean_record" else edit(records[0])
+        write_records(injected, [first] + records[1:])
     model.write_text(json.dumps(model_doc))
     code, err = run_evaluate(cfg, model, ds_copy, tmp_path / "out")
     assert_clean_exit(code, err, tmp_path)
