@@ -20,7 +20,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import fields
 
-from . import evaluation, persistence
+from . import evaluation, isolation_forest, persistence
 from .errors import ConfigError, DataError, DexterError, IncompatibleModelError, UndefinedMetricError
 from .seeding import child_seed
 from .ts_features import catalogue_hash
@@ -168,6 +168,13 @@ def _bench_mode(payload: dict) -> list:
             for outcome in (outcomes[kind] for kind in kinds)]
 
 
+def _share_cpus(workers: int) -> None:
+    """Pool initializer: each of ``workers`` bench processes splits its
+    scoring batches across its share of the CPUs, at least one, so that the
+    pool runs no more walking threads than there are CPUs."""
+    isolation_forest._threads = max(1, isolation_forest._cpus() // workers)
+
+
 _RESULT_FIELDS = {f.name for f in fields(evaluation.ExperimentResult)}
 
 
@@ -229,7 +236,9 @@ def cmd_bench(args) -> int:
         # Imported here: the pool machinery adds about 1.6 MB of resident
         # memory to every start of the CLI, and one worker never uses it.
         from concurrent.futures import ProcessPoolExecutor
-    with (ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext()) as pool:
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus, initargs=(workers,))
+            if parallel else nullcontext())
+    with pool:
         outcomes = (pool.map if parallel else map)(_bench_mode, modes)
         for job, job_outcomes in zip(modes, outcomes):
             for detector_kind, (result, error) in zip(job["detectors"], job_outcomes):

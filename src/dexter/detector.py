@@ -94,8 +94,8 @@ def train(dataset, window_size: int = DEFAULT_WINDOW, num_trees: int = iforest.D
     Every per-dimension forest is trained on that dimension's feature vectors
     pooled over all episodes' non-overlapping windows. Episodes shorter than
     the window yield no window and are skipped; a dataset where every
-    episode is that short, and observations so large that their features
-    overflow, are rejected.
+    episode is that short, observations of no column and observations so
+    large that their features overflow are rejected.
     """
     episodes = list(dataset)
     if not episodes:
@@ -108,6 +108,8 @@ def train(dataset, window_size: int = DEFAULT_WINDOW, num_trees: int = iforest.D
     if len(dims) != 1:
         raise DataError(f"episodes disagree on state dimension: {sorted(dims)}")
     num_dims = dims.pop()
+    if num_dims == 0:
+        raise DataError("episode observations have 0 columns; a forest needs at least one")
     matrices = [m for m in matrices if m.shape[0] >= window_size]
     if not matrices:
         raise DataError(f"all {len(episodes)} episodes are shorter than window {window_size}")

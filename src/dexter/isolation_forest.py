@@ -43,12 +43,15 @@ tree after tree: ``feature``, ``threshold``, ``size`` and ``kids``, the
 children interleaved with ``kids[2 i]`` node i's right child and
 ``kids[2 i + 1]`` its left, so that a split's outcome indexes the child
 directly. ``roots[i]`` is the offset of tree i's root. Child indices are
-global positions, and every node index is int32. A leaf's children are the
-leaf itself and its ``feature`` is 0, so routing a point through a leaf is a
-harmless comparison that keeps it where it is. These arrays are the only copy
-of the nodes; ``left`` and ``right`` are strided views of ``kids``. The
-per-tree-view form (``model.trees[i]``, and the model file's columns over all
-trees) is rebuilt from them on demand, with -1 marking leaves and children
+global positions. Every node index is int32 in the file; in memory the two
+arrays the walk gathers with, ``feature`` and ``kids``, are ``intp``, which
+``np.take`` indexes with as they are, while ``size`` and ``roots`` stay
+int32. A leaf's children are the leaf itself and its ``feature`` is 0, so
+routing a point through a leaf is a harmless comparison that keeps it where
+it is. These arrays are the only copy of the nodes; ``left`` and ``right``
+are strided views of ``kids``. The per-tree-view form (``model.trees[i]``,
+and the model file's columns over all trees) is rebuilt from them on demand,
+in int32 but for ``threshold``, with -1 marking leaves and children
 numbered within their tree; a fitted or loaded forest enters the packed
 layout only through ``_pack``, which checks it. The model file holds each
 column of that form as one base64 string of its little-endian bytes, int32
@@ -59,16 +62,18 @@ forest handle six strings instead of one JSON number per node; the reader,
 this hold.
 
 Memory. The node columns stay int32 (float64 for ``threshold``) from build
-to file and back, and no stage holds more than one column's temporaries
-beyond its result. ``_grow`` keeps a level's working arrays in
-``_split_level`` and the int32 point indices of the open nodes, and returns
-its per-depth records, which ``_assemble`` scatters into the tree-by-tree
-columns, dropping each depth as it goes. ``fit`` joins the chunks column by
-column, releasing each chunk's copy, and ``_pack`` checks the columns in the
-dtype they arrive in and packs them without copies, only ``feature`` and
-``kids`` being new. A model file's binary columns load as read-only int32 and
-float64 views of their decoded bytes, and ``to_json_dict`` encodes one
-column at a time.
+to file and back, but for the packed ``feature`` and ``kids``, and no stage
+holds more than one column's temporaries beyond its result. ``_grow`` keeps
+a level's working arrays in ``_split_level`` and the int32 point indices of
+the open nodes, and returns its per-depth records, which ``_assemble``
+scatters into the tree-by-tree columns, dropping each depth as it goes.
+``fit`` joins the chunks column by column, releasing each chunk's copy, and
+``_pack`` checks the columns in the dtype they arrive in and packs
+``threshold``, ``size`` and ``roots`` without copies; ``feature`` and
+``kids`` are new ``intp`` arrays, 12 bytes a node more than int32 would
+take. A model file's binary columns load as read-only int32 and float64
+views of their decoded bytes, and ``to_json_dict`` rebuilds and encodes one
+int32 column at a time.
 
 Scoring. A point's h in one tree is the depth of the leaf its walk ends at
 plus c(leaf size), so a forest keeps one path length per leaf, derived on
@@ -79,9 +84,13 @@ bit for bit, and a NaN feature value compares false and routes right in both.
 - A batch of many (tree, point) pairs is walked with NumPy, every pair of a
   chunk of points together, for a fixed number of levels: the forest's
   deepest leaf depth, at most ceil(log2(psi)) for a fitted forest. A level is
-  ``node = kids[2 node + (x[feature[node]] < threshold[node])]``, a few
-  ``np.take`` passes into buffers reused from level to level and from chunk
-  to chunk; a pair that has reached its leaf stays there.
+  ``node = kids[2 node + (x[feature[node]] < threshold[node])]``, eight
+  passes into ``intp``, float64 and bool buffers reused from level to level
+  and from chunk to chunk (33 bytes a pair): ``at = feature[node]``, ``at +=
+  row``, ``value = x[at]``, ``threshold[node]``, the comparison, ``at = node
+  + node``, ``at += go_left`` and ``node = kids[at]``. Each of the four
+  gathers is an ``np.take`` with an ``intp`` index, which it uses without a
+  cast copy. A pair that has reached its leaf stays there.
 - A batch of at least 2 x ``_THREAD_PAIRS`` pairs is split into contiguous
   ranges of points, at most one per CPU the process may run on
   (``os.sched_getaffinity``), each of at least ``_THREAD_PAIRS`` pairs and
@@ -215,9 +224,11 @@ def _pack(nodes, feature_count: int, subsample_size: int):
     raises :class:`IncompatibleModelError`.
 
     The columns are checked in the dtype they arrive in, int32 and float64
-    from ``fit`` and from a model file's binary columns, and a column that
-    is already int32 (float64 for ``threshold``) is packed without a copy:
-    only ``feature`` and ``kids`` are new arrays.
+    from ``fit`` and from a model file's binary columns. ``threshold``,
+    ``size`` and ``roots`` are packed without a copy when they are already
+    float64 and int32; ``feature`` and ``kids``, the arrays the NumPy walk
+    gathers with, are new ``intp`` arrays, so that no ``np.take`` of the walk
+    casts its index.
     """
     feature, left, right, size, roots = (
         np.asarray(nodes[name]) for name in ("feature", "left", "right", "size", "roots"))
@@ -255,14 +266,15 @@ def _pack(nodes, feature_count: int, subsample_size: int):
     if np.any(size[left_kids] + size[right_kids] != size[internal]):
         raise IncompatibleModelError("isolation tree node size other than its children's sum")
 
-    feature = np.where(leaf, 0, feature).astype(np.int32, copy=False)
+    feature = feature.astype(np.intp)
+    feature[leaf] = 0
     size, roots = (a.astype(np.int32, copy=False) for a in (size, roots))
     return feature, threshold, kids, size, roots
 
 
 def _kids(left, right, leaf, roots) -> np.ndarray:
     """The interleaved ``kids`` of a forest in the per-tree-view form, as
-    global int32 positions with a leaf's children the leaf itself. A child
+    global ``intp`` positions with a leaf's children the leaf itself. A child
     of an internal node that is not after it within its tree raises
     :class:`IncompatibleModelError`; it is checked against its node's
     position within the tree before any addition, which could wrap."""
@@ -274,7 +286,7 @@ def _kids(left, right, leaf, roots) -> np.ndarray:
     for child in (left, right):
         if not np.all(leaf | ((child > local) & (child < tree_nodes))):
             raise IncompatibleModelError("isolation tree child index outside its subtree")
-    kids = np.empty(2 * n, dtype=np.int32)
+    kids = np.empty(2 * n, dtype=np.intp)
     leaves = np.flatnonzero(leaf)
     for half, child in ((kids[0::2], right), (kids[1::2], left)):
         np.add(child, tree_start, out=half)
@@ -354,17 +366,18 @@ class IsolationForestModel:
 
     def _view_columns(self, start: int, stop: int):
         """Yields the ``NODE_COLUMNS`` of nodes start..stop-1, whole trees,
-        in the per-tree-view form, one int32 or float64 array at a time: -1
-        for a leaf's feature and children, children local to their tree.
-        ``threshold`` and ``size`` are views of the packed arrays."""
+        in the per-tree-view form, one int32 or float64 array at a time (the
+        file's dtypes, whatever the packed ones): -1 for a leaf's feature and
+        children, children local to their tree. ``threshold`` and ``size``
+        are views of the packed arrays."""
         nodes = slice(start, stop)
-        leaf = self.left[nodes] == np.arange(start, stop, dtype=np.int32)
+        leaf = self.left[nodes] == np.arange(start, stop)
         roots = self.roots[(self.roots >= start) & (self.roots < stop)]
         tree_start = np.repeat(roots, np.diff(roots, append=stop))
-        yield np.where(leaf, -1, self.feature[nodes])
+        yield np.where(leaf, -1, self.feature[nodes]).astype(np.int32)
         yield self.threshold[nodes]
         for child in (self.left, self.right):
-            yield np.where(leaf, -1, child[nodes] - tree_start)
+            yield np.where(leaf, -1, child[nodes] - tree_start).astype(np.int32)
         yield self.size[nodes]
 
     def path_length_table(self) -> np.ndarray:
@@ -622,13 +635,12 @@ def _walk_one(trees: tuple, point: list) -> float:
 
 
 def _walk_buffers(num_trees: int, width: int) -> tuple:
-    """One thread's walk buffers for chunks of ``width`` points: node,
-    feature, at, value, threshold and go_left, each (num_trees, width), 33
-    bytes a pair."""
+    """One thread's walk buffers for chunks of ``width`` points: node, at,
+    value, threshold and go_left, each (num_trees, width), 33 bytes a
+    pair."""
     shape = (num_trees, width)
-    return (np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.int32),
-            np.empty(shape, dtype=np.intp), np.empty(shape), np.empty(shape),
-            np.empty(shape, dtype=bool))
+    return (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp), np.empty(shape),
+            np.empty(shape), np.empty(shape, dtype=bool))
 
 
 def _walk_range(model: IsolationForestModel, flat: np.ndarray, row_start: np.ndarray,
@@ -639,22 +651,23 @@ def _walk_range(model: IsolationForestModel, flat: np.ndarray, row_start: np.nda
     a range walked on another thread only reads the model and writes its own
     buffers and its own slice of ``total``."""
     path_lengths = model.path_length_table()
-    node, feature, at, value, threshold, go_left = buffers
+    node, at, value, threshold, go_left = buffers
     num_trees, width = node.shape
     for lo in range(start, stop, width):
         hi = min(lo + width, stop)
         if hi - lo < width:  # the last chunk: a C-contiguous prefix of each buffer
             shape = (num_trees, hi - lo)
-            node, feature, at, value, threshold, go_left = (
+            node, at, value, threshold, go_left = (
                 b.reshape(-1)[:shape[0] * shape[1]].reshape(shape) for b in buffers)
         node[...] = model.roots[:, None]
         rows = row_start[lo:hi]
         # Every index is in range (``_pack`` checked the children), so "clip"
         # never clips; unlike the default "raise", it lets ``take`` write into
-        # ``out`` directly instead of through a buffer.
+        # ``out`` directly instead of through a buffer. Every index array is
+        # ``intp``, which ``take`` uses as it is instead of casting a copy.
         for _ in range(model.levels):
-            np.take(model.feature, node, out=feature, mode="clip")
-            np.add(feature, rows, out=at)
+            np.take(model.feature, node, out=at, mode="clip")
+            at += rows
             np.take(flat, at, out=value, mode="clip")
             np.take(model.threshold, node, out=threshold, mode="clip")
             np.less(value, threshold, out=go_left)
@@ -680,8 +693,17 @@ def _sum_over_trees(path_lengths: np.ndarray, out: np.ndarray) -> None:
 
 
 # Threads a large batch may be split across; None means one per CPU the
-# process may run on. Tests set it; scores do not depend on it.
+# process may run on. Each ``bench --jobs`` worker sets its share of the
+# CPUs, and tests set it; scores do not depend on it.
 _threads = None
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 def _split_parts(num_points: int, num_trees: int) -> int:
@@ -690,12 +712,7 @@ def _split_parts(num_points: int, num_trees: int) -> int:
     in its chunk of the ``_CHUNK_PAIRS`` the buffers hold together."""
     if num_points * num_trees < 2 * _THREAD_PAIRS:
         return 1  # never split, so the CPU count is not asked for
-    threads = _threads
-    if threads is None:
-        try:
-            threads = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity on this platform
-            threads = os.cpu_count() or 1
+    threads = _cpus() if _threads is None else _threads
     return max(1, min(threads, _CHUNK_PAIRS // _THREAD_PAIRS,
                       num_points // -(-_THREAD_PAIRS // num_trees)))
 

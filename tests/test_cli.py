@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dexter import isolation_forest, persistence
+from dexter import cli, isolation_forest, persistence
 from dexter.ar_noise import ARProcessSpec
 from dexter.cli import DATASET_FILES, main
 from dexter.environments import ScenarioConfig
@@ -572,16 +572,30 @@ def test_bench_matrix_cache_and_determinism(workspace):
 
 def test_bench_parallel_jobs_match_serial(workspace, monkeypatch):
     """Also when this process has split a scoring batch across threads
-    before ``bench`` forks its workers."""
+    before ``bench`` forks its workers, which then score on their share of
+    the CPUs. With 300 trees every 191-window episode is a batch that the
+    serial run splits across two threads and each worker of two CPUs walks
+    on one."""
     monkeypatch.setattr(isolation_forest, "_threads", 2)
     rng = np.random.default_rng(0)
     model = isolation_forest.fit(rng.normal(size=(200, 2)), num_trees=300, subsample=64, seed=0)
     isolation_forest.score_batch(model, rng.normal(size=(120, 2)))
     tmp, cfg = workspace
+    write_config(cfg, detector={"num_trees": 300})
     out1, out2 = tmp / "serial", tmp / "parallel"
     assert main(["bench", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["bench", "--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == 0
     assert read_file(out1 / "results.csv") == read_file(out2 / "results.csv")
+
+
+@pytest.mark.parametrize("cpus, workers, threads", [(2, 2, 1), (8, 2, 4), (3, 2, 1), (1, 4, 1), (4, 1, 4)])
+def test_bench_workers_split_scoring_batches_on_their_share_of_the_cpus(monkeypatch, cpus, workers, threads):
+    """``--jobs N`` starts each worker with CPUs // N scoring threads, at
+    least one, so that N workers run no more walking threads than CPUs."""
+    monkeypatch.setattr(isolation_forest, "_cpus", lambda: cpus)
+    monkeypatch.setattr(isolation_forest, "_threads", None)  # restored after the test
+    cli._share_cpus(workers)
+    assert isolation_forest._threads == threads
 
 
 def test_every_bench_row_is_run_experiment_at_its_mode_seed(workspace):

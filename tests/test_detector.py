@@ -149,6 +149,12 @@ def test_training_rejects_short_and_empty_datasets(tmp_path):
         train([good, huge], window_size=10, num_trees=5, subsample=4)
 
 
+def test_training_refuses_episodes_of_no_column():
+    """Once a ZeroDivisionError where the features are split by dimension."""
+    with pytest.raises(DataError, match="0 columns"):
+        train([np.zeros((50, 0))] * 3, num_trees=3)
+
+
 def test_dimension_and_catalogue_compatibility(arts_model):
     _, _, _, model = arts_model
     with pytest.raises(IncompatibleModelError):
