@@ -23,7 +23,6 @@ from dataclasses import fields
 from . import evaluation, isolation_forest, persistence
 from .errors import ConfigError, DataError, DexterError, IncompatibleModelError, UndefinedMetricError
 from .seeding import child_seed
-from .ts_features import catalogue_hash
 
 # Bank name -> dataset key; a bank is stored in ``<key>.jsonl``.
 DATASET_FILES = {"train": "train", "validation": "validation", "test": "test_injected",
@@ -86,24 +85,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_catalogue_compat(model_doc: dict, manifest: dict):
-    current = catalogue_hash()
-    for origin, value in (("model", model_doc.get("feature_catalogue_hash")),
-                          ("dataset", manifest.get("feature_catalogue_hash"))):
-        if value is not None and value != current:
-            raise IncompatibleModelError(
-                f"{origin} feature catalogue hash {str(value)[:12]}... does not match "
-                f"this library's catalogue {current[:12]}...; refusing to evaluate"
-            )
-
-
 def cmd_evaluate(args) -> int:
     # The run's settings come from the manifest, whose seed --config is
     # validated with, and the detector's from the model file.
     manifest, data_config, banks = _load_dataset(args.dataset, ("test", "clean_test"))
     persistence.load_config(args.config, seed_override=data_config.master_seed)
     model_doc = persistence.load_model(args.model)
-    _check_catalogue_compat(model_doc, manifest)
     trained = evaluation.TrainedDetector.from_json_dict(model_doc["detector"])
     del model_doc  # its column strings would stay alive through the whole evaluation
     if not trained.calibrated():

@@ -274,14 +274,14 @@ class ScenarioConfig:
 @dataclass
 class Episode:
     """One recorded trajectory. Its ``labels`` and ``usable`` follow from
-    its length and injection time, so they are derived, never stored."""
+    its length and injection time, and its scenario from the dataset's
+    config, so none of them is stored."""
 
     observations: np.ndarray
     actions: np.ndarray
     injection_time: int | None
     reward_sum: float
     seed: int
-    scenario: str
 
     @property
     def length(self) -> int:
@@ -307,7 +307,6 @@ class Episode:
     def to_json_dict(self) -> dict:
         return {
             "seed": int(self.seed),
-            "scenario": self.scenario,
             "injection_time": None if self.injection_time is None else int(self.injection_time),
             "observations": np.asarray(self.observations, dtype=float).tolist(),
             "actions": np.asarray(self.actions, dtype=int).tolist(),
@@ -330,7 +329,6 @@ class Episode:
             injection_time=read("injection_time", int, nullable=True),
             reward_sum=read("reward_sum"),
             seed=read("seed", int),
-            scenario=read("scenario", str),
         )
         if episode.injection_time is not None and episode.injection_time < 1:
             raise DataError(f"episode injection_time {episode.injection_time} < 1")
@@ -455,7 +453,7 @@ def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True) 
         noise = spliced_matrix(config.noise, t_a, config.num_dimensions, config.horizon,
                                child_seed(attempt_seed, "noise"))
         observations, actions, reward_sum = _simulate(config, policy, noise, attempt_seed)
-        episode = Episode(observations, actions, t_a, reward_sum, int(seed), config.scenario.value)
+        episode = Episode(observations, actions, t_a, reward_sum, int(seed))
         if episode.usable:
             break
     return episode

@@ -457,7 +457,6 @@ def measure_detector(trained: TrainedDetector, test_episodes, clean_episodes, co
             "injection_time": ep.injection_time,
             "length": int(ep.length),
             "alert_step": alert,
-            "usable": bool(ep.usable),
         }
         for ep, alert in zip(usable, alert_steps)
     ]

@@ -721,7 +721,9 @@ def _walk_split(model: IsolationForestModel, flat: np.ndarray, row_start: np.nda
                 parts: int, total: np.ndarray) -> None:
     """Walks a batch as ``parts`` contiguous ranges of points, the calling
     thread the first and one new thread each of the others, with buffer sets
-    that together hold at most ``_CHUNK_PAIRS`` pairs."""
+    that together hold at most ``_CHUNK_PAIRS`` pairs. With one part that is
+    the serial walk: one buffer set, on the calling thread, and no thread
+    started."""
     num_points, num_trees = len(total), len(model.roots)
     bounds = [num_points * i // parts for i in range(parts + 1)]
     width = min(max(1, _CHUNK_PAIRS // parts // num_trees), -(-num_points // parts))
@@ -769,10 +771,5 @@ def score_batch(model: IsolationForestModel, points) -> np.ndarray:
     flat = np.ascontiguousarray(pts).ravel()
     row_start = np.arange(0, num_points * num_features, num_features)
     total = np.empty(num_points)
-    parts = _split_parts(num_points, num_trees)
-    if parts == 1:
-        width = min(max(1, _CHUNK_PAIRS // num_trees), num_points)
-        _walk_range(model, flat, row_start, 0, num_points, _walk_buffers(num_trees, width), total)
-    else:
-        _walk_split(model, flat, row_start, parts, total)
+    _walk_split(model, flat, row_start, _split_parts(num_points, num_trees), total)
     return np.power(2.0, -(total / num_trees) / denom)

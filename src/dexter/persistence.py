@@ -20,7 +20,6 @@ from .ar_noise import ARProcessSpec, CorrelationMode
 from .environments import PolicyKind, ScenarioConfig, Episode
 from .errors import ConfigError, DataError, member, require
 from .evaluation import DETECTORS, EpisodeCounts, detector_params_with_defaults
-from .ts_features import catalogue_hash
 
 SCHEMA_VERSION = 2
 
@@ -248,7 +247,6 @@ def save_dataset_manifest(path: str, resolved_config: dict):
     """The bank files and their counts follow from the config: not listed."""
     atomic_write_json(path, {
         **file_header(config_hash(resolved_config)),
-        "feature_catalogue_hash": catalogue_hash(),
         "config": resolved_config,
     })
 
@@ -279,13 +277,15 @@ def load_episodes(path: str, num_dimensions: int) -> list:
 
 def save_model(path: str, trained, cfg_hash: str):
     """The model as one line of compact JSON with sorted keys, the bytes
-    ``json.dumps`` gives plus a newline. ``json.dump`` streams it into the
-    temp file piece by piece, so the multi-MB text is never held whole; a
-    forest's node columns are a few base64 strings, so the document holds
-    few values and its pure-Python encoder costs little."""
+    ``json.dumps`` gives plus a newline: the file header and the detector
+    document. Only a DEXTER detector depends on the feature catalogue, so
+    its ``feature_manifest_hash`` is the file's one record of it.
+    ``json.dump`` streams the document into the temp file piece by piece, so
+    the multi-MB text is never held whole; a forest's node columns are a few
+    base64 strings, so the document holds few values and its pure-Python
+    encoder costs little."""
     doc = {
         **file_header(cfg_hash),
-        "feature_catalogue_hash": catalogue_hash(),
         "detector": trained.to_json_dict(),
     }
     with _atomic_open(path) as handle:

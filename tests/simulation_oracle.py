@@ -348,7 +348,6 @@ class RecordedEpisode:
     labels: np.ndarray
     reward_sum: float
     seed: int
-    scenario: str
     usable: bool = True
 
 
@@ -380,7 +379,6 @@ def run_episode(config: ScenarioConfig, policy, seed: int, inject: bool = True):
             labels=labels,
             reward_sum=reward_sum,
             seed=int(seed),
-            scenario=config.scenario.value,
             usable=True,
         )
         if not inject or length >= t_a + 1:

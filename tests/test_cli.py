@@ -19,7 +19,7 @@ from dexter.ar_noise import ARProcessSpec
 from dexter.cli import DATASET_FILES, main
 from dexter.environments import ScenarioConfig
 from dexter.errors import ConfigError
-from dexter.evaluation import EpisodeCounts
+from dexter.evaluation import EpisodeCounts, detector_params_with_defaults
 from dexter.isolation_forest import COLUMN_KINDS
 from dexter.persistence import RESULT_CSV_COLUMNS, config_hash, read_json
 from forest_columns import column_text, column_values, listed
@@ -71,14 +71,14 @@ def test_generate_train_evaluate_pipeline(workspace):
     manifest = read_json(ds / "manifest.json")
     assert manifest["config_hash"] == config_hash(manifest["config"])
     assert manifest["schema_version"] == persistence.SCHEMA_VERSION
-    assert sorted(manifest) == ["config", "config_hash", "feature_catalogue_hash", "schema_version",
-                                "tool_version"]
+    assert sorted(manifest) == ["config", "config_hash", "schema_version", "tool_version"]
     assert len(read_records(ds / "train.jsonl")) == 15
 
     model = tmp / "model.json"
     assert main(["train", "--config", str(cfg), "--dataset", str(ds),
                  "--out", str(model)]) == 0
     doc = read_json(model)
+    assert sorted(doc) == ["config_hash", "detector", "schema_version", "tool_version"]
     assert doc["detector"]["kind"] == "dexter"
     assert len(doc["detector"]["model"]["forests"]) == 1
     assert doc["detector"]["model"]["window_size"] == 10
@@ -93,6 +93,9 @@ def test_generate_train_evaluate_pipeline(workspace):
     assert len(rows) == 1
     assert tuple(rows[0].keys()) == RESULT_CSV_COLUMNS
     assert 0.5 <= float(rows[0]["auroc"]) <= 1.0
+    per_episode = read_json(out / "report.json")["results"][0]["per_episode"]
+    assert len(per_episode) == 5
+    assert all(sorted(row) == ["alert_step", "injection_time", "length", "seed"] for row in per_episode)
 
     score_files = sorted(os.listdir(out / "scores"))
     assert len(score_files) == 5
@@ -173,6 +176,27 @@ def test_invalid_config_fails_with_exit_code_1(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg4), "--out", str(tmp_path / "ds4")]) == 1
     assert "per_dimension_scale" in capsys.readouterr().err
     assert not (tmp_path / "ds4").exists()
+
+
+def readme_example_config() -> dict:
+    """The example config of the README's CLI section, its ``//`` comments
+    stripped."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Example config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    return json.loads("\n".join(line.split("//", 1)[0] for line in block.splitlines()))
+
+
+def test_the_readme_example_config_shows_every_key_with_its_default():
+    example = readme_example_config()
+    assert set(example) == persistence._TOP_LEVEL_KEYS
+    for section, defaults in (("scenario", persistence._SCENARIO_DEFAULTS),
+                              ("evaluation", persistence._EVALUATION_DEFAULTS),
+                              ("bench", persistence._BENCH_DEFAULTS)):
+        assert set(example[section]) == set(defaults), section
+    assert set(example["detector"]) == {"kind", *detector_params_with_defaults("dexter")}
+    # master_seed has no default: a config of it alone resolves every other key.
+    seed = {"evaluation": {"master_seed": example["evaluation"]["master_seed"]}}
+    assert persistence.parse_config(seed).resolved_dict() == example
 
 
 MISTYPED_SECTIONS = [
@@ -496,18 +520,21 @@ def test_failed_text_write_leaves_no_temp_file(tmp_path):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
-def test_evaluate_refuses_catalogue_mismatch(workspace, capsys):
+def test_evaluate_refuses_catalogue_mismatch(workspace):
+    """A DEXTER model records the catalogue it was built under; one built
+    under another is refused before any output is written."""
     tmp, cfg = workspace
     ds, model = tmp / "ds", tmp / "model.json"
     main(["generate", "--config", str(cfg), "--out", str(ds)])
     main(["train", "--config", str(cfg), "--dataset", str(ds), "--out", str(model)])
 
     doc = read_json(model)
-    doc["feature_catalogue_hash"] = "0" * 64
+    doc["detector"]["model"]["feature_manifest_hash"] = "0" * 64
     model.write_text(json.dumps(doc))
-    assert main(["evaluate", "--config", str(cfg), "--model", str(model),
-                 "--dataset", str(ds), "--out", str(tmp / "r")]) == 1
-    assert "catalogue" in capsys.readouterr().err
+    code, err = run_evaluate(cfg, model, ds, tmp / "r")
+    assert_clean_exit(code, err, tmp)
+    assert code == 1 and "catalogue" in err
+    assert not (tmp / "r").exists()
 
 
 def test_evaluate_takes_warmup_from_model_not_config(tmp_path):
@@ -980,8 +1007,7 @@ def _set(*path_and_value):
     ("model", _set("detector", "model", "forests", 0, "feature_count", 21.9), "feature_count"),
     ("model", _set(5), "not a JSON object"),
     ("model", _set("schema_version", "2"), "'2' unsupported"),
-    ("model", _set("feature_catalogue_hash", 5), "catalogue"),
-    ("manifest", _set("feature_catalogue_hash", 5), "catalogue"),
+    ("model", _set("detector", "model", "feature_manifest_hash", 5), "feature_manifest_hash"),
     ("record", _set("injection_time", "abc"), "injection_time"),
     ("record", _set("injection_time", 50.5), "injection_time"),
     ("record", _set("injection_time", -5), "injection_time"),
@@ -991,7 +1017,7 @@ def _set(*path_and_value):
     ("record", _set("injection_time", None), "no injection time"),
     ("clean_record", None, "no injection time"),
 ], ids=["window_size_fraction", "window_size_text", "feature_count_fraction", "model_root_5",
-        "schema_version_text", "model_catalogue_hash_5", "manifest_catalogue_hash_5",
+        "schema_version_text", "feature_manifest_hash_5",
         "injection_time_text", "injection_time_fraction", "injection_time_negative",
         "meanshift_threshold_negative", "meanshift_target_fpr_7", "seed_fraction",
         "injection_time_null", "clean_test_episode"])
@@ -1002,9 +1028,6 @@ def test_evaluate_refuses_mistyped_model_and_dataset_fields(small_models, tmp_pa
     model_doc = json.loads(models["meanshift" if where == "meanshift" else "dexter"])
     if where in ("model", "meanshift"):
         model_doc = edit(model_doc)
-    elif where == "manifest":
-        manifest = ds_copy / "manifest.json"
-        manifest.write_text(json.dumps(edit(read_json(manifest))))
     else:
         injected = ds_copy / "test_injected.jsonl"
         records = read_records(injected)
@@ -1026,7 +1049,7 @@ def test_evaluate_ignores_the_stored_normalizer_of_older_model_files(small_model
     doc = json.loads(models["dexter"])
     for forest in doc["detector"]["model"]["forests"]:
         assert "normalizer_c" not in forest and "feature_manifest_hash" not in forest
-        forest.update(normalizer_c=99.0, feature_manifest_hash=doc["feature_catalogue_hash"])
+        forest.update(normalizer_c=99.0, feature_manifest_hash=doc["detector"]["model"]["feature_manifest_hash"])
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     new.write_text(models["dexter"])
     old.write_text(json.dumps(doc))
@@ -1203,11 +1226,11 @@ def test_evaluate_ends_every_mutated_model_file_with_exit_0_or_1(small_models, d
 
 
 @st.composite
-def mutated_datasets(draw, ds):
-    """A file that ``dexter train`` reads from the dataset ``ds`` and its
-    text with one mutation by :func:`mutated_text`: of the whole manifest,
-    or of one line of the ``train`` or ``validation`` bank."""
-    name = draw(st.sampled_from(["manifest.json", "train.jsonl", "validation.jsonl"]))
+def mutated_datasets(draw, ds, names):
+    """One of the files ``names`` of the dataset ``ds`` and its text with
+    one mutation by :func:`mutated_text`: of the whole manifest, or of one
+    line of a bank."""
+    name = draw(st.sampled_from(names))
     how = draw(st.sampled_from(["drop", "replace", "truncate"]))
     text = (ds / name).read_text(encoding="utf-8")
     if name == "manifest.json":
@@ -1223,12 +1246,27 @@ def mutated_datasets(draw, ds):
 def test_train_ends_every_mutated_dataset_with_exit_0_or_1(small_models, data):
     cfg, ds, _ = small_models
     kind = data.draw(st.sampled_from(sorted(SMALL_DETECTORS)))
-    name, text = data.draw(mutated_datasets(ds))
+    name, text = data.draw(mutated_datasets(ds, ["manifest.json", "train.jsonl", "validation.jsonl"]))
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
         shutil.copytree(ds, scratch / "ds")
         (scratch / "ds" / name).write_text(text, encoding="utf-8")
         code, err = run_train(cfg, kind, scratch / "ds", scratch / "model.json")
+        assert_clean_exit(code, err, scratch, ds)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_evaluate_ends_every_mutated_dataset_with_exit_0_or_1(small_models, data):
+    cfg, ds, models = small_models
+    kind = data.draw(st.sampled_from(sorted(SMALL_DETECTORS)))
+    name, text = data.draw(mutated_datasets(ds, ["manifest.json", "test_injected.jsonl", "test_clean.jsonl"]))
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        shutil.copytree(ds, scratch / "ds")
+        (scratch / "ds" / name).write_text(text, encoding="utf-8")
+        (scratch / "model.json").write_text(models[kind], encoding="utf-8")
+        code, err = run_evaluate(cfg, scratch / "model.json", scratch / "ds", scratch / "out")
         assert_clean_exit(code, err, scratch, ds)
 
 
@@ -1272,8 +1310,11 @@ def test_a_missing_bank_file_exits_1_naming_its_path(small_models, tmp_path, com
 def test_datasets_in_the_older_format_train_and_evaluate_to_the_same_bytes(small_models, tmp_path):
     """Datasets written before labels and usability were derived also hold
     ``labels`` and ``usable`` in every record and a ``files`` map in the
-    manifest. Loading ignores them, so such a dataset trains and evaluates
-    to the bytes of the same dataset without them."""
+    manifest; those written before the catalogue hash was left to the DEXTER
+    model also hold ``scenario`` in every record and a
+    ``feature_catalogue_hash`` in the manifest and in every model file's
+    header. Loading ignores them, even a hash of another catalogue, so such
+    files train and evaluate to the bytes of the same files without them."""
     cfg, ds, models = small_models
     old = tmp_path / "old"
     shutil.copytree(ds, old)
@@ -1285,10 +1326,12 @@ def test_datasets_in_the_older_format_train_and_evaluate_to_the_same_bytes(small
             length, t_a = len(record["observations"]), record["injection_time"]
             record["labels"] = [t_a is not None and i >= t_a for i in range(1, length)]
             record["usable"] = t_a is None or length > t_a
+            record["scenario"] = "arts"
         persistence.write_jsonl(str(path), records)
         counts[key] = len(records)
     manifest = read_json(old / "manifest.json")
     manifest["files"] = {"paths": {key: f"{key}.jsonl" for key in counts}, "episode_counts": counts}
+    manifest["feature_catalogue_hash"] = "0" * 64
     persistence.atomic_write_json(str(old / "manifest.json"), manifest)
     assert any(any(r["labels"]) for r in read_records(old / "test_injected.jsonl"))
 
@@ -1297,9 +1340,12 @@ def test_datasets_in_the_older_format_train_and_evaluate_to_the_same_bytes(small
         for dataset in (ds, old):
             model, out = tmp_path / f"{dataset.name}_{kind}.json", tmp_path / f"{dataset.name}_{kind}"
             assert run_train(cfg, kind, dataset, model) == (0, "")
+            trained = read_file(model)
+            if dataset == old:
+                model.write_text(json.dumps({**read_json(model), "feature_catalogue_hash": "0" * 64}))
             assert run_evaluate(cfg, model, dataset, out, "--emit-scores") == (0, "")
             files = sorted(path for path in out.rglob("*") if path.is_file())
             assert len(files) == 2 + SMALL_COUNTS["num_test"]
-            outputs.append([read_file(model)] + [(path.relative_to(out), read_file(path)) for path in files])
+            outputs.append([trained] + [(path.relative_to(out), read_file(path)) for path in files])
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == models[kind].encode("utf-8")

@@ -542,7 +542,6 @@ def test_episode_json_roundtrip():
     assert np.array_equal(back.observations, ep.observations)
     assert np.array_equal(back.labels, ep.labels) and back.usable
     assert back.injection_time == ep.injection_time
-    assert back.scenario == ep.scenario
 
 
 def test_episode_json_text_equals_the_per_value_conversion():
@@ -550,14 +549,14 @@ def test_episode_json_text_equals_the_per_value_conversion():
                              [2.2250738585072014e-308, -1e300, 0.1],
                              [1e-310, -123456.789, 3.0]])
     ep = Episode(observations=observations, actions=np.array([1, 0]), injection_time=1,
-                 reward_sum=-2.5, seed=4, scenario="arts")
+                 reward_sum=-2.5, seed=4)
     per_value = {
         **ep.to_json_dict(),
         "observations": [[float(v) for v in row] for row in ep.observations],
         "actions": [int(a) for a in ep.actions],
     }
     assert json.dumps(ep.to_json_dict()) == json.dumps(per_value)
-    assert sorted(per_value) == ["actions", "injection_time", "observations", "reward_sum", "scenario", "seed"]
+    assert sorted(per_value) == ["actions", "injection_time", "observations", "reward_sum", "seed"]
 
 
 @pytest.mark.parametrize("length, injection_time, labels, usable", [
@@ -572,18 +571,20 @@ def test_episode_json_text_equals_the_per_value_conversion():
 def test_episode_labels_and_usability_follow_length_and_injection_time(length, injection_time, labels,
                                                                          usable):
     ep = Episode(observations=np.zeros((length, 1)), actions=np.zeros(length - 1, dtype=int),
-                 injection_time=injection_time, reward_sum=0.0, seed=0, scenario="arts")
+                 injection_time=injection_time, reward_sum=0.0, seed=0)
     assert ep.labels.dtype == bool and ep.labels.tolist() == labels
     assert ep.usable is usable
 
 
 def test_episode_json_ignores_the_stored_labels_and_usability_of_older_records():
     """Records written before labels and usability were derived also hold
-    ``labels`` and ``usable``; loading ignores both, even when they are
-    wrong."""
+    ``labels`` and ``usable``, and records written before the scenario was
+    left to the dataset's config hold ``scenario``; loading ignores all
+    three, even when they are wrong."""
     cfg = noise_config(Scenario.ARTS, BaseEnv.CONSTANT, horizon=20, scales=(1.0,))
     ep = run_episode(cfg, builtin_policy(cfg.base_env, PolicyKind.RANDOM), seed=2)
-    for stored in ({"labels": ep.labels.tolist(), "usable": True}, {"labels": [1, "x"], "usable": "no"}):
+    for stored in ({"labels": ep.labels.tolist(), "usable": True, "scenario": "arts"},
+                   {"labels": [1, "x"], "usable": "no", "scenario": 5}):
         back = Episode.from_json_dict({**ep.to_json_dict(), **stored})
         assert back.to_json_dict() == ep.to_json_dict()
         assert np.array_equal(back.labels, ep.labels) and back.usable
