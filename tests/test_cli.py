@@ -178,16 +178,10 @@ def test_invalid_config_fails_with_exit_code_1(tmp_path, capsys):
     assert not (tmp_path / "ds4").exists()
 
 
-def readme_example_config() -> dict:
-    """The example config of the README's CLI section, its ``//`` comments
-    stripped."""
+def test_the_readme_example_config_shows_every_key_with_its_default():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("Example config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
-    return json.loads("\n".join(line.split("//", 1)[0] for line in block.splitlines()))
-
-
-def test_the_readme_example_config_shows_every_key_with_its_default():
-    example = readme_example_config()
+    example = json.loads("\n".join(line.split("//", 1)[0] for line in block.splitlines()))
     assert set(example) == persistence._TOP_LEVEL_KEYS
     for section, defaults in (("scenario", persistence._SCENARIO_DEFAULTS),
                               ("evaluation", persistence._EVALUATION_DEFAULTS),
