@@ -6,8 +6,9 @@ Two stand-ins accompany the main detector:
   (per-dimension linear models on a degree-2 polynomial basis of state and
   action, residual variance per dimension), scoring each transition by the
   mean negative Gaussian log-density of the observed next state. Its CUSUM
-  variant (PEDM-C-lite) reuses the exact calibration and online recursion of
-  the main detector.
+  variant (PEDM-C-lite) is run by ``evaluation.TrainedDetector`` as the main
+  detector's is: ``cusum.calibrate_from_streams`` and
+  ``cusum.first_alert_step`` over ``pedm_episode_scores``.
 * Mean-shift CUSUM -- a per-coordinate two-sided CUSUM with allowance
   kappa = 0.5 on standardized observations, the classic test for changes in
   the mean of a multivariate stream. Its per-transition anomaly score is the
@@ -20,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cusum import (
-    CusumDetector, calibrate_from_streams, calibrate_split_half, check_calibrated, clamped_step,
-    first_alert_step, first_crossing,
-)
+from .cusum import calibrate_split_half, check_calibrated, clamped_step, first_crossing
+# Not called here: perfbench/layers.py probes these two names on this module.
+from .cusum import calibrate_from_streams, first_alert_step  # noqa: F401
 from .errors import ConfigError, DataError, IncompatibleModelError, read_field
 from .seeding import rng_from
 
@@ -194,20 +194,6 @@ def fit_dynamics_from_episodes(episodes, ensemble_size: int = DEFAULT_ENSEMBLE_S
         ensemble_size=ensemble_size,
         seed=seed,
     )
-
-
-def pedm_cusum(ensemble: DynamicsModelEnsemble, calibration_episodes, target_fpr: float,
-               seed: int = 0) -> CusumDetector:
-    """Calibrate the shared CUSUM rule on PEDM transition scores."""
-    streams = [pedm_episode_scores(ensemble, ep) for ep in calibration_episodes]
-    return calibrate_from_streams(streams, target_fpr, seed=seed)
-
-
-def pedm_detect_online(detector: CusumDetector, ensemble: DynamicsModelEnsemble, episode):
-    """Alert step (destination observation index) or None."""
-    scores = pedm_episode_scores(ensemble, episode)
-    step = first_alert_step(detector, scores)
-    return None if step is None else step + 1
 
 
 @dataclass

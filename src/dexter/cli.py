@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 validation/configuration error, 2 runtime error.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -324,8 +323,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, IncompatibleModelError, UndefinedMetricError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, DataError, IncompatibleModelError, UndefinedMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DexterError as exc:

@@ -9,8 +9,12 @@ for step t >= W-1 is the arithmetic mean over dimensions of each forest's
 score for the window ending at t. Scores are undefined (NaN) for t < W-1,
 and the CUSUM statistic stays frozen during that warm-up. ``score_stream``
 scores a whole episode at once; ``DexterStream`` scores it one observation
-at a time, as a monitor running beside the system would, with the same
-scores and alerts.
+at a time, as a monitor running beside the system would. Both compute the
+mean through one kernel, so they give the same scores and alerts.
+
+A model is always of the running feature catalogue: ``to_json_dict``
+writes the catalogue's hash, and ``DexterModel.from_json_dict`` refuses a
+document of another catalogue or with forests of another feature count.
 """
 
 import math
@@ -41,7 +45,6 @@ class DexterModel:
 
     forests: list
     window_size: int
-    feature_manifest_hash: str
 
     @property
     def num_dimensions(self) -> int:
@@ -50,7 +53,7 @@ class DexterModel:
     def to_json_dict(self) -> dict:
         return {
             "window_size": int(self.window_size),
-            "feature_manifest_hash": self.feature_manifest_hash,
+            "feature_manifest_hash": ts_features.catalogue_hash(),
             "forests": [f.to_json_dict() for f in self.forests],
         }
 
@@ -59,18 +62,20 @@ class DexterModel:
         owner = "dexter model"
         forests = read_field(d, "forests", owner, list)
         window_size = read_field(d, "window_size", owner, int)
-        manifest_hash = read_field(d, "feature_manifest_hash", owner, str)
+        if read_field(d, "feature_manifest_hash", owner, str) != ts_features.catalogue_hash():
+            raise IncompatibleModelError("dexter model was built with a different feature catalogue")
         if not forests:
             raise IncompatibleModelError("dexter model has no forests")
         if window_size < ts_features.MIN_WINDOW:
             raise IncompatibleModelError(
                 f"dexter model window_size {window_size} < minimum {ts_features.MIN_WINDOW}"
             )
-        return cls(
-            forests=[iforest.IsolationForestModel.from_json_dict(f) for f in forests],
-            window_size=window_size,
-            feature_manifest_hash=manifest_hash,
-        )
+        forests = [iforest.IsolationForestModel.from_json_dict(f) for f in forests]
+        for forest in forests:
+            if forest.feature_count != ts_features.FEATURE_COUNT:
+                raise IncompatibleModelError(f"dexter model forest feature_count {forest.feature_count} "
+                                             f"!= catalogue's {ts_features.FEATURE_COUNT}")
+        return cls(forests=forests, window_size=window_size)
 
 
 def _observation_matrix(episode) -> np.ndarray:
@@ -138,17 +143,21 @@ def train(dataset, window_size: int = DEFAULT_WINDOW, num_trees: int = iforest.D
             subsample=subsample,
             seed=forest_seed,
         ))
-    return DexterModel(forests=forests, window_size=window_size,
-                       feature_manifest_hash=ts_features.catalogue_hash())
+    return DexterModel(forests=forests, window_size=window_size)
 
 
-def _check_compat(model: DexterModel, observations: np.ndarray):
-    if observations.shape[1] != model.num_dimensions:
-        raise IncompatibleModelError(
-            f"observation dimension {observations.shape[1]} != model dimension {model.num_dimensions}"
-        )
-    if model.feature_manifest_hash != ts_features.catalogue_hash():
-        raise IncompatibleModelError("model was built with a different feature catalogue")
+def _mean_scores(model: DexterModel, windows: np.ndarray) -> np.ndarray:
+    """The anomaly score of each of ``count`` windows: ``windows`` holds
+    dimension d's windows in rows d * count to (d + 1) * count. One
+    extraction call covers them all, forest d scores its dimension's rows,
+    and the per-dimension scores are summed in dimension order from 0.0 and
+    divided by D."""
+    count = windows.shape[0] // model.num_dimensions
+    features = ts_features.extract_features_batch(windows)
+    total = np.zeros(count)
+    for d, forest in enumerate(model.forests):
+        total += iforest.score_batch(forest, features[d * count:(d + 1) * count])
+    return total / model.num_dimensions
 
 
 def score_stream(model: DexterModel, episode) -> ScoreSeries:
@@ -158,19 +167,15 @@ def score_stream(model: DexterModel, episode) -> ScoreSeries:
     scores for the sliding window ending at t; earlier entries are NaN.
     """
     obs = _observation_matrix(episode)
-    _check_compat(model, obs)
     length, num_dims = obs.shape
+    if num_dims != model.num_dimensions:
+        raise IncompatibleModelError(
+            f"observation dimension {num_dims} != model dimension {model.num_dimensions}"
+        )
     scores = np.full(length, np.nan)
     if length >= model.window_size:
-        count = length - model.window_size + 1
-        # One extraction call over the sliding windows of every dimension;
-        # forest d scores rows d * count to (d + 1) * count.
-        features = ts_features.extract_features_batch(np.concatenate(
+        scores[model.window_size - 1 :] = _mean_scores(model, np.concatenate(
             [ts_features.sliding_windows(obs[:, d], model.window_size) for d in range(num_dims)]))
-        acc = np.zeros(count)
-        for d, forest in enumerate(model.forests):
-            acc += iforest.score_batch(forest, features[d * count:(d + 1) * count])
-        scores[model.window_size - 1 :] = acc / num_dims
     return ScoreSeries(scores=scores)
 
 
@@ -213,11 +218,10 @@ class DexterStream:
     The score is NaN until W observations have arrived, and ``alerted``
     stays True from the first alert on. Scores and alerts equal
     :func:`score_stream` and :func:`detect_online` on the same episode bit
-    for bit: the D windows go through one
-    :func:`ts_features.extract_features_batch` call, whose rows do not
-    depend on the batch; each forest scores its own row; and the
-    per-dimension scores are summed in dimension order from 0.0 and divided
-    by D.
+    for bit: the D windows go through the kernel that scores a whole
+    episode, as a count of one window per dimension, and the features of a
+    window do not depend on the batch it is extracted in. The model's
+    catalogue was checked when it was read.
 
     ``push`` checks the observation before it changes any state. One of
     the wrong width raises :class:`IncompatibleModelError`, and one with a
@@ -228,8 +232,6 @@ class DexterStream:
     def __init__(self, model: DexterModel, decision: CusumDetector):
         if decision is None:
             raise ConfigError("detector has not been calibrated")
-        if model.feature_manifest_hash != ts_features.catalogue_hash():
-            raise IncompatibleModelError("model was built with a different feature catalogue")
         self.model = model
         self.monitor = CusumMonitor(decision)
         self.steps = 0
@@ -252,9 +254,5 @@ class DexterStream:
         self.steps += 1
         score = math.nan
         if self.steps >= self.model.window_size:
-            features = ts_features.extract_features_batch(windows)
-            total = 0.0
-            for d, forest in enumerate(self.model.forests):
-                total += iforest.score_batch(forest, features[d:d + 1])[0]
-            score = float(total / self.model.num_dimensions)
+            score = float(_mean_scores(self.model, windows)[0])
         return score, self.monitor.update(score)

@@ -87,9 +87,20 @@ def atomic_write_json(path: str, obj):
     atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
+def _parse_json(text: str):
+    """The document in ``text``, the one parse of every file this package
+    reads. A document nested deeper than the parser recurses raises
+    :class:`json.JSONDecodeError`, as other text that is not JSON does,
+    not :class:`RecursionError`."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("document is nested too deep", text, 0) from None
+
+
 def read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return _parse_json(handle.read())
 
 
 def write_jsonl(path: str, dicts):
@@ -229,7 +240,7 @@ def parse_config(doc: dict, seed_override: int | None = None) -> RunConfig:
 def load_config(path: str, seed_override: int | None = None) -> RunConfig:
     try:
         doc = read_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(doc, seed_override=seed_override)
 
@@ -265,7 +276,7 @@ def load_episodes(path: str, num_dimensions: int) -> list:
             if not line.strip():
                 continue
             try:
-                episode = Episode.from_json_dict(json.loads(line.decode("utf-8")))
+                episode = Episode.from_json_dict(_parse_json(line.decode("utf-8")))
                 if episode.num_dimensions != num_dimensions:
                     raise DataError(f"episode observations have {episode.num_dimensions} columns, "
                                     f"the scenario's state has {num_dimensions}")
@@ -279,7 +290,8 @@ def save_model(path: str, trained, cfg_hash: str):
     """The model as one line of compact JSON with sorted keys, the bytes
     ``json.dumps`` gives plus a newline: the file header and the detector
     document. Only a DEXTER detector depends on the feature catalogue, so
-    its ``feature_manifest_hash`` is the file's one record of it.
+    its ``feature_manifest_hash`` is the file's one record of it, checked
+    when the model is read.
     ``json.dump`` streams the document into the temp file piece by piece, so
     the multi-MB text is never held whole; a forest's node columns are a few
     base64 strings, so the document holds few values and its pure-Python

@@ -5,8 +5,8 @@ vector of ``FEATURE_COUNT`` statistics in a frozen, documented order (see
 ``FEATURE_NAMES``). The catalogue spans descriptive statistics, sample
 autocorrelations, a partial autocorrelation, absolute-FFT-spectrum
 magnitudes, and approximate entropy. Changing the catalogue or its order is
-a breaking change; a DEXTER model embeds :func:`catalogue_hash`, so one
-built under another catalogue is refused.
+a breaking change; a DEXTER model file embeds :func:`catalogue_hash`, so
+one built under another catalogue is refused when it is read.
 
 Degenerate (zero-variance) windows map autocorrelation, partial
 autocorrelation, and approximate entropy to 0 so every feature vector stays

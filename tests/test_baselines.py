@@ -15,12 +15,10 @@ from dexter.baselines import (
     meanshift_detect_online,
     meanshift_episode_scores,
     meanshift_walk,
-    pedm_cusum,
-    pedm_detect_online,
     pedm_episode_scores,
     pedm_score_batch,
 )
-from dexter.cusum import CusumDetector
+from dexter.cusum import CusumDetector, calibrate_from_streams, first_alert_step
 from dexter.environments import (
     BaseEnv,
     PolicyKind,
@@ -187,11 +185,11 @@ def test_pedm_cusum_trivial_cases():
     scores = pedm_episode_scores(ensemble, flat)
     constant_det = CusumDetector(mean_score_abar=float(scores.mean()), threshold_tau=1e9,
                                  target_fpr=0.01)
-    assert pedm_detect_online(constant_det, ensemble, flat) is None
+    assert first_alert_step(constant_det, scores) is None
 
     eager = CusumDetector(mean_score_abar=float(scores.min()) - 1.0, threshold_tau=0.0,
                           target_fpr=0.01)
-    assert pedm_detect_online(eager, ensemble, flat) == 1
+    assert first_alert_step(eager, scores) == 0
 
 
 def test_pedm_cusum_calibration_and_fpr():
@@ -204,12 +202,12 @@ def test_pedm_cusum_calibration_and_fpr():
     train = [run_episode(cfg, policy, seed=i, inject=False) for i in range(100)]
     val = [run_episode(cfg, policy, seed=1000 + i, inject=False) for i in range(200)]
     ensemble = fit_dynamics_from_episodes(train, seed=0)
-    det = pedm_cusum(ensemble, val, target_fpr=0.01, seed=0)
+    det = calibrate_from_streams([pedm_episode_scores(ensemble, ep) for ep in val], target_fpr=0.01, seed=0)
 
     false_alerts = 0
     for i in range(500):
         ep = run_episode(cfg, policy, seed=10_000 + i, inject=False)
-        if pedm_detect_online(det, ensemble, ep) is not None:
+        if first_alert_step(det, pedm_episode_scores(ensemble, ep)) is not None:
             false_alerts += 1
     assert false_alerts / 500 <= 3 * 0.01
 

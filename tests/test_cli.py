@@ -25,6 +25,11 @@ from dexter.persistence import RESULT_CSV_COLUMNS, config_hash, read_json
 from forest_columns import column_text, column_values, listed
 
 
+# JSON nested deeper than the parser recurses: a 2 KB document that once
+# ended a command in a RecursionError traceback.
+DEEP_JSON = "[" * 1000 + "]" * 1000
+
+
 def write_config(path, **overrides):
     doc = {
         "scenario": {"scenario": "arts", "base_env": "constant",
@@ -176,6 +181,12 @@ def test_invalid_config_fails_with_exit_code_1(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg4), "--out", str(tmp_path / "ds4")]) == 1
     assert "per_dimension_scale" in capsys.readouterr().err
     assert not (tmp_path / "ds4").exists()
+
+    for name, text in (("deep.json", DEEP_JSON.encode()), ("latin1.json", b"\xff\xfe")):
+        (tmp_path / name).write_bytes(text)
+        assert main(["generate", "--config", str(tmp_path / name), "--out", str(tmp_path / "ds5")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {tmp_path / name}: ")
+        assert not (tmp_path / "ds5").exists()
 
 
 def test_the_readme_example_config_shows_every_key_with_its_default():
@@ -402,6 +413,8 @@ def test_evaluate_refuses_malformed_baseline_and_cusum_documents(workspace, caps
         ("cusum", {"kind": "dexter", "model": None, "cusum": {}}, "mean_score_abar"),
         ("negative_tau", {**doc["detector"], "cusum": {**doc["detector"]["cusum"], "threshold_tau": -1.0}},
          "threshold_tau"),
+        ("dexter_no_cusum", {**doc["detector"], "cusum": None}, "uncalibrated"),
+        ("meanshift_no_model", {"kind": "meanshift", "model": None}, "uncalibrated"),
     )
     for name, bad, field in cases:
         path = tmp / f"{name}.json"
@@ -429,8 +442,9 @@ def test_train_refuses_malformed_episode_records(workspace, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("line, message", [(b"\xff\xfe", "can't decode"), (b'{"seed": 1', "Expecting")],
-                         ids=["not_utf8", "cut_json"])
+@pytest.mark.parametrize("line, message", [(b"\xff\xfe", "can't decode"), (b'{"seed": 1', "Expecting"),
+                                           (DEEP_JSON.encode(), "nested too deep")],
+                         ids=["not_utf8", "cut_json", "nested_1000"])
 def test_train_refuses_a_bank_line_that_is_not_utf8_json(small_models, tmp_path, line, message):
     """A bank line that is not UTF-8 once ended ``train`` in a
     UnicodeDecodeError traceback."""
@@ -456,6 +470,7 @@ def test_malformed_dataset_manifests_fail_with_exit_code_1(workspace, capsys):
     cases = [
         ("{", "not JSON"),
         (b"\xff\xfe", "not JSON"),
+        (DEEP_JSON, "nested too deep"),
         ("[]", "not a JSON object"),
         (json.dumps({k: v for k, v in good.items() if k != "config"}), "'config'"),
         (json.dumps({k: v for k, v in good.items() if k != "config_hash"}), "'config_hash'"),
@@ -516,7 +531,10 @@ def test_failed_text_write_leaves_no_temp_file(tmp_path):
 
 def test_evaluate_refuses_catalogue_mismatch(workspace):
     """A DEXTER model records the catalogue it was built under; one built
-    under another is refused before any output is written."""
+    under another is refused when the model file is read, before any
+    output is written, even when no test episode would be scored (this
+    once blamed the data: 'AUROC requires both anomalous and
+    in-distribution scores')."""
     tmp, cfg = workspace
     ds, model = tmp / "ds", tmp / "model.json"
     main(["generate", "--config", str(cfg), "--out", str(ds)])
@@ -525,6 +543,12 @@ def test_evaluate_refuses_catalogue_mismatch(workspace):
     doc = read_json(model)
     doc["detector"]["model"]["feature_manifest_hash"] = "0" * 64
     model.write_text(json.dumps(doc))
+    code, err = run_evaluate(cfg, model, ds, tmp / "r")
+    assert_clean_exit(code, err, tmp)
+    assert code == 1 and "catalogue" in err
+    assert not (tmp / "r").exists()
+
+    (ds / "test_injected.jsonl").write_text("")
     code, err = run_evaluate(cfg, model, ds, tmp / "r")
     assert_clean_exit(code, err, tmp)
     assert code == 1 and "catalogue" in err
@@ -762,7 +786,8 @@ def test_bench_starts_no_pool_for_one_pending_mode(tmp_path, monkeypatch):
     lambda doc: {**doc, "schema_version": doc["schema_version"] + 1},
     lambda doc: {**doc, "result": {**doc["result"], "detector_id": "dexter"}},
     lambda doc: {**doc, "cell_hash": "0" * 64},
-], ids=["empty_result", "missing_field", "other_schema", "other_detector", "other_cell"])
+    lambda doc: DEEP_JSON,
+], ids=["empty_result", "missing_field", "other_schema", "other_detector", "other_cell", "nested_1000"])
 def test_bench_resume_recomputes_a_malformed_cell(tmp_path, corrupt):
     cfg, out = tmp_path / "config.json", tmp_path / "bench"
     write_config(cfg, evaluation={"num_train": 4, "num_validation": 4, "num_test": 2,
@@ -771,7 +796,8 @@ def test_bench_resume_recomputes_a_malformed_cell(tmp_path, corrupt):
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
     (cell,) = (out / "cells").iterdir()
     want_cell, want_table = read_file(cell), read_file(out / "results.csv")
-    cell.write_text(json.dumps(corrupt(read_json(cell))))
+    corrupted = corrupt(read_json(cell))
+    cell.write_text(corrupted if isinstance(corrupted, str) else json.dumps(corrupted))
     assert main(["bench", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
     assert read_file(cell) == want_cell
     assert read_file(out / "results.csv") == want_table
@@ -999,7 +1025,9 @@ def _set(*path_and_value):
     ("model", _set("detector", "model", "window_size", 10.5), "window_size"),
     ("model", _set("detector", "model", "window_size", "10"), "window_size"),
     ("model", _set("detector", "model", "forests", 0, "feature_count", 21.9), "feature_count"),
+    ("model", _set("detector", "model", "forests", 0, "feature_count", 30), "feature_count"),
     ("model", _set(5), "not a JSON object"),
+    ("model", _set(DEEP_JSON), "nested too deep"),
     ("model", _set("schema_version", "2"), "'2' unsupported"),
     ("model", _set("detector", "model", "feature_manifest_hash", 5), "feature_manifest_hash"),
     ("record", _set("injection_time", "abc"), "injection_time"),
@@ -1010,7 +1038,8 @@ def _set(*path_and_value):
     ("record", _set("seed", 3.7), "seed"),
     ("record", _set("injection_time", None), "no injection time"),
     ("clean_record", None, "no injection time"),
-], ids=["window_size_fraction", "window_size_text", "feature_count_fraction", "model_root_5",
+], ids=["window_size_fraction", "window_size_text", "feature_count_fraction", "feature_count_30",
+        "model_root_5", "model_nested_1000",
         "schema_version_text", "feature_manifest_hash_5",
         "injection_time_text", "injection_time_fraction", "injection_time_negative",
         "meanshift_threshold_negative", "meanshift_target_fpr_7", "seed_fraction",
@@ -1028,7 +1057,8 @@ def test_evaluate_refuses_mistyped_model_and_dataset_fields(small_models, tmp_pa
         # "clean_record" puts a whole clean episode in the injected bank.
         first = read_records(ds_copy / "test_clean.jsonl")[0] if where == "clean_record" else edit(records[0])
         write_records(injected, [first] + records[1:])
-    model.write_text(json.dumps(model_doc))
+    # An edit that gives text (a document json.dumps cannot write) is the file.
+    model.write_text(model_doc if isinstance(model_doc, str) else json.dumps(model_doc))
     code, err = run_evaluate(cfg, model, ds_copy, tmp_path / "out")
     assert_clean_exit(code, err, tmp_path)
     assert code == 1 and message in err

@@ -121,7 +121,7 @@ def test_training_equals_forests_fitted_on_per_episode_extractions(cartpole_mode
     for d in range(4):
         features = np.concatenate([extract_features_batch(training_windows(m, 10)[:, :, d]) for m in matrices])
         forests.append(iforest.fit(features, num_trees=20, subsample=64, seed=child_seed(5, "forest")))
-    want = DexterModel(forests=forests, window_size=10, feature_manifest_hash=catalogue_hash())
+    want = DexterModel(forests=forests, window_size=10)
     assert json.dumps(model.to_json_dict(), sort_keys=True) == json.dumps(want.to_json_dict(), sort_keys=True)
 
 
@@ -156,14 +156,15 @@ def test_training_refuses_episodes_of_no_column():
 
 
 def test_dimension_and_catalogue_compatibility(arts_model):
+    """A model is refused for another catalogue when it is read, and for
+    observations of another width when it scores them."""
     _, _, _, model = arts_model
     with pytest.raises(IncompatibleModelError):
         score_stream(model, np.zeros((50, 3)))
-    tampered = DexterModel(
-        forests=model.forests, window_size=model.window_size, feature_manifest_hash="bogus"
-    )
-    with pytest.raises(IncompatibleModelError):
-        score_stream(tampered, np.zeros((50, 1)))
+    doc = model.to_json_dict()
+    assert doc["feature_manifest_hash"] == catalogue_hash()
+    with pytest.raises(IncompatibleModelError, match="catalogue"):
+        DexterModel.from_json_dict({**doc, "feature_manifest_hash": "bogus"})
 
 
 def test_scores_rise_after_injection(arts_model):
@@ -224,7 +225,7 @@ def test_model_json_roundtrip(arts_model):
     s2 = score_stream(back, ep).scores
     assert np.array_equal(s1[9:], s2[9:])
     assert back.window_size == model.window_size
-    assert back.feature_manifest_hash == model.feature_manifest_hash
+    assert back.to_json_dict() == model.to_json_dict()
 
 
 def test_older_model_documents_load_and_score_bit_for_bit(arts_model):
@@ -258,7 +259,8 @@ def test_malformed_model_documents_are_rejected(arts_model):
     cases = [{k: v for k, v in good.items() if k != key}
              for key in ("forests", "window_size", "feature_manifest_hash")]
     cases += [{**good, "forests": []}, {**good, "forests": None},
-              {**good, "window_size": 3}, {**good, "window_size": "ten"}, None, []]
+              {**good, "window_size": 3}, {**good, "window_size": "ten"}, None, [],
+              {**good, "forests": [{**good["forests"][0], "feature_count": 30}]}]
     for doc in cases:
         with pytest.raises(IncompatibleModelError):
             DexterModel.from_json_dict(doc)
@@ -333,9 +335,5 @@ def test_stream_refuses_bad_observations_and_keeps_its_state(arts_model):
         pushed.append(stream.push(observation))
     scores = np.array([score for score, _ in pushed])
     assert np.array_equal(scores.view(np.int64), score_stream(model, ep).scores.view(np.int64))
-    tampered = DexterModel(forests=model.forests, window_size=model.window_size,
-                           feature_manifest_hash="bogus")
-    with pytest.raises(IncompatibleModelError):
-        DexterStream(tampered, decision)
     with pytest.raises(ConfigError):
         DexterStream(model, None)

@@ -25,6 +25,7 @@ from dexter.evaluation import (
     TrainedDetector,
 )
 from dexter.seeding import child_seed
+from dexter.ts_features import catalogue_hash
 
 
 def brute_force_auroc(scores, labels):
@@ -243,7 +244,7 @@ def test_malformed_detector_documents_are_rejected():
                 {"kind": "pedm", "params": {"bogus_param": 1}, "model": None},
                 {"kind": "meanshift", "params": {"kappa": True}, "model": None},
                 {"kind": "dexter", "model": {"window_size": 10}},
-                {"kind": "dexter", "model": {"window_size": 10, "feature_manifest_hash": "h",
+                {"kind": "dexter", "model": {"window_size": 10, "feature_manifest_hash": catalogue_hash(),
                                              "forests": []}}):
         with pytest.raises(IncompatibleModelError):
             TrainedDetector.from_json_dict(doc)
@@ -257,10 +258,12 @@ def _truncated(episode, length):
 @pytest.mark.parametrize("kind", ["dexter", "pedm"])
 def test_cusum_kinds_decide_like_their_reference_functions_bit_for_bit(kind):
     """The harness calibrates and alerts both CUSUM kinds on their transition
-    scores; ``detector.calibrate``/``detect_online`` and
-    ``baselines.pedm_cusum``/``pedm_detect_online`` are the references."""
+    scores; ``detector.calibrate``/``detect_online`` and, for PEDM,
+    ``cusum.calibrate_from_streams``/``first_alert_step`` over
+    ``baselines.pedm_episode_scores`` (whose transition i ends at
+    observation i + 1) are the references."""
     from dexter import baselines, detector
-    from dexter.cusum import CusumDetector
+    from dexter.cusum import CusumDetector, calibrate_from_streams, first_alert_step
     from dexter.environments import builtin_policy
     from dexter.evaluation import generate_episodes, measure_detector
 
@@ -286,10 +289,12 @@ def test_cusum_kinds_decide_like_their_reference_functions_bit_for_bit(kind):
             return detector.detect_online(decision, trained.model, ep).alert_step
     else:
         def reference_calibration(eps, seed):
-            return baselines.pedm_cusum(trained.model, eps, 0.2, seed=seed)
+            return calibrate_from_streams([baselines.pedm_episode_scores(trained.model, ep) for ep in eps],
+                                          0.2, seed=seed)
 
         def reference_alert(decision, ep):
-            return baselines.pedm_detect_online(decision, trained.model, ep)
+            step = first_alert_step(decision, baselines.pedm_episode_scores(trained.model, ep))
+            return None if step is None else step + 1
 
     for validation in (clean + injected, clean + odd, episodes):
         for seed in (0, 1):
